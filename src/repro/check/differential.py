@@ -160,8 +160,8 @@ _FULL_FLEET = FleetConfig(device_count=200, area_m=(160.0, 60.0),
 
 def _shard_differential(config: FleetConfig, shard_count: int) -> Deviation:
     plan = generate_fleet(config)
-    single = run_sharded_fleet(plan, shard_count=1, stage=None)
-    sharded = run_sharded_fleet(plan, shard_count=shard_count, stage=None)
+    single = run_sharded_fleet(plan, shard_count=1)
+    sharded = run_sharded_fleet(plan, shard_count=shard_count)
     counter_diffs = counters_equal(single, sharded)
     moment_diffs = moments_close(single, sharded)
     mismatch = len(counter_diffs) + len(moment_diffs)

@@ -1,13 +1,14 @@
 """Experiment harnesses: one module per table, figure, and §6 claim.
 
-Each module is runnable (``python -m repro.experiments.<name>``) and is
-also driven by a matching bench in ``benchmarks/``. The per-experiment
-index lives in DESIGN.md; paper-vs-measured numbers in EXPERIMENTS.md.
+``python -m repro.experiments`` runs them from one ordered registry
+(``--only <name>`` runs one of them), and most are also driven by a
+matching bench in ``benchmarks/``. The per-experiment index lives in DESIGN.md;
+paper-vs-measured numbers in EXPERIMENTS.md.
 """
 
 # runner/statistics first: they import nothing from the simulation
 # layers, and the experiment modules below depend on them.
-from .runner import TIMINGS, ParallelRunner, StageTimings, run_grid
+from .runner import ParallelRunner, StageTimings, run_grid
 from .statistics import Replication, replicate, replicate_many
 
 from . import (

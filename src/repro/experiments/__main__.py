@@ -3,10 +3,16 @@
     python -m repro.experiments              # print all reports
     python -m repro.experiments --out DIR    # also write CSV artifacts
     python -m repro.experiments --quick      # core artifacts only
+    python -m repro.experiments --only NAME  # one experiment (repeatable)
     python -m repro.experiments --workers 4  # fan sweeps over processes
     python -m repro.experiments --timings    # append a stage-timing table
     python -m repro.experiments --metrics    # metrics table + JSONL artifact
     python -m repro.experiments --audit      # cross-check run invariants
+
+Every experiment is one :class:`Experiment` in :data:`EXPERIMENTS`.
+:func:`main` runs the shared measurement scenarios, then each selected
+entry in registry order (banner, run, print), and ``--out``,
+``--timings`` and ``--audit`` iterate the results it kept.
 """
 
 from __future__ import annotations
@@ -14,13 +20,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import textwrap
+from dataclasses import dataclass
+from typing import Any, Callable
 
-from ..obs import METRICS, audit_all, audit_faults, audit_fleet, audit_mobility
+from ..obs import METRICS, audit_all
+from ..obs.audit import AuditReport
 from ..scenarios import ensure_scenario_metrics, run_all_scenarios
 from . import (
     ablations,
     adaptive,
     band_5ghz,
+    battery_life,
     contention,
     fleet_scale,
     mobility,
@@ -29,15 +40,155 @@ from . import (
     resilience,
     scheduling,
 )
-from .artifacts import export_all, write_metrics_jsonl
-from .battery_life import battery_life, render as render_battery
-from .figure3 import run_figure3
-from .figure4 import run_figure4
-from .frame_counts import run_frame_counts
-from .multi_device import run_multi_device
-from .runner import TIMINGS
-from .table1 import run_table1
-from .two_way import run_two_way
+from .artifacts import (
+    WrittenArtifact,
+    export_all,
+    write_figure4_csv,
+    write_metrics_jsonl,
+    write_multi_device_csv,
+    write_rows_csv,
+    write_table1_csv,
+    write_trace_csv,
+    write_trace_segments_csv,
+)
+from .contention import run_contention
+from .figure3 import Figure3Report, run_figure3
+from .figure4 import Figure4Report, run_figure4
+from .fleet_scale import run_fleet_scale
+from .frame_counts import FrameCountReport, run_frame_counts
+from .multi_device import MultiDeviceReport, run_multi_device
+from .new_devices import NewDevicesReport
+from .reliability import run_reliability
+from .runner import StageTimings
+from .table1 import Table1Report, run_table1
+from .two_way import TwoWayReport, run_two_way
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One registered experiment: how to run, print, save and audit it.
+
+    ``run(results, workers)`` gets the shared scenario results and the
+    pool size; ``render(result)`` is the block printed under ``title``;
+    ``artifacts`` pairs each CSV file name with its ``write(path,
+    result)``; ``audit(result)`` cross-checks the result's invariants.
+    ``quick`` entries make up ``--quick``.
+    """
+
+    name: str
+    title: str
+    run: Callable[[dict, int], Any]
+    render: Callable[[Any], str]
+    quick: bool = False
+    artifacts: tuple[tuple[str, Callable[[str, Any], WrittenArtifact]],
+                     ...] = ()
+    audit: Callable[[Any], AuditReport] | None = None
+
+
+# Entries call the run functions through this module's globals at call
+# time, so a wrapper patched over e.g. ``run_table1`` here takes effect.
+EXPERIMENTS: tuple[Experiment, ...] = (
+    Experiment(
+        "table1", "Table 1", quick=True,
+        run=lambda results, workers: run_table1(results),
+        render=Table1Report.render,
+        artifacts=(("table1.csv", lambda path, report:
+                    write_table1_csv(path, report.results)),)),
+    Experiment(
+        "figure3", "Figure 3", quick=True,
+        run=lambda results, workers: run_figure3(),
+        render=Figure3Report.render,
+        artifacts=(
+            ("figure3a_wifi.csv", lambda path, report:
+             write_trace_csv(path, report.wifi_trace)),
+            ("figure3b_wile.csv", lambda path, report:
+             write_trace_csv(path, report.wile_trace)),
+            ("figure3a_wifi_segments.csv", lambda path, report:
+             write_trace_segments_csv(path, report.wifi_trace)),
+            ("figure3b_wile_segments.csv", lambda path, report:
+             write_trace_segments_csv(path, report.wile_trace)))),
+    Experiment(
+        "figure4", "Figure 4", quick=True,
+        run=lambda results, workers: run_figure4(results),
+        render=Figure4Report.render,
+        artifacts=(("figure4.csv", lambda path, report:
+                    write_figure4_csv(path, report.results)),)),
+    Experiment(
+        "frame_counts", "Section 3.1 frame counts", quick=True,
+        run=lambda results, workers: run_frame_counts(),
+        render=FrameCountReport.render),
+    Experiment(
+        "multi_device", "Section 6: multi-device jitter",
+        run=lambda results, workers: run_multi_device(),
+        render=MultiDeviceReport.render,
+        artifacts=(("multi_device_rounds.csv", write_multi_device_csv),)),
+    Experiment(
+        "two_way", "Section 6: two-way communication",
+        run=lambda results, workers: run_two_way(),
+        render=TwoWayReport.render),
+    # The ablation and 5 GHz reports compute their sweeps while
+    # rendering, so their result is the printed text itself.
+    Experiment(
+        "ablations", "Ablations",
+        run=lambda results, workers: ablations.render_all(),
+        render=str),
+    Experiment(
+        "band_5ghz", "Section 1: 5 GHz",
+        run=lambda results, workers: band_5ghz.render(),
+        render=str),
+    Experiment(
+        "contention", "Contention",
+        run=lambda results, workers: run_contention(workers=workers),
+        render=contention.render),
+    Experiment(
+        "scheduling", "Fleet scheduling",
+        run=lambda results, workers: scheduling.run_scheduling(
+            workers=workers),
+        render=scheduling.render),
+    Experiment(
+        "reliability", "Beacon repetition reliability",
+        run=lambda results, workers: run_reliability(workers=workers),
+        render=reliability.render),
+    Experiment(
+        "adaptive", "Adaptive reporting",
+        run=lambda results, workers: adaptive.run_adaptive(workers=workers),
+        render=adaptive.render),
+    Experiment(
+        "battery_life", "Battery life",
+        run=lambda results, workers: battery_life.battery_life(results),
+        render=battery_life.render),
+    Experiment(
+        "fleet_scale", "Fleet scale",
+        run=lambda results, workers: run_fleet_scale(workers=workers),
+        render=fleet_scale.render,
+        artifacts=(("fleet_scale.csv", write_rows_csv),),
+        audit=fleet_scale.audit_points),
+    Experiment(
+        "resilience", "Resilience under injected faults",
+        run=lambda results, workers: resilience.run_resilience(
+            workers=workers),
+        render=resilience.render,
+        artifacts=(("resilience.csv", write_rows_csv),),
+        audit=resilience.audit_points),
+    Experiment(
+        "mobility", "Mobility: handoff tax",
+        run=lambda results, workers: mobility.run_mobility(workers=workers),
+        render=mobility.render,
+        artifacts=(("mobility.csv", write_rows_csv),),
+        audit=mobility.audit_points),
+    Experiment(
+        "new_devices", "New device classes: WUR + batteryless harvesting",
+        run=lambda results, workers: new_devices.run_new_devices(
+            results, workers=workers),
+        render=NewDevicesReport.render,
+        artifacts=(
+            ("harvester_resilience.csv", lambda path, report:
+             write_rows_csv(path, report.resilience)),
+            ("harvester_fleet.csv", lambda path, report:
+             write_rows_csv(path, report.fleet))),
+        audit=lambda report: new_devices.audit_points(
+            report.resilience + report.fleet)),
+)
 
 
 def _banner(title: str) -> None:
@@ -47,15 +198,27 @@ def _banner(title: str) -> None:
     print("#" * 72)
 
 
+def _render_subjects(name: str, report: AuditReport) -> str:
+    return textwrap.fill(", ".join(report.subjects), width=72,
+                         initial_indent=f"{name}: ", subsequent_indent="  ",
+                         break_on_hyphens=False)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate every artifact of the Wi-LE reproduction.")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="also write CSV artifacts into DIR")
-    parser.add_argument("--quick", action="store_true",
-                        help="core artifacts only (Table 1, Figures 3/4, "
-                             "frame counts)")
+    selection = parser.add_mutually_exclusive_group()
+    selection.add_argument("--quick", action="store_true",
+                           help="core artifacts only (Table 1, Figures 3/4, "
+                                "frame counts)")
+    selection.add_argument("--only", action="append", metavar="NAME",
+                           choices=[experiment.name
+                                    for experiment in EXPERIMENTS],
+                           help="run only the named experiment "
+                                "(repeatable; choices: %(choices)s)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="process-pool size for the independent sweeps "
                              "(default 1 = serial; results are identical)")
@@ -71,94 +234,44 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
+    if args.only:
+        selected = [experiment for experiment in EXPERIMENTS
+                    if experiment.name in args.only]
+    else:
+        selected = [experiment for experiment in EXPERIMENTS
+                    if experiment.quick or not args.quick]
 
+    timings = StageTimings()
     print("running the measurement scenarios...")
-    results = run_all_scenarios(workers=args.workers)
-
-    _banner("Table 1")
-    print(run_table1(results).render())
-    _banner("Figure 3")
-    print(run_figure3().render())
-    _banner("Figure 4")
-    print(run_figure4(results).render())
-    _banner("Section 3.1 frame counts")
-    print(run_frame_counts().render())
-
-    fleet_points = None
-    resilience_points = None
-    mobility_points = None
-    harvester_points = None
-    if not args.quick:
-        _banner("Section 6: multi-device jitter")
-        print(run_multi_device().render())
-        _banner("Section 6: two-way communication")
-        print(run_two_way().render())
-        _banner("Ablations")
-        print(ablations.render_all())
-        _banner("Section 1: 5 GHz")
-        print(band_5ghz.render())
-        _banner("Contention")
-        print(contention.render(
-            contention.run_contention(workers=args.workers)))
-        _banner("Fleet scheduling")
-        print(scheduling.render(
-            scheduling.run_scheduling(workers=args.workers)))
-        _banner("Beacon repetition reliability")
-        print(reliability.render(
-            reliability.run_reliability(workers=args.workers)))
-        _banner("Adaptive reporting")
-        print(adaptive.render(adaptive.run_adaptive(workers=args.workers)))
-        _banner("Battery life")
-        print(render_battery(battery_life(results)))
-        _banner("Fleet scale")
-        fleet_points = fleet_scale.run_fleet_scale(workers=args.workers)
-        print(fleet_scale.render(fleet_points))
-        _banner("Resilience under injected faults")
-        resilience_points = resilience.run_resilience(workers=args.workers)
-        print(resilience.render(resilience_points))
-        _banner("Mobility: handoff tax")
-        mobility_points = mobility.run_mobility(workers=args.workers)
-        print(mobility.render(mobility_points))
-        _banner("New device classes: WUR + batteryless harvesting")
-        print(new_devices.render_phases(results))
-        harvester_points = new_devices.run_harvester_resilience(
-            workers=args.workers)
-        print()
-        print(new_devices.render_resilience(harvester_points))
-        print()
-        print(new_devices.render_fleet(
-            new_devices.run_harvester_fleet(workers=args.workers)))
+    with timings.span("experiments.scenarios"):
+        results = run_all_scenarios(workers=args.workers)
+    kept = []
+    for experiment in selected:
+        with timings.span(f"experiments.{experiment.name}"):
+            _banner(experiment.title)
+            result = experiment.run(results, args.workers)
+            print(experiment.render(result))
+        kept.append((experiment, result))
 
     if args.out is not None:
         _banner(f"Artifacts -> {args.out}")
-        for artifact in export_all(args.out, results,
-                                   fleet_points=fleet_points,
-                                   resilience_points=resilience_points,
-                                   mobility_points=mobility_points):
+        for artifact in export_all(args.out, results, kept):
             print(f"  wrote {artifact.path} ({artifact.rows} rows)")
 
     if args.timings:
         _banner("Stage timings")
-        print(TIMINGS.render())
+        print(timings.render())
 
     audit_failed = False
     if args.audit:
         _banner("Invariant audit")
         report = audit_all(results)
-        if fleet_points is not None:
-            for point in fleet_points:
-                report.merge(audit_fleet(
-                    point.aggregate,
-                    subject=f"fleet[{point.device_count}x"
-                            f"{point.interval_s:g}s]"))
-        if resilience_points is not None:
-            for point in resilience_points:
-                report.merge(audit_faults(point))
-        if mobility_points is not None:
-            for point in mobility_points:
-                report.merge(audit_mobility(point))
-        if harvester_points is not None:
-            report.merge(new_devices.audit_points(harvester_points))
+        print(_render_subjects("scenarios", report))
+        for experiment, result in kept:
+            if experiment.audit is not None:
+                part = experiment.audit(result)
+                print(_render_subjects(experiment.name, part))
+                report.merge(part)
         print(report.render())
         audit_failed = not report.ok
 

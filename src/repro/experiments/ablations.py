@@ -164,11 +164,3 @@ def render_all() -> str:
                      ["listen interval", "idle current",
                       "avg power @1 min"], listen_rows),
     ])
-
-
-def main() -> None:
-    print(render_all())
-
-
-if __name__ == "__main__":
-    main()

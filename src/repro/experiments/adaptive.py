@@ -96,7 +96,7 @@ def run_adaptive(wake_interval_s: float = 60.0,
     """Both policies over the same track; independent, so they can fan out."""
     return run_grid(
         partial(_run, wake_interval_s=wake_interval_s, horizon_s=horizon_s),
-        ("fixed", "delta"), workers=workers, stage="experiments.adaptive")
+        ("fixed", "delta"), workers=workers)
 
 
 def boot_vs_tx_energy() -> tuple[float, float, float]:
@@ -127,11 +127,3 @@ def render(results: list[AdaptiveResult]) -> str:
              "(suppressing only the 84 uJ TX would save "
              f"{tx_j / (boot_j + tx_j):.1%} of the active energy at most)")
     return f"{table}\n{notes}"
-
-
-def main() -> None:
-    print(render(run_adaptive()))
-
-
-if __name__ == "__main__":
-    main()

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 from ..energy.trace import CurrentTrace
 from ..obs import METRICS
 from ..obs.metrics import MetricsRegistry
-from .multi_device import run_multi_device
-from ..scenarios import (
-    ScenarioResult,
-    ensure_scenario_metrics,
-    figure4,
-    run_all_scenarios,
-    table1,
-)
+from ..scenarios import ScenarioResult, ensure_scenario_metrics, figure4, table1
 
 
 class ArtifactError(RuntimeError):
@@ -117,44 +110,15 @@ def write_multi_device_csv(path: str, report) -> WrittenArtifact:
     return WrittenArtifact(path, len(data["per_round_unique"]))
 
 
-def write_fleet_csv(path: str, points) -> WrittenArtifact:
-    """One row per fleet density-sweep cell (duck-typed
-    :class:`~repro.experiments.fleet_scale.FleetScalePoint` sequence,
-    so this module never imports the fleet layer)."""
+def write_rows_csv(path: str, points) -> WrittenArtifact:
+    """One row per sweep point, columns from ``point.to_row()``.
+
+    Duck-typed over any sweep's points (fleet scale, resilience,
+    mobility, the harvester grids), so this module never imports the
+    layers behind them. Floats are written to nine significant digits.
+    """
     if not points:
-        raise ArtifactError("fleet sweep produced no points")
-    rows = [point.to_row() for point in points]
-    with _writer(path) as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: (f"{value:.9g}"
-                                   if isinstance(value, float) else value)
-                             for key, value in row.items()})
-    return WrittenArtifact(path, len(rows))
-
-
-def write_resilience_csv(path: str, points) -> WrittenArtifact:
-    """One row per fault-intensity x recovery-policy cell (duck-typed
-    :class:`~repro.experiments.resilience.ResiliencePoint` sequence)."""
-    if not points:
-        raise ArtifactError("resilience sweep produced no points")
-    rows = [point.to_row() for point in points]
-    with _writer(path) as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: (f"{value:.9g}"
-                                   if isinstance(value, float) else value)
-                             for key, value in row.items()})
-    return WrittenArtifact(path, len(rows))
-
-
-def write_mobility_csv(path: str, points) -> WrittenArtifact:
-    """One row per speed x AP-density x technology cell (duck-typed
-    :class:`~repro.experiments.mobility.MobilityPoint` sequence)."""
-    if not points:
-        raise ArtifactError("mobility sweep produced no points")
+        raise ArtifactError("sweep produced no points")
     rows = [point.to_row() for point in points]
     with _writer(path) as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
@@ -182,45 +146,18 @@ def write_metrics_jsonl(path: str,
     return WrittenArtifact(path, len(records))
 
 
-def export_all(output_dir: str,
-               results: dict[str, ScenarioResult] | None = None,
-               fleet_points=None,
-               resilience_points=None,
-               mobility_points=None) -> list[WrittenArtifact]:
-    """Write the full artifact set under ``output_dir``.
+def export_all(output_dir: str, results: dict[str, ScenarioResult],
+               outcomes) -> list[WrittenArtifact]:
+    """Write a run's artifact set under ``output_dir``.
 
-    ``fleet_points`` / ``resilience_points`` / ``mobility_points`` are
-    the (expensive) sweeps' outputs; callers that already ran them pass
-    them in so the artifact set gains ``fleet_scale.csv`` /
-    ``resilience.csv`` / ``mobility.csv`` without a second run.
+    ``outcomes`` are the ``(experiment, result)`` pairs that
+    ``python -m repro.experiments`` kept: each file an experiment
+    declares in its ``artifacts`` is written from that experiment's
+    result, then the run's ``metrics.jsonl``.
     """
-    results = results if results is not None else run_all_scenarios()
-    artifacts = [
-        write_table1_csv(os.path.join(output_dir, "table1.csv"), results),
-        write_figure4_csv(os.path.join(output_dir, "figure4.csv"), results),
-        write_trace_csv(os.path.join(output_dir, "figure3a_wifi.csv"),
-                        results["WiFi-DC"].trace),
-        write_trace_csv(os.path.join(output_dir, "figure3b_wile.csv"),
-                        results["Wi-LE"].trace),
-        write_trace_segments_csv(
-            os.path.join(output_dir, "figure3a_wifi_segments.csv"),
-            results["WiFi-DC"].trace),
-        write_trace_segments_csv(
-            os.path.join(output_dir, "figure3b_wile_segments.csv"),
-            results["Wi-LE"].trace),
-        write_multi_device_csv(
-            os.path.join(output_dir, "multi_device_rounds.csv"),
-            run_multi_device()),
-    ]
-    if fleet_points:
-        artifacts.append(write_fleet_csv(
-            os.path.join(output_dir, "fleet_scale.csv"), fleet_points))
-    if resilience_points:
-        artifacts.append(write_resilience_csv(
-            os.path.join(output_dir, "resilience.csv"), resilience_points))
-    if mobility_points:
-        artifacts.append(write_mobility_csv(
-            os.path.join(output_dir, "mobility.csv"), mobility_points))
+    artifacts = [write(os.path.join(output_dir, filename), result)
+                 for experiment, result in outcomes
+                 for filename, write in experiment.artifacts]
     # Scenario metrics recorded in pool workers died with the pool;
     # re-emit from the results so the artifact is always complete.
     ensure_scenario_metrics(results)

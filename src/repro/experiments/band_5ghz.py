@@ -124,11 +124,3 @@ def render() -> str:
             "on 2.4 GHz only)",
             ["band", "delivered", "rate"], escape_rows),
     ])
-
-
-def main() -> None:
-    print(render())
-
-
-if __name__ == "__main__":
-    main()

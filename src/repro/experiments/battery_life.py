@@ -58,11 +58,3 @@ def render(cells: list[BatteryLifeCell]) -> str:
         "Battery life by scenario and transmission interval",
         ["scenario", "interval", "avg current", "CR2032 (years)",
          "2xAA (years)"], rows)
-
-
-def main() -> None:
-    print(render(battery_life()))
-
-
-if __name__ == "__main__":
-    main()

@@ -129,7 +129,7 @@ def run_contention(loads: tuple[float, ...] = (0.0, 0.2, 0.5, 0.8),
     cells = [(load, carrier_sense)
              for load in loads for carrier_sense in (False, True)]
     return run_grid(partial(_contention_cell, rounds=rounds), cells,
-                    workers=workers, stage="experiments.contention")
+                    workers=workers)
 
 
 def render(points: list[ContentionPoint]) -> str:
@@ -144,11 +144,3 @@ def render(points: list[ContentionPoint]) -> str:
         "Wi-LE injection under channel contention",
         ["channel load", "injection", "delivered", "rate",
          "mean access delay", "max"], rows)
-
-
-def main() -> None:
-    print(render(run_contention()))
-
-
-if __name__ == "__main__":
-    main()

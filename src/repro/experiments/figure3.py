@@ -95,11 +95,3 @@ def run_figure3() -> Figure3Report:
         wile_samples=len(wile_reading.times_s),
         wifi_peak_a=wifi.trace.peak_current_a(),
         wile_peak_a=wile.trace.peak_current_a())
-
-
-def main() -> None:
-    print(run_figure3().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -29,6 +29,7 @@ from .report import render_log_sketch, render_series
 class Figure4Report:
     series: list[Figure4Series]
     findings: Figure4Findings
+    results: dict[str, ScenarioResult]
 
     def render(self) -> str:
         triples = [(entry.name, entry.intervals_s / 60.0, entry.power_w * 1e3)
@@ -55,12 +56,4 @@ class Figure4Report:
 def run_figure4(results: dict[str, ScenarioResult] | None = None) -> Figure4Report:
     results = results if results is not None else run_all_scenarios()
     return Figure4Report(series=figure4(results),
-                         findings=figure4_findings(results))
-
-
-def main() -> None:
-    print(run_figure4().render())
-
-
-if __name__ == "__main__":
-    main()
+                         findings=figure4_findings(results), results=results)

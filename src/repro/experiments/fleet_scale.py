@@ -22,9 +22,9 @@ from typing import Sequence
 
 from ..fleet import FleetConfig, generate_fleet, run_sharded_fleet
 from ..fleet.aggregate import FleetAggregate, counters_equal, moments_close
-from ..obs import METRICS
+from ..obs import METRICS, audit_fleet
+from ..obs.audit import AuditReport
 from .report import format_si, render_table
-from .runner import TIMINGS
 
 #: The default sweep: device density rises ~20x across the grid while
 #: the area stays fixed, so the collision curves isolate density.
@@ -123,26 +123,33 @@ def run_fleet_scale(device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
     ends with one ``synchronised``-start point at the densest cell —
     the §6 worst case, where the collision knee actually shows.
     """
-    with TIMINGS.span("experiments.fleet_scale"):
-        points = []
-        for device_count in device_counts:
-            for interval_s in intervals_s:
-                config = FleetConfig(device_count=device_count,
-                                     interval_s=interval_s,
-                                     duration_s=duration_s,
-                                     area_m=area_m, seed=seed)
-                points.append(run_fleet_point(config,
-                                              shard_count=shard_count,
-                                              workers=workers,
-                                              kernel=kernel))
-        if include_synchronised and device_counts and intervals_s:
-            config = FleetConfig(device_count=max(device_counts),
-                                 interval_s=min(intervals_s),
-                                 duration_s=duration_s, area_m=area_m,
-                                 start="synchronised", seed=seed)
+    points = []
+    for device_count in device_counts:
+        for interval_s in intervals_s:
+            config = FleetConfig(device_count=device_count,
+                                 interval_s=interval_s,
+                                 duration_s=duration_s,
+                                 area_m=area_m, seed=seed)
             points.append(run_fleet_point(config, shard_count=shard_count,
                                           workers=workers, kernel=kernel))
-        return points
+    if include_synchronised and device_counts and intervals_s:
+        config = FleetConfig(device_count=max(device_counts),
+                             interval_s=min(intervals_s),
+                             duration_s=duration_s, area_m=area_m,
+                             start="synchronised", seed=seed)
+        points.append(run_fleet_point(config, shard_count=shard_count,
+                                      workers=workers, kernel=kernel))
+    return points
+
+
+def audit_points(points: Sequence[FleetScalePoint]) -> AuditReport:
+    """Fold :func:`repro.obs.audit.audit_fleet` over every sweep point."""
+    report = AuditReport()
+    for point in points:
+        report.merge(audit_fleet(
+            point.aggregate, subject=f"fleet[{point.device_count}x"
+                                     f"{point.interval_s:g}s,{point.start}]"))
+    return report
 
 
 def run_fleet_smoke(device_count: int = 200, shard_count: int = 2,
@@ -189,11 +196,3 @@ def render(points: Sequence[FleetScalePoint]) -> str:
         "Fleet scale: density sweep over the sharded runner",
         ["devices", "interval", "start", "per ha", "sent", "delivery",
          "collision", "util", "mean current", "CR2032 yrs"], rows)
-
-
-def main() -> None:
-    print(render(run_fleet_scale()))
-
-
-if __name__ == "__main__":
-    main()

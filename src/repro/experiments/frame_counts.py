@@ -66,16 +66,3 @@ def run_frame_counts() -> FrameCountReport:
         higher_layer_frames=log.higher_layer_frames,
         eapol_phase_frames=log.count(FrameLayer.MAC, "eapol"),
         wile_frames=1 if wile.details["frame_bytes"] else 0)
-
-
-def main() -> None:
-    report = run_frame_counts()
-    print(report.render())
-    print()
-    from .report import render_ladder
-    print("Message sequence (every frame before the first data byte):")
-    print(render_ladder(report.frame_log.entries))
-
-
-if __name__ == "__main__":
-    main()

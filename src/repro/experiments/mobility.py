@@ -1,6 +1,6 @@
 """Experiment: mobility — speed x AP density x technology.
 
-    python -m repro.experiments.mobility [--quick] [--audit] [--csv PATH]
+    python -m repro.experiments --only mobility [--audit] [--out DIR]
 
 The paper's Figure-3 energy comparison is made standing still. This
 sweep makes the devices move: each cell walks a small population of
@@ -30,8 +30,6 @@ sweep fans over the process pool bit-identically at any worker count.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,7 +46,7 @@ from ..mobility import (
 )
 from ..obs import METRICS
 from .report import render_table
-from .runner import TIMINGS, run_grid
+from .runner import run_grid
 
 #: Pedestrian, jogger, urban vehicle — the speed axis (m/s).
 DEFAULT_SPEEDS = (0.0, 1.4, 5.0, 15.0)
@@ -244,9 +242,7 @@ def run_mobility(speeds: Sequence[float] = DEFAULT_SPEEDS,
                           seed=seed)
              for speed in speeds for spacing in spacings
              for technology in technologies]
-    with TIMINGS.span("experiments.mobility"):
-        points = run_grid(run_cell, cells, workers=workers,
-                          stage="experiments.mobility.cells")
+    points = run_grid(run_cell, cells, workers=workers)
     _record_metrics(points)
     return points
 
@@ -280,52 +276,3 @@ def render(points: Sequence[MobilityPoint]) -> str:
         ["tech", "v m/s", "AP m", "handoffs", "ho/dev/h", "outage s",
          "delivery", "unit mJ", "ho J", "J/dev/day"],
         rows)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.mobility",
-        description="Handoff tax: speed x AP density x technology sweep.")
-    parser.add_argument("--quick", action="store_true",
-                        help="small sweep (2 speeds x 2 spacings, 1 h "
-                             "horizon) for CI")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--model", default="random-waypoint",
-                        help="trajectory model (see repro.mobility)")
-    parser.add_argument("--policy", default="hysteresis",
-                        help="AP-selection policy "
-                             "(strongest/hysteresis/sticky)")
-    parser.add_argument("--audit", action="store_true",
-                        help="cross-check handoff-energy conservation; "
-                             "non-zero exit on violation")
-    parser.add_argument("--csv", metavar="PATH", default=None,
-                        help="also write the sweep as CSV")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        points = run_mobility(speeds=(0.0, 5.0), spacings=(30.0, 120.0),
-                              duration_s=3600.0, device_count=4,
-                              model=args.model, policy=args.policy,
-                              seed=args.seed, workers=args.workers)
-    else:
-        points = run_mobility(model=args.model, policy=args.policy,
-                              seed=args.seed, workers=args.workers)
-    print(render(points))
-
-    if args.csv:
-        from .artifacts import write_mobility_csv
-        artifact = write_mobility_csv(args.csv, points)
-        print(f"\nwrote {artifact.path} ({artifact.rows} rows)")
-
-    if args.audit:
-        report = audit_points(points)
-        print()
-        print(report.render())
-        if not report.ok:
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,7 +24,6 @@ import numpy as np
 from ..core import SensorKind, SensorReading, WiLEDevice, WiLEReceiver
 from ..sim import Position, Simulator, WirelessMedium, crystal_population
 from .report import render_table
-from .runner import TIMINGS
 from .statistics import Replication, replicate_many
 
 
@@ -162,16 +161,7 @@ def run_multi_device_sweep(seeds: Sequence[int] = tuple(range(8)),
     average, not just for the demo seed. Returns per-metric
     :class:`~repro.experiments.statistics.Replication` summaries.
     """
-    with TIMINGS.span("experiments.multi_device"):
-        return replicate_many(
-            partial(_metrics_for_seed, device_count=device_count,
-                    rounds=rounds, interval_s=interval_s),
-            seeds=seeds, workers=workers)
-
-
-def main() -> None:
-    print(run_multi_device().render())
-
-
-if __name__ == "__main__":
-    main()
+    return replicate_many(
+        partial(_metrics_for_seed, device_count=device_count,
+                rounds=rounds, interval_s=interval_s),
+        seeds=seeds, workers=workers)

@@ -1,7 +1,6 @@
 """Experiment: the new device classes — WUR and batteryless harvesting.
 
-    python -m repro.experiments.new_devices [--quick] [--audit]
-                                            [--workers N]
+    python -m repro.experiments --only new_devices [--audit] [--workers N]
 
 Three views of the ROADMAP's fifth and sixth Table 1 columns:
 
@@ -24,9 +23,6 @@ process pool with bit-identical results at any worker count.
 
 from __future__ import annotations
 
-import argparse
-import math
-import sys
 from dataclasses import dataclass
 
 from ..energy import calibration as cal
@@ -141,8 +137,7 @@ def run_harvester_resilience(
     """The brownout x income grid (intensity-major, scale-minor order)."""
     cells = [ResilienceCell(intensity=intensity, income_scale=scale)
              for intensity in intensities for scale in income_scales]
-    return run_grid(run_resilience_cell, cells, workers=workers,
-                    stage="new_devices.resilience")
+    return run_grid(run_resilience_cell, cells, workers=workers)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,14 +153,31 @@ class FleetCell:
 
 @dataclass(frozen=True, slots=True)
 class FleetPoint:
-    """Aggregated delivery across one cell's fleet."""
+    """One cell's fleet: every device's harvest run, aggregated on read
+    so the audited runs are exactly what the table reports."""
 
     cell: FleetCell
-    attempts: int
-    delivered: int
-    missed: int
-    min_device_ratio: float
-    max_device_ratio: float
+    runs: tuple[HarvestRun, ...]
+
+    @property
+    def attempts(self) -> int:
+        return sum(run.attempts for run in self.runs)
+
+    @property
+    def delivered(self) -> int:
+        return sum(run.transmitted for run in self.runs)
+
+    @property
+    def missed(self) -> int:
+        return sum(run.missed for run in self.runs)
+
+    @property
+    def min_device_ratio(self) -> float:
+        return min(run.delivery_ratio for run in self.runs)
+
+    @property
+    def max_device_ratio(self) -> float:
+        return max(run.delivery_ratio for run in self.runs)
 
     @property
     def delivery_ratio(self) -> float:
@@ -187,24 +199,17 @@ class FleetPoint:
 
 def run_fleet_cell(cell: FleetCell) -> FleetPoint:
     """Gate every device in the cell's fleet through its own income."""
-    attempts = delivered = missed = 0
-    ratios = []
-    for device in range(cell.device_count):
-        # Each device's income is keyed on (cell seed, device index) —
-        # the fleet population's per-device randomness discipline.
-        income = EnergyIncomeTrace.seeded(
-            cell.seed * 1000 + device, cell.horizon_s,
-            mean_power_w=cell.income_mean_w)
-        run = run_harvest_policy(income, wake_cost_j=WAKE_COST_J,
-                                 report_interval_s=cell.report_interval_s,
-                                 horizon_s=cell.horizon_s)
-        attempts += run.attempts
-        delivered += run.transmitted
-        missed += run.missed
-        ratios.append(run.delivery_ratio)
-    return FleetPoint(cell=cell, attempts=attempts, delivered=delivered,
-                      missed=missed, min_device_ratio=min(ratios),
-                      max_device_ratio=max(ratios))
+    # Each device's income is keyed on (cell seed, device index) — the
+    # fleet population's per-device randomness discipline.
+    return FleetPoint(cell=cell, runs=tuple(
+        run_harvest_policy(
+            EnergyIncomeTrace.seeded(cell.seed * 1000 + device,
+                                     cell.horizon_s,
+                                     mean_power_w=cell.income_mean_w),
+            wake_cost_j=WAKE_COST_J,
+            report_interval_s=cell.report_interval_s,
+            horizon_s=cell.horizon_s)
+        for device in range(cell.device_count)))
 
 
 def run_harvester_fleet(income_means_w=DEFAULT_INCOME_MEANS_W,
@@ -213,8 +218,7 @@ def run_harvester_fleet(income_means_w=DEFAULT_INCOME_MEANS_W,
     """The income x interval fleet grid."""
     cells = [FleetCell(income_mean_w=mean, report_interval_s=interval)
              for mean in income_means_w for interval in intervals_s]
-    return run_grid(run_fleet_cell, cells, workers=workers,
-                    stage="new_devices.fleet")
+    return run_grid(run_fleet_cell, cells, workers=workers)
 
 
 def render_phases(results=None) -> str:
@@ -265,49 +269,40 @@ def render_fleet(points) -> str:
 
 
 def audit_points(points) -> AuditReport:
-    """Fold the harvest audit over every sweep cell's run."""
+    """Fold the harvest audit over every sweep run: one per resilience
+    cell, one per device of each fleet cell."""
     report = AuditReport()
     for point in points:
-        subject = (f"harvest[i={point.cell.intensity:g},"
-                   f"x{point.cell.income_scale:g}]"
-                   if isinstance(point, ResiliencePoint)
-                   else f"harvest-fleet[{point.cell.income_mean_w:g}W,"
-                        f"{point.cell.report_interval_s:g}s]")
         if isinstance(point, ResiliencePoint):
-            report.merge(audit_harvest(point.run, subject=subject))
+            report.merge(audit_harvest(
+                point.run, subject=f"harvest[i={point.cell.intensity:g},"
+                                   f"x{point.cell.income_scale:g}]"))
+            continue
+        subject = (f"harvest-fleet[{point.cell.income_mean_w:g}W,"
+                   f"{point.cell.report_interval_s:g}s]")
+        for run in point.runs:
+            report.merge(audit_harvest(run, subject=subject))
     return report
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.new_devices",
-        description="WUR + batteryless device-class experiments.")
-    parser.add_argument("--quick", action="store_true",
-                        help="phase breakdown only (skip the sweeps)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N")
-    parser.add_argument("--audit", action="store_true",
-                        help="cross-check the harvest accounting "
-                             "invariants over every sweep cell")
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
+@dataclass(frozen=True, slots=True)
+class NewDevicesReport:
+    """The three views, as ``python -m repro.experiments`` prints them."""
 
-    print(render_phases())
-    audit_failed = False
-    if not args.quick:
-        resilience_points = run_harvester_resilience(workers=args.workers)
-        print()
-        print(render_resilience(resilience_points))
-        fleet_points = run_harvester_fleet(workers=args.workers)
-        print()
-        print(render_fleet(fleet_points))
-        if args.audit:
-            report = audit_points(resilience_points)
-            print()
-            print(report.render())
-            audit_failed = not report.ok
-    return 1 if audit_failed else 0
+    scenarios: dict
+    resilience: list[ResiliencePoint]
+    fleet: list[FleetPoint]
+
+    def render(self) -> str:
+        return "\n\n".join([render_phases(self.scenarios),
+                             render_resilience(self.resilience),
+                             render_fleet(self.fleet)])
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run_new_devices(results=None, workers: int = 1) -> NewDevicesReport:
+    """Phase tables (from the scenario ``results`` when given) plus both
+    harvester sweeps."""
+    return NewDevicesReport(
+        scenarios=results,
+        resilience=run_harvester_resilience(workers=workers),
+        fleet=run_harvester_fleet(workers=workers))

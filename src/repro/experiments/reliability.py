@@ -98,7 +98,7 @@ def run_reliability(repeat_values: tuple[int, ...] = (1, 2, 3, 4),
     return run_grid(
         partial(run_reliability_point, offered_load=offered_load,
                 rounds=rounds),
-        repeat_values, workers=workers, stage="experiments.reliability")
+        repeat_values, workers=workers)
 
 
 def render(points: list[ReliabilityPoint]) -> str:
@@ -113,11 +113,3 @@ def render(points: list[ReliabilityPoint]) -> str:
         f"Beacon repetition on a {load:.0%}-loaded channel (raw injection)",
         ["repeats", "delivered", "rate", "energy/train",
          "energy/delivered msg"], rows)
-
-
-def main() -> None:
-    print(render(run_reliability()))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,6 +1,6 @@
 """Experiment: Wi-LE under fire — fault intensity x recovery policy.
 
-    python -m repro.experiments.resilience [--quick] [--audit]
+    python -m repro.experiments --only resilience [--audit] [--workers N]
 
 The paper's energy argument is made on a clean channel. This sweep asks
 what survives when the channel (and the fleet) misbehaves: every cell
@@ -26,9 +26,7 @@ count. ``--audit`` cross-checks the fault-conservation invariants
 
 from __future__ import annotations
 
-import argparse
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,7 +40,7 @@ from ..faults import (
 )
 from ..obs import METRICS, audit_faults
 from .report import render_table
-from .runner import TIMINGS, run_grid
+from .runner import run_grid
 
 DEFAULT_INTENSITIES = (0.0, 0.3, 0.6, 1.0)
 DEFAULT_POLICIES = ("baseline", "redundant", "adaptive")
@@ -276,9 +274,7 @@ def run_resilience(intensities: Sequence[float] = DEFAULT_INTENSITIES,
                             interval_s=interval_s, duration_s=duration_s,
                             seed=seed)
              for intensity in intensities for policy in policies]
-    with TIMINGS.span("experiments.resilience"):
-        points = run_grid(run_cell, cells, workers=workers,
-                          stage="experiments.resilience.cells")
+    points = run_grid(run_cell, cells, workers=workers)
     _record_metrics(points)
     return points
 
@@ -314,46 +310,3 @@ def render(points: Sequence[ResiliencePoint]) -> str:
         ["intensity", "policy", "copies", "delivery", "injected", "snr",
          "collision", "suppressed", "reboots", "dead", "escalations"],
         rows)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.resilience",
-        description="Wi-LE under injected faults: intensity x policy sweep.")
-    parser.add_argument("--quick", action="store_true",
-                        help="small sweep (2 intensities x 2 policies, "
-                             "40 s horizon) for CI")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--audit", action="store_true",
-                        help="cross-check fault-conservation invariants; "
-                             "non-zero exit on violation")
-    parser.add_argument("--csv", metavar="PATH", default=None,
-                        help="also write the sweep as CSV")
-    args = parser.parse_args(argv)
-
-    if args.quick:
-        points = run_resilience(intensities=(0.0, 0.8),
-                                policies=("baseline", "adaptive"),
-                                duration_s=40.0, seed=args.seed,
-                                workers=args.workers)
-    else:
-        points = run_resilience(seed=args.seed, workers=args.workers)
-    print(render(points))
-
-    if args.csv:
-        from .artifacts import write_resilience_csv
-        artifact = write_resilience_csv(args.csv, points)
-        print(f"\nwrote {artifact.path} ({artifact.rows} rows)")
-
-    if args.audit:
-        report = audit_points(points)
-        print()
-        print(report.render())
-        if not report.ok:
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,10 +11,10 @@ and seeds its own RNGs). That independence is the whole contract here:
   loop it replaces. ``workers=1`` is a plain serial loop; anything the
   pool cannot pickle (lambdas, closures) silently degrades to serial so
   interactive callers and tests never break.
-* :class:`StageTimings` records wall-clock ``perf_counter`` spans per
-  experiment stage into a process-global registry (:data:`TIMINGS`), so
-  ``python -m repro.experiments --timings`` can show where a run's time
-  went and whether the fan-out actually paid off.
+* :class:`StageTimings` records wall-clock ``perf_counter`` spans, one
+  per experiment of a ``python -m repro.experiments`` run, so
+  ``--timings`` can show where the run's time went and whether the
+  fan-out actually paid off.
 
 Nothing here imports the simulation layers, so worker processes only
 materialise what the mapped function itself pulls in.
@@ -66,11 +66,10 @@ class TimingSpan:
 class StageTimings:
     """An append-only registry of named wall-clock spans.
 
-    Spans nest freely (an experiment span can contain per-scenario
-    spans); aggregation is by stage name. Worker processes record into
-    their *own* copy of the registry — only parent-side spans survive a
-    parallel fan-out, which is the honest number anyway (it includes the
-    pool overhead the speedup has to beat).
+    Aggregation is by stage name, so the table only adds up when spans
+    do not nest. Spans are recorded in the parent around a whole
+    fan-out, which is the honest number (it includes the pool overhead
+    the speedup has to beat).
     """
 
     def __init__(self) -> None:
@@ -110,10 +109,6 @@ class StageTimings:
     def render(self, title: str = "Stage timings") -> str:
         from .report import render_timings
         return render_timings(self, title=title)
-
-
-#: Process-global registry the experiment harnesses record into.
-TIMINGS = StageTimings()
 
 
 class ParallelRunner:
@@ -295,18 +290,12 @@ class ParallelRunner:
 
 
 def run_grid(fn: Callable[[_T], _R], items: Sequence[_T], *,
-             workers: int = 1, stage: str | None = None,
-             timings: StageTimings | None = None,
-             timeout_s: float | None = None, retries: int = 2) -> list[_R]:
-    """Fan ``fn`` over ``items``, recording one span for the whole stage.
+             workers: int = 1, timeout_s: float | None = None,
+             retries: int = 2) -> list[_R]:
+    """Fan ``fn`` over ``items``; results in input order.
 
     The convenience wrapper the experiment harnesses share: one line per
-    sweep, timings for free.
+    sweep.
     """
-    registry = timings if timings is not None else TIMINGS
-    runner = ParallelRunner(workers=workers, timeout_s=timeout_s,
-                            retries=retries)
-    if stage is None:
-        return runner.map(fn, items)
-    with registry.span(stage):
-        return runner.map(fn, items)
+    return ParallelRunner(workers=workers, timeout_s=timeout_s,
+                          retries=retries).map(fn, items)

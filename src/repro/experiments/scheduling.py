@@ -113,8 +113,7 @@ def run_scheduling(device_count: int = 40, rounds: int = 50,
     return run_grid(
         partial(_run_fleet, device_count=device_count, rounds=rounds,
                 interval_s=interval_s, seed=seed),
-        ("synchronised", "random", "slotted"),
-        workers=workers, stage="experiments.scheduling")
+        ("synchronised", "random", "slotted"), workers=workers)
 
 
 def expected_random_delivery(device_count: int, interval_s: float,
@@ -146,11 +145,3 @@ def render(results: list[PolicyResult]) -> str:
             f"analytic random-phase success estimate: {analytic:.4f}; "
             f"pairwise round-collision probability: "
             f"{collision_probability(first.device_count, first.interval_s, 2 * 52.8e-6):.3f}")
-
-
-def main() -> None:
-    print(render(run_scheduling()))
-
-
-if __name__ == "__main__":
-    main()

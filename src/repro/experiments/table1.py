@@ -8,7 +8,7 @@ Paper values:
     Idle current   2.5 uA  1.1 uA  2.5 uA     4500 uA
     =============  ======  ======  =========  =========
 
-Run with ``python -m repro.experiments.table1`` or through
+Run with ``python -m repro.experiments --only table1`` or through
 ``benchmarks/bench_table1.py``.
 """
 
@@ -64,11 +64,3 @@ class Table1Report:
 def run_table1(results: dict[str, ScenarioResult] | None = None) -> Table1Report:
     results = results if results is not None else run_all_scenarios()
     return Table1Report(rows=build_table1(results), results=results)
-
-
-def main() -> None:
-    print(run_table1().render())
-
-
-if __name__ == "__main__":
-    main()

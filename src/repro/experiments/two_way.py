@@ -94,17 +94,3 @@ def window_sweep(interval_s: float = 60.0,
         windowed = rx_window_energy_j(window_ms)
         sweep.append((window_ms, windowed, always / windowed))
     return sweep
-
-
-def main() -> None:
-    print(run_two_way().render())
-    rows = [[f"{w} ms", format_si(e, "J"), f"{f:.0f}x"]
-            for w, e, f in window_sweep()]
-    print()
-    print(render_table("RX window size sweep (60 s interval)",
-                       ["window", "energy/interval", "savings vs always-on"],
-                       rows))
-
-
-if __name__ == "__main__":
-    main()

@@ -650,7 +650,6 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
                       workers: int = 1, halo_m: float | None = None,
                       max_range_m: float = DEFAULT_MAX_RANGE_M,
                       interference_range_m: float = DEFAULT_INTERFERENCE_RANGE_M,
-                      stage: str | None = "experiments.fleet",
                       checkpoint_dir: str | None = None,
                       chaos_kill_shard: int | None = None,
                       chaos_fail_shard: int | None = None,
@@ -705,7 +704,7 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
                        chaos_fail_shard=chaos_fail_shard,
                        kernel=kernel)
              for shard in shards]
-    outcomes = run_grid(_run_shard_task, tasks, workers=workers, stage=stage,
+    outcomes = run_grid(_run_shard_task, tasks, workers=workers,
                         timeout_s=timeout_s, retries=retries)
     failures: list[tuple[int, str, str]] = []
     states: list[tuple[int, dict]] = []

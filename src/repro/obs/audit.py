@@ -57,15 +57,21 @@ class AuditReport:
 
     findings: list[AuditFinding] = field(default_factory=list)
     checks: int = 0
+    #: Every subject audited, in first-audited order, each named once.
+    subjects: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
     def merge(self, other: "AuditReport") -> None:
-        """Fold another report's checks and findings into this one."""
+        """Fold another report's checks, findings and subjects into this
+        one."""
         self.findings.extend(other.findings)
         self.checks += other.checks
+        for subject in other.subjects:
+            if subject not in self.subjects:
+                self.subjects.append(subject)
 
     def render(self) -> str:
         """A human-readable pass/fail summary."""
@@ -99,7 +105,7 @@ def audit_trace(trace: CurrentTrace, subject: str = "trace",
         sample_rate_hz: rate for the resampling cross-check, or None to
             skip it (it costs O(duration * rate)).
     """
-    report = AuditReport()
+    report = AuditReport(subjects=[subject])
     segments = trace.segments
 
     # Invariant: monotonic, non-overlapping, non-negative segment times.
@@ -179,8 +185,8 @@ def audit_scenario(result, rel_tol: float = CHARGE_REL_TOL,
     idle_current_a / supply_voltage_v / trace / frame_log) so the audit
     layer never imports the scenario layer.
     """
-    report = AuditReport()
     subject = result.name
+    report = AuditReport(subjects=[subject])
 
     report.checks += 1
     for attribute in ("energy_per_packet_j", "t_tx_s", "supply_voltage_v"):
@@ -235,7 +241,7 @@ def audit_harvest(run, subject: str = "harvest",
       run witnessed;
     * **non-negative counters** — no ledger or counter went backwards.
     """
-    report = AuditReport()
+    report = AuditReport(subjects=[subject])
 
     report.checks += 1
     error_j = run.conservation_error_j()
@@ -306,7 +312,7 @@ def audit_fleet(aggregate, subject: str = "fleet") -> AuditReport:
     * **bounded rates** — delivery/collision rates and channel
       utilisation are fractions, and every moment is finite.
     """
-    report = AuditReport()
+    report = AuditReport(subjects=[subject])
 
     report.checks += 1
     decided = (aggregate.uplink_delivered + aggregate.uplink_lost_collision
@@ -392,9 +398,9 @@ def audit_faults(point, subject: str | None = None,
       window, no more, no less);
     * **non-negative counters** — no accounting path went backwards.
     """
-    report = AuditReport()
     if subject is None:
         subject = getattr(point, "name", "faults")
+    report = AuditReport(subjects=[subject])
 
     report.checks += 1
     for name, scheduled, fired in point.fault_stats.conservation_pairs():
@@ -454,9 +460,9 @@ def audit_mobility(point, subject: str | None = None) -> AuditReport:
       total outage time fits inside ``device_count * duration``;
     * **non-negative counters** — no accounting path went backwards.
     """
-    report = AuditReport()
     if subject is None:
         subject = getattr(point, "name", "mobility")
+    report = AuditReport(subjects=[subject])
 
     report.checks += 1
     if point.cell.technology == "Wi-LE":
@@ -527,7 +533,7 @@ def audit_federation(report_obj, expected_frames: int | None = None,
     * **non-negative counters** — dedupe and per-partition counts
       never go backwards.
     """
-    report = AuditReport()
+    report = AuditReport(subjects=[subject])
 
     report.checks += 1
     processed = report_obj.ingested + report_obj.decode_errors

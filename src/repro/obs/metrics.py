@@ -9,8 +9,7 @@ telemetry dependency.
 
 Metrics are named with dotted paths (``mac.station.frames_tx``) and an
 optional label set (``scenario="Wi-LE"``, ``layer="mac"``); the
-(name, labels) pair identifies one instrument. Like
-:data:`repro.experiments.runner.TIMINGS`, the default registry
+(name, labels) pair identifies one instrument. The default registry
 (:data:`METRICS`) is per-process: worker processes of a parallel sweep
 record into their own copy, and only parent-side metrics survive a
 fan-out.

@@ -59,9 +59,9 @@ def emit_scenario_metrics(result: ScenarioResult,
     leaves its Table 1 inputs — energy per packet, transmission window,
     idle current, trace charge per phase, frame counts — in the metrics
     registry alongside whatever the MAC layer counted during the run.
-    Like :data:`~repro.experiments.runner.TIMINGS`, metrics recorded in
-    pool workers stay in the worker; parent-side callers can re-emit
-    from the returned results (see ``ensure_scenario_metrics``).
+    Metrics recorded in pool workers stay in the worker; parent-side
+    callers can re-emit from the returned results (see
+    ``ensure_scenario_metrics``).
     """
     registry = registry if registry is not None else METRICS
     name = result.name

@@ -30,11 +30,7 @@ _SCENARIO_RUNNERS = {
 
 def _run_named_scenario(name: str) -> ScenarioResult:
     """Run one scenario by Table 1 column name (picklable pool task)."""
-    # Imported lazily: ``repro.experiments`` imports this package at the
-    # module level, so a top-level import here would be circular.
-    from ..experiments.runner import TIMINGS
-    with TIMINGS.span(f"scenarios.{name}"):
-        return _SCENARIO_RUNNERS[name]()
+    return _SCENARIO_RUNNERS[name]()
 
 
 def run_all_scenarios(workers: int = 1) -> dict[str, ScenarioResult]:
@@ -45,10 +41,11 @@ def run_all_scenarios(workers: int = 1) -> dict[str, ScenarioResult]:
     on a process pool (results keyed and ordered identically to the
     serial run).
     """
-    from ..experiments.runner import TIMINGS, ParallelRunner
-    with TIMINGS.span("scenarios.run_all"):
-        results = ParallelRunner(workers=workers).map(
-            _run_named_scenario, SCENARIO_ORDER)
+    # Imported lazily: ``repro.experiments`` imports this package at the
+    # module level, so a top-level import here would be circular.
+    from ..experiments.runner import ParallelRunner
+    results = ParallelRunner(workers=workers).map(
+        _run_named_scenario, SCENARIO_ORDER)
     return dict(zip(SCENARIO_ORDER, results))
 
 

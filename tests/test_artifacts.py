@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.experiments.__main__ import EXPERIMENTS
 from repro.experiments.artifacts import (
     ArtifactError,
     export_all,
@@ -90,7 +91,10 @@ class TestTraceCsv:
 
 class TestExportAll:
     def test_full_set(self, results, tmp_path):
-        artifacts = export_all(str(tmp_path / "artifacts"), results)
+        outcomes = [(experiment, experiment.run(results, 1))
+                    for experiment in EXPERIMENTS
+                    if experiment.quick or experiment.name == "multi_device"]
+        artifacts = export_all(str(tmp_path / "artifacts"), results, outcomes)
         names = {os.path.basename(artifact.path) for artifact in artifacts}
         assert names == {"table1.csv", "figure4.csv", "figure3a_wifi.csv",
                          "figure3b_wile.csv", "figure3a_wifi_segments.csv",

@@ -14,7 +14,7 @@ import pytest
 
 from repro.check import CheckError, oracles_for_mode
 from repro.energy import calibration as cal
-from repro.experiments.artifacts import write_mobility_csv
+from repro.experiments.artifacts import write_rows_csv
 from repro.experiments.mobility import MobilityCell, run_cell
 from repro.fleet import (
     FleetAggregate,
@@ -458,7 +458,7 @@ class TestExperimentAndAudit:
                   run_cell(dataclasses.replace(self.CELL,
                                                technology="Wi-LE"))]
         path = tmp_path / "mobility.csv"
-        artifact = write_mobility_csv(str(path), points)
+        artifact = write_rows_csv(str(path), points)
         assert artifact.rows == 2
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))

@@ -107,16 +107,9 @@ class TestDeterminism:
 
 
 class TestRunGrid:
-    def test_maps_and_records_span(self):
-        timings = StageTimings()
-        out = run_grid(square, [1, 2, 3], stage="grid", timings=timings)
-        assert out == [1, 4, 9]
-        assert [span.stage for span in timings.spans] == ["grid"]
-
-    def test_no_stage_records_nothing(self):
-        timings = StageTimings()
-        run_grid(square, [1, 2], timings=timings)
-        assert timings.spans == ()
+    def test_maps_in_input_order(self):
+        assert run_grid(square, [1, 2, 3]) == [1, 4, 9]
+        assert run_grid(square, [3, 2, 1], workers=2) == [9, 4, 1]
 
 
 class TestStageTimings:
