@@ -1,15 +1,19 @@
-"""Parallel experiment fan-out and per-stage timing hooks.
+"""Parallel experiment fan-out, the shared process pool, and timing hooks.
 
 The paper's headline artifacts come from sweeps — seeds × beacon
 intervals × channel loads — and every sweep cell is an independent,
 deterministic simulation (each cell builds its own :class:`Simulator`
 and seeds its own RNGs). That independence is the whole contract here:
 
-* :class:`ParallelRunner` fans a function over a work list with a
-  process pool, **returning results in input order** regardless of
-  completion order, so a parallel sweep is byte-identical to the serial
-  loop it replaces. ``workers=1`` is a plain serial loop; anything the
-  pool cannot pickle (lambdas, closures) silently degrades to serial so
+* :class:`ProcessPool` is the one process pool in the repository: the
+  sweeps, the sharded fleet and the gateway service all fan out over
+  it. It keeps every input until its result is taken, so a worker that
+  dies or hangs costs a resubmission, never a result.
+* :class:`ParallelRunner` fans a function over a work list through that
+  pool, **returning results in input order** regardless of completion
+  order, so a parallel sweep is byte-identical to the serial loop it
+  replaces. ``workers=1`` is a plain serial loop; anything the pool
+  cannot pickle (lambdas, closures) silently degrades to serial so
   interactive callers and tests never break.
 * :class:`StageTimings` records wall-clock ``perf_counter`` spans, one
   per experiment of a ``python -m repro.experiments`` run, so
@@ -23,28 +27,23 @@ materialise what the mapped function itself pulls in.
 from __future__ import annotations
 
 import math
+import os
 import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor
+import signal
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import (Any, Callable, Hashable, Iterable, Iterator, Sequence,
+                    TypeVar)
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-
 class RunnerError(ValueError):
     """Raised for invalid runner configuration."""
-
-
-class _PoolUnusable(Exception):
-    """Internal: the pool cannot run this function at all (unpicklable
-    function or results, or the platform cannot spawn workers) — the
-    whole map must fall back to the serial loop."""
 
 
 def _call_chunk(fn: Callable[[_T], _R], chunk: Sequence[_T]) -> list[_R]:
@@ -111,6 +110,174 @@ class StageTimings:
         return render_timings(self, title=title)
 
 
+#: Resubmissions an input gets after losing its worker (death or hang);
+#: a further loss runs it in-process, so one poison input costs
+#: throughput, never the result.
+RETRIES = 2
+
+
+def _metric(name: str):
+    from ..obs.metrics import METRICS
+    return METRICS.counter(name)
+
+
+def first_attempt(directory: str, name: str) -> bool:
+    """Claim the marker ``chaos_<name>.marker`` in ``directory``; true
+    only for the call that created it.
+
+    The chaos hooks fire on an input's first attempt only, so its
+    resubmission after the fault proceeds.
+    """
+    try:
+        with open(os.path.join(directory, f"chaos_{name}.marker"), "x"):
+            return True
+    except FileExistsError:
+        return False
+
+
+def kill_once(directory: str, name: str) -> None:
+    """Chaos hook: SIGKILL the calling pool worker the first time
+    ``name`` is seen in ``directory``."""
+    if first_attempt(directory, name):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@dataclass(slots=True)
+class _Job:
+    """One retained input; ``future`` is ``None`` once it is due to run
+    in-process."""
+
+    fn: Callable[..., Any]
+    args: tuple
+    future: Future | None = None
+    losses: int = 0
+
+
+class ProcessPool:
+    """A keyed process pool that loses no submitted work.
+
+    ``submit(key, fn, *args)`` hands one input to a worker and keeps it
+    until ``take(key)`` (or ``await take_async(key)``) returns its
+    result, so taking keys in submission order yields results in that
+    order whatever order the workers finish in. A worker that dies
+    (``BrokenProcessPool``: SIGKILL, OOM, segfault) or, in :meth:`take`,
+    hangs past ``timeout_s`` breaks the pool: it is replaced at once,
+    with no backoff sleep, and every input still in flight resubmitted
+    (finished results are kept). An input lost more than
+    :data:`RETRIES` times runs in-process when taken. ``rescued``
+    counts the inputs resubmitted or moved in-process. Genuine
+    exceptions from ``fn`` propagate from ``take``; the constructor
+    raises :class:`OSError` when the platform cannot host a pool.
+    """
+
+    def __init__(self, workers: int, timeout_s: float | None = None) -> None:
+        self.workers = workers
+        self.timeout_s = timeout_s
+        self.rescued = 0
+        self._jobs: dict[Hashable, _Job] = {}
+        self._executor: ProcessPoolExecutor | None = self._new_executor()
+
+    def _new_executor(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.workers)
+
+    def submit(self, key: Hashable, fn: Callable[..., Any],
+               *args: Any) -> None:
+        """Start ``fn(*args)`` on a worker, retained under ``key``."""
+        job = _Job(fn, args)
+        try:
+            self._start(job)
+        except BrokenProcessPool:
+            # A worker died since the last take: replace the pool, then
+            # start this job on the new one.
+            self._replace_broken("runner_pool_breaks_total")
+            self._start(job)
+        self._jobs[key] = job
+
+    def _start(self, job: _Job) -> None:
+        if self._executor is not None and job.losses <= RETRIES:
+            job.future = self._executor.submit(job.fn, *job.args)
+        else:
+            job.future = None
+
+    def take(self, key: Hashable) -> Any:
+        """Block until ``key``'s result is ready; release its input."""
+        job = self._jobs[key]
+        while job.future is not None:
+            try:
+                result = job.future.result(timeout=self.timeout_s)
+            except FuturesTimeout:
+                self._replace_broken("runner_task_timeouts_total")
+            except BrokenProcessPool:
+                self._replace_broken("runner_pool_breaks_total")
+            else:
+                del self._jobs[key]
+                return result
+        del self._jobs[key]
+        return job.fn(*job.args)
+
+    async def take_async(self, key: Hashable) -> Any:
+        """:meth:`take` for an event loop (no timeout: a waiting loop
+        keeps serving its other tasks)."""
+        import asyncio  # here, not at import: the sweeps never need it
+        job = self._jobs[key]
+        while job.future is not None:
+            try:
+                result = await asyncio.wrap_future(job.future)
+            except BrokenProcessPool:
+                self._replace_broken("runner_pool_breaks_total")
+            else:
+                del self._jobs[key]
+                return result
+        del self._jobs[key]
+        return job.fn(*job.args)
+
+    def _replace_broken(self, metric: str) -> None:
+        """Replace a broken or hung pool and resubmit what it lost."""
+        _metric(metric).inc()
+        self._shutdown()
+        try:
+            self._executor = self._new_executor()
+        except OSError:
+            self._executor = None  # everything left runs in-process
+        for job in self._jobs.values():
+            future = job.future
+            if future is None or (future.done() and not future.cancelled()
+                                  and future.exception() is None):
+                continue  # already due in-process, or done before the break
+            job.losses += 1
+            self.rescued += 1
+            self._start(job)
+            if job.future is None:
+                _metric("runner_chunks_rescued_total").inc()
+
+    def _shutdown(self) -> None:
+        if self._executor is None:
+            return
+        if self._jobs:
+            # A worker stuck on an input — or a pool whose queue-feeder
+            # thread choked pickling — never drains, so its manager
+            # thread never exits and a plain join (here, or in
+            # CPython's atexit hook) blocks forever. Kill the workers
+            # first: the manager sees the pool break, cleans up, and
+            # the join below returns.
+            workers = getattr(self._executor, "_processes", None) or {}
+            for process in list(workers.values()):
+                try:
+                    process.kill()
+                except (OSError, ValueError):
+                    pass  # already exited
+        # Always reap threads and processes: with fork-start workers,
+        # executor threads left running across many pool lifetimes make
+        # later forks inherit mid-critical-section locks and deadlock.
+        self._executor.shutdown(wait=True, cancel_futures=True)
+        self._executor = None
+
+    def close(self) -> None:
+        """Release the workers, abandoning any input not yet taken."""
+        self._shutdown()
+        self._jobs.clear()
+
+
 class ParallelRunner:
     """Deterministic process-pool fan-out over an independent work list.
 
@@ -121,6 +288,9 @@ class ParallelRunner:
             ``ceil(n / (workers * 4))`` — large enough to amortise IPC,
             small enough to keep the pool balanced when cells have
             uneven cost.
+        timeout_s: per-chunk result deadline; ``None`` waits forever. A
+            chunk that misses it counts as lost, like one whose worker
+            died.
 
     Determinism contract: ``map(fn, items)`` returns ``[fn(x) for x in
     items]`` — same values, same order — however the work was scheduled.
@@ -131,41 +301,26 @@ class ParallelRunner:
     Functions (and results) must be picklable to cross the process
     boundary; when they are not, or when the platform cannot spawn
     workers at all, the runner falls back to the serial loop and notes
-    it in :attr:`last_backend`.
-
-    Robustness contract: a worker that dies mid-run (OOM-killed,
-    segfaulted) or hangs past ``timeout_s`` loses only its own chunks.
-    Lost chunks are retried on a fresh pool up to ``retries`` times with
-    exponential backoff, and whatever is *still* missing afterwards is
-    recomputed serially in-process — the sweep completes with the same
-    values in the same order, it just takes longer. ``last_backend``
-    reports ``"process-pool-recovered"`` when any rescue happened.
+    it in :attr:`last_backend`. Lost chunks are rescued by
+    :class:`ProcessPool`: the sweep completes with the same values in
+    the same order, it just takes longer.
     """
 
     def __init__(self, workers: int = 1, chunk_size: int | None = None,
-                 timeout_s: float | None = None, retries: int = 2,
-                 backoff_s: float = 0.25) -> None:
+                 timeout_s: float | None = None) -> None:
         if workers < 1:
             raise RunnerError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise RunnerError(f"chunk_size must be >= 1, got {chunk_size}")
         if timeout_s is not None and timeout_s <= 0:
             raise RunnerError(f"timeout must be positive, got {timeout_s}")
-        if retries < 0:
-            raise RunnerError(f"retries cannot be negative, got {retries}")
-        if backoff_s < 0:
-            raise RunnerError(f"backoff cannot be negative, got {backoff_s}")
         self.workers = workers
         self.chunk_size = chunk_size
-        #: Per-chunk result deadline; ``None`` waits forever. A chunk
-        #: that misses it counts as lost (the stuck pool is torn down)
-        #: and goes through the retry/serial-rescue path.
         self.timeout_s = timeout_s
-        self.retries = retries
-        self.backoff_s = backoff_s
         #: How the last :meth:`map` actually executed: ``"serial"``,
-        #: ``"process-pool"``, ``"process-pool-recovered"`` (pool plus
-        #: retry/serial rescue of lost chunks) or ``"serial-fallback"``.
+        #: ``"process-pool"``, ``"process-pool-recovered"`` (some chunks
+        #: were resubmitted or ran in-process after a loss) or
+        #: ``"serial-fallback"``.
         self.last_backend: str | None = None
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
@@ -188,114 +343,35 @@ class ParallelRunner:
         chunk = (self.chunk_size if self.chunk_size is not None
                  else max(1, math.ceil(len(work) / (self.workers * 4))))
         chunks = [work[i:i + chunk] for i in range(0, len(work), chunk)]
-        slots: list[list[_R] | None] = [None] * len(chunks)
-        pending = list(range(len(chunks)))
-        recovered = False
+        results: list[_R] = []
         try:
-            for attempt in range(self.retries + 1):
-                if not pending:
-                    break
-                if attempt > 0:
-                    recovered = True
-                    self._metric("runner_retry_rounds_total").inc()
-                    time.sleep(self.backoff_s * (2 ** (attempt - 1)))
-                pending = self._pool_round(fn, chunks, slots, pending)
-        except _PoolUnusable:
-            # Unpicklable function/result (CPython reports local lambdas
-            # as AttributeError and unpicklable objects as TypeError),
-            # or no worker processes on this platform. Cells are
+            pool = ProcessPool(min(self.workers, len(chunks)), self.timeout_s)
+            try:
+                for index, part in enumerate(chunks):
+                    pool.submit(index, _call_chunk, fn, part)
+                for index in range(len(chunks)):
+                    results.extend(pool.take(index))
+            finally:
+                pool.close()
+        except (OSError, pickle.PicklingError, AttributeError, TypeError):
+            # No worker processes on this platform, or unpicklable
+            # results (CPython reports local lambdas as AttributeError
+            # and unpicklable objects as TypeError). Cells are
             # side-effect-free, so a serial rerun is safe and gives the
             # identical answer — and re-raises any genuine error from
             # ``fn`` itself.
             self.last_backend = "serial-fallback"
             return [fn(item) for item in work]
-        if pending:
-            # Retries exhausted with chunks still lost: finish the job
-            # in-process, touching only the missing cells.
-            recovered = True
-            self._metric("runner_chunks_rescued_total").inc(len(pending))
-            for index in pending:
-                slots[index] = [fn(item) for item in chunks[index]]
-        self.last_backend = ("process-pool-recovered" if recovered
+        self.last_backend = ("process-pool-recovered" if pool.rescued
                              else "process-pool")
-        results: list[_R] = []
-        for part in slots:
-            assert part is not None
-            results.extend(part)
         return results
-
-    def _pool_round(self, fn: Callable[[_T], _R],
-                    chunks: Sequence[Sequence[_T]],
-                    slots: list[list[_R] | None],
-                    pending: Sequence[int]) -> list[int]:
-        """Submit ``pending`` chunks to a fresh pool; return the indices
-        still missing afterwards (worker death / timeout). Raises
-        :class:`_PoolUnusable` when process-pool execution cannot work
-        at all, and re-raises genuine exceptions from ``fn``."""
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.workers, len(pending)))
-        except OSError as error:
-            raise _PoolUnusable from error
-        lost: list[int] = []
-        abnormal = False
-        try:
-            try:
-                futures = [(pool.submit(_call_chunk, fn, chunks[index]),
-                            index) for index in pending]
-            except (BrokenProcessPool, OSError, RuntimeError) as error:
-                abnormal = True
-                raise _PoolUnusable from error
-            for future, index in futures:
-                try:
-                    slots[index] = future.result(timeout=self.timeout_s)
-                except (pickle.PicklingError, AttributeError,
-                        TypeError) as error:
-                    abnormal = True
-                    raise _PoolUnusable from error
-                except FuturesTimeout:
-                    self._metric("runner_task_timeouts_total").inc()
-                    lost.append(index)
-                    abnormal = True
-                except BrokenProcessPool:
-                    self._metric("runner_pool_breaks_total").inc()
-                    lost.append(index)
-                except OSError:
-                    lost.append(index)
-        finally:
-            if abnormal:
-                # A worker stuck past its deadline — or a pool whose
-                # queue-feeder thread choked pickling — will never
-                # drain, so its manager thread never exits and a plain
-                # join (here, or in CPython's atexit hook) blocks
-                # forever. Kill the workers first: the manager sees the
-                # pool break, cleans up, and the join below returns.
-                workers = getattr(pool, "_processes", None) or {}
-                for process in list(workers.values()):
-                    try:
-                        process.kill()
-                    except Exception:
-                        pass
-            # Every round must reap its threads and processes: with
-            # fork-start workers, executor threads left running across
-            # many pool lifetimes make later forks inherit
-            # mid-critical-section locks and deadlock.
-            pool.shutdown(wait=True, cancel_futures=True)
-        return lost
-
-    @staticmethod
-    def _metric(name: str):
-        from ..obs.metrics import METRICS
-        return METRICS.counter(name)
 
 
 def run_grid(fn: Callable[[_T], _R], items: Sequence[_T], *,
-             workers: int = 1, timeout_s: float | None = None,
-             retries: int = 2) -> list[_R]:
+             workers: int = 1) -> list[_R]:
     """Fan ``fn`` over ``items``; results in input order.
 
     The convenience wrapper the experiment harnesses share: one line per
     sweep.
     """
-    return ParallelRunner(workers=workers, timeout_s=timeout_s,
-                          retries=retries).map(fn, items)
+    return ParallelRunner(workers=workers).map(fn, items)

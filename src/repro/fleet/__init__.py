@@ -37,22 +37,18 @@ from .population import (
     ReceiverSpec,
     generate_fleet,
 )
+from ..store import CheckpointError, CheckpointMismatchError
 from .shards import (
     DEFAULT_INTERFERENCE_RANGE_M,
     DEFAULT_MAX_RANGE_M,
-    CheckpointError,
-    CheckpointMismatchError,
     ShardError,
     ShardExecutionError,
     ShardSpec,
     ShardTask,
-    ensure_checkpoint_manifest,
-    load_checkpoint_state,
     plan_fingerprint,
     plan_shards,
     run_shard,
     run_sharded_fleet,
-    write_json_atomic,
 )
 from .kernel import (
     COHORT_AUTO_THRESHOLD,

@@ -41,11 +41,7 @@ integer counters are **bit-identical** to ``run_shard(shard)`` and
 whose float moments match to the merge tolerance (in practice exactly,
 because each per-device float is produced by the same sequence of
 scalar operations). The ``cohort-vs-event`` oracles in
-:mod:`repro.check.differential` enforce this on every check run; the
-per-state arrays below (backoff counter, CW stage, fault epoch) are
-carried for the CSMA/fault extensions and must be zero here — any
-nonzero entry demotes the whole device for the run, preserving
-correctness if a future caller wires those subsystems in.
+:mod:`repro.check.differential` enforce this on every check run.
 """
 
 from __future__ import annotations
@@ -113,22 +109,13 @@ class KernelStats:
 @dataclass
 class CohortState:
     """Structure-of-arrays per-device state (one slot per spec, sorted
-    by device id; owned and halo devices interleaved).
-
-    ``backoff_counter`` / ``cw_stage`` / ``fault_epoch`` are the hooks
-    for the CSMA and fault subsystems: the plain fleet duty cycle never
-    touches them, and :func:`run_shard_cohort` demotes any device whose
-    entry is nonzero rather than silently mis-simulating it.
-    """
+    by device id; owned and halo devices interleaved)."""
 
     next_wake_s: np.ndarray      # first wake beyond the horizon (or the
                                  # last computed wake), per device
     records: np.ndarray          # transmissions injected (int64)
     completed: np.ndarray        # records whose airtime ended in-horizon
     charge_j: np.ndarray         # accumulated energy per device
-    backoff_counter: np.ndarray  # reserved: CSMA backoff slots
-    cw_stage: np.ndarray         # reserved: CSMA contention-window stage
-    fault_epoch: np.ndarray      # reserved: repro.faults epoch
     demoted: np.ndarray          # bool: device hit the exact path
 
 
@@ -267,9 +254,6 @@ def run_shard_cohort(shard: ShardSpec,
         records=records,
         completed=np.zeros(n_devices, dtype=np.int64),
         charge_j=np.zeros(n_devices),
-        backoff_counter=np.zeros(n_devices, dtype=np.int64),
-        cw_stage=np.zeros(n_devices, dtype=np.int64),
-        fault_epoch=np.zeros(n_devices, dtype=np.int64),
         demoted=np.zeros(n_devices, dtype=bool))
 
     # -- 2. slot-level medium arbitration ---------------------------------

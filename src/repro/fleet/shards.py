@@ -32,17 +32,16 @@ exactly; merged Welford moments to ~1e-9 relative).
 
 from __future__ import annotations
 
-import json
 import os
-import signal
 import traceback
 from dataclasses import dataclass
 
 from ..core import SensorKind, SensorReading, WiLEDevice
 from ..dot11.mac import MacAddress
 from ..energy import calibration as cal
-from ..experiments.runner import run_grid
+from ..experiments.runner import first_attempt, kill_once, run_grid
 from ..sim import Position, Radio, Simulator, WirelessMedium
+from ..store import ensure_manifest, read_or_quarantine, write_json_atomic
 from .aggregate import FleetAggregate
 from .population import DeviceSpec, FleetPlan, ReceiverSpec
 
@@ -62,28 +61,6 @@ DEFAULT_INTERFERENCE_RANGE_M = 90.0
 
 class ShardError(ValueError):
     """Raised for invalid shard geometry."""
-
-
-class CheckpointError(RuntimeError):
-    """Raised for unusable checkpoint directories (unfingerprinted or
-    unreadable state that cannot be safely resumed)."""
-
-
-class CheckpointMismatchError(CheckpointError):
-    """Raised when a checkpoint directory's manifest fingerprint does
-    not match the plan being run — resuming would silently merge stale
-    aggregates from a different fleet."""
-
-    def __init__(self, directory: str, mismatched: list[str],
-                 expected: dict, found: dict) -> None:
-        self.directory = directory
-        self.mismatched = mismatched
-        detail = ", ".join(
-            f"{key}: manifest={found.get(key)!r} plan={expected.get(key)!r}"
-            for key in mismatched)
-        super().__init__(
-            f"checkpoint directory {directory} belongs to a different "
-            f"plan ({detail}); delete it or point at a fresh directory")
 
 
 class ShardExecutionError(RuntimeError):
@@ -440,77 +417,16 @@ class ShardTask:
     kernel: str = "event"
 
 
-def write_json_atomic(path: str, payload: dict, durable: bool = True) -> None:
-    """Write ``payload`` as JSON such that ``path`` is never torn and —
-    with ``durable`` — survives a power cut.
-
-    The write goes to ``path + ".tmp"`` first; the file is fsynced
-    *before* the atomic :func:`os.replace`, and the parent directory is
-    fsynced *after* it, so the rename itself is on stable storage. Both
-    the fleet shard checkpoints and the gateway service checkpoints
-    (:mod:`repro.service.checkpoint`) write through here.
-    """
-    temporary = path + ".tmp"
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        if durable:
-            handle.flush()
-            os.fsync(handle.fileno())
-    os.replace(temporary, path)  # atomic: never a torn checkpoint
-    if durable:
-        fsync_dir(os.path.dirname(path) or ".")
-
-
-def fsync_dir(directory: str) -> None:
-    """Flush a directory's entry table (persists renames/creates)."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def load_checkpoint_state(path: str) -> dict | None:
-    """Read one shard checkpoint, validating it restores; ``None`` if
-    absent *or* unusable (corrupt/truncated JSON, wrong schema).
-
-    An unusable file is deleted so the caller recomputes the shard and
-    the rewrite replaces it — a half-written checkpoint from a killed
-    worker must cost a recompute, never a crashed resume.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            state = json.load(handle)
-        FleetAggregate.from_state(state)  # schema check: must restore
-    except FileNotFoundError:
-        return None
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError,
-            ValueError, ArithmeticError):
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-        return None
-    return state
-
-
-#: Manifest fields that identify a plan. ``kernel`` is deliberately
-#: *not* here: checkpoints are kernel-agnostic (the cohort kernel
-#: produces the same exact state), so a resume may switch kernels — the
-#: manifest records the kernel informationally only.
-_MANIFEST_IDENTITY_KEYS = (
-    "seed", "device_count", "receiver_count", "shard_count", "duration_s",
-    "interval_s", "area_m", "layout", "start", "channel",
-    "halo_m", "max_range_m", "interference_range_m", "mobility",
-)
-
-_MANIFEST_NAME = "manifest.json"
-
-
 def plan_fingerprint(plan: FleetPlan, shard_count: int, halo_m: float,
                      max_range_m: float, interference_range_m: float,
                      ) -> dict:
-    """The identity of one sharded run, for the checkpoint manifest."""
+    """The identity of one sharded run, for the checkpoint manifest.
+
+    ``kernel`` is deliberately *not* part of it: checkpoints are
+    kernel-agnostic (the cohort kernel produces the same exact state),
+    so a resume may switch kernels — the manifest records the kernel
+    informationally only.
+    """
     config = plan.config
     return {
         "seed": config.seed,
@@ -532,64 +448,8 @@ def plan_fingerprint(plan: FleetPlan, shard_count: int, halo_m: float,
     }
 
 
-def ensure_checkpoint_manifest(directory: str, fingerprint: dict,
-                               kernel: str | None = None) -> None:
-    """Fingerprint ``directory`` on first use; refuse a foreign one.
-
-    First run: writes ``manifest.json`` (durably) recording the plan
-    fingerprint. Later runs: loads it and raises
-    :class:`CheckpointMismatchError` on any identity-field difference —
-    before this check, ``run_sharded_fleet`` loaded any
-    ``shard_NNNN.json`` present with no validation that it belonged to
-    this plan, silently merging stale aggregates. A directory holding
-    shard checkpoints but no manifest (or a corrupt manifest) is also
-    refused: its provenance cannot be established.
-    """
-    path = os.path.join(directory, _MANIFEST_NAME)
-    has_shards = any(name.startswith("shard_") and name.endswith(".json")
-                     for name in os.listdir(directory))
-    manifest = None
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            if not isinstance(manifest.get("identity"), dict):
-                raise ValueError("manifest lacks an identity mapping")
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError,
-                AttributeError):
-            if has_shards:
-                raise CheckpointError(
-                    f"checkpoint manifest {path} is unreadable and the "
-                    f"directory holds shard checkpoints; cannot "
-                    f"establish their provenance — delete the directory "
-                    f"to start fresh") from None
-            manifest = None  # empty dir, bad manifest: rewrite below
-    elif has_shards:
-        raise CheckpointError(
-            f"checkpoint directory {directory} holds shard checkpoints "
-            f"but no manifest; cannot establish their provenance — "
-            f"delete the directory (or re-run the writer version that "
-            f"fingerprints it) to resume safely")
-    if manifest is None:
-        payload = {"schema": 1, "identity": fingerprint}
-        if kernel is not None:
-            payload["kernel"] = kernel
-        write_json_atomic(path, payload)
-        return
-    found = manifest["identity"]
-    mismatched = [key for key in _MANIFEST_IDENTITY_KEYS
-                  if found.get(key) != fingerprint.get(key)]
-    if mismatched:
-        raise CheckpointMismatchError(directory, mismatched,
-                                      fingerprint, found)
-
-
 def _checkpoint_path(directory: str, index: int) -> str:
     return os.path.join(directory, f"shard_{index:04d}.json")
-
-
-def _marker_path(directory: str, kind: str, index: int) -> str:
-    return os.path.join(directory, f"chaos_{kind}_{index}.marker")
 
 
 def _run_shard_task(task: ShardTask) -> tuple:
@@ -604,36 +464,23 @@ def _run_shard_task(task: ShardTask) -> tuple:
     index = shard.index
     if task.checkpoint_dir is not None:
         # A corrupt or truncated checkpoint (killed writer, disk
-        # hiccup) used to raise raw across the pool boundary here,
-        # violating the ("failed", ...) protocol. load_checkpoint_state
-        # validates, deletes a bad file, and returns None so the shard
-        # recomputes and rewrites it.
-        state = load_checkpoint_state(
-            _checkpoint_path(task.checkpoint_dir, index))
-        if state is not None:
-            return ("ok", index, state)
-    if task.chaos_kill_shard == index and task.checkpoint_dir is not None:
-        marker = _marker_path(task.checkpoint_dir, "kill", index)
-        if not os.path.exists(marker):
-            # Marker first, then die: the retry must not die again.
-            with open(marker, "w", encoding="utf-8") as handle:
-                handle.write("killed once\n")
-            os.kill(os.getpid(), signal.SIGKILL)
-    if task.chaos_fail_shard == index:
-        first_time = True
-        if task.checkpoint_dir is not None:
-            marker = _marker_path(task.checkpoint_dir, "fail", index)
-            first_time = not os.path.exists(marker)
-            if first_time:
-                with open(marker, "w", encoding="utf-8") as handle:
-                    handle.write("failed once\n")
-        if first_time:
-            try:
-                raise RuntimeError(
-                    f"chaos: injected failure in shard {index}")
-            except RuntimeError:
-                return ("failed", index, _device_range(shard),
-                        traceback.format_exc())
+        # hiccup) is quarantined, never raised raw across the pool
+        # boundary: the shard recomputes and rewrites it.
+        aggregate = read_or_quarantine(
+            _checkpoint_path(task.checkpoint_dir, index),
+            FleetAggregate.from_state)
+        if aggregate is not None:
+            return ("ok", index, aggregate.to_state())
+        if task.chaos_kill_shard == index:
+            kill_once(task.checkpoint_dir, f"kill_{index}")
+    if task.chaos_fail_shard == index and (
+            task.checkpoint_dir is None
+            or first_attempt(task.checkpoint_dir, f"fail_{index}")):
+        try:
+            raise RuntimeError(f"chaos: injected failure in shard {index}")
+        except RuntimeError:
+            return ("failed", index, _device_range(shard),
+                    traceback.format_exc())
     try:
         aggregate = run_shard(shard, kernel=task.kernel)
     except Exception:
@@ -653,8 +500,6 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
                       checkpoint_dir: str | None = None,
                       chaos_kill_shard: int | None = None,
                       chaos_fail_shard: int | None = None,
-                      timeout_s: float | None = None,
-                      retries: int = 2,
                       kernel: str = "event",
                       ) -> FleetAggregate:
     """Shard ``plan``, fan the shards over the pool, merge the results.
@@ -663,14 +508,14 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
     docstring for the ``event`` / ``cohort`` / ``auto`` semantics.
 
     With ``checkpoint_dir`` set, completed shards persist their exact
-    aggregate state; a worker killed mid-run loses only unfinished
-    shards (the runner retries them, loading checkpoints where present),
-    and a whole rerun of the same plan resumes instead of restarting.
-    The directory is fingerprinted with a ``manifest.json`` on first
-    use and a rerun against a different plan raises
-    :class:`CheckpointMismatchError` instead of silently merging stale
-    aggregates; corrupt/truncated shard files are deleted and their
-    shards recomputed.
+    aggregate state through :mod:`repro.store`; a worker killed mid-run
+    loses only unfinished shards (the pool resubmits them, loading
+    checkpoints where present), and a whole rerun of the same plan
+    resumes instead of restarting. The directory is fingerprinted with
+    a ``manifest.json`` on first use and a rerun against a different
+    plan raises :class:`repro.store.CheckpointMismatchError` instead of
+    silently merging stale aggregates; corrupt/truncated shard files
+    are quarantined to ``*.corrupt`` and their shards recomputed.
     Shard failures raise :class:`ShardExecutionError` carrying (shard
     index, device range, worker traceback) per failure, and increment
     the ``fleet_shard_failures`` counter in :data:`repro.obs.metrics.
@@ -691,10 +536,13 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
     effective_halo = required_halo if halo_m is None else halo_m
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-        ensure_checkpoint_manifest(
+        ensure_manifest(
             checkpoint_dir,
             plan_fingerprint(plan, shard_count, effective_halo,
                              max_range_m, interference_range_m),
+            holds_checkpoints=any(
+                name.startswith("shard_") and name.endswith(".json")
+                for name in os.listdir(checkpoint_dir)),
             kernel=kernel)
     shards = plan_shards(plan, shard_count, halo_m=halo_m,
                          max_range_m=max_range_m,
@@ -704,8 +552,7 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
                        chaos_fail_shard=chaos_fail_shard,
                        kernel=kernel)
              for shard in shards]
-    outcomes = run_grid(_run_shard_task, tasks, workers=workers,
-                        timeout_s=timeout_s, retries=retries)
+    outcomes = run_grid(_run_shard_task, tasks, workers=workers)
     failures: list[tuple[int, str, str]] = []
     states: list[tuple[int, dict]] = []
     for outcome in outcomes:

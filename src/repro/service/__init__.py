@@ -14,8 +14,8 @@ The moving parts, one module each:
 * :mod:`~repro.service.ingest` — wire-format beacon → payload
   extraction. A byte-offset fast path (differentially pinned against
   the full :mod:`repro.dot11` parser) that sustains >1M payloads/minute
-  on a single core, plus the batch-decode function the process pool
-  fans out over.
+  on a single core, plus the batch decode the process pool fans out
+  over.
 * :mod:`~repro.service.queues` — bounded asyncio queues with explicit
   backpressure policies (``drop-oldest`` vs ``block``), every drop and
   blocked put counted in :data:`repro.obs.metrics.METRICS`.
@@ -23,14 +23,17 @@ The moving parts, one module each:
   (:class:`~repro.experiments.statistics.StreamingSummary` moments,
   :class:`~repro.fleet.aggregate.MergeableHistogram` payload sizes,
   per-device sequence chains for loss/duplicate accounting).
-* :mod:`~repro.service.checkpoint` — periodic checkpoint + rotation
-  reusing the fleet shard checkpoint idiom (exact JSON state, fsync'd
-  atomic writes, ``manifest.json`` fingerprint) with generation
-  rotation and corrupt-generation fallback.
+* :mod:`~repro.service.checkpoint` — periodic checkpoint generations
+  with a ``CURRENT`` pointer and keep-N pruning, stored through
+  :mod:`repro.store` like the fleet's shard checkpoints (exact JSON
+  state, fsync'd atomic writes, a ``manifest.json`` fingerprint of the
+  tenant split, corrupt files quarantined) with fallback past a
+  corrupt newest generation.
 * :mod:`~repro.service.server` — the :class:`GatewayService` asyncio
-  orchestrator: ingest front-end, pool fan-out with broken-pool rescue,
-  strictly ordered merges (so a chaos-killed worker changes nothing),
-  live metrics, graceful SIGTERM drain.
+  orchestrator: ingest front-end, fan-out over the shared
+  :class:`~repro.experiments.runner.ProcessPool` with broken-pool
+  rescue, strictly ordered merges (so a chaos-killed worker changes
+  nothing), live metrics, graceful SIGTERM drain.
 * :mod:`~repro.service.replay` — deterministic recorded beacon streams
   and the paced replayer that drives benches, smokes and CI.
 * :mod:`~repro.service.federation` — N supervised gateways over a
@@ -62,7 +65,6 @@ from .federation import (
 from .ingest import (
     BeaconPayload,
     IngestError,
-    decode_batch,
     decode_wires,
     extract_payload,
     peek_device_id,

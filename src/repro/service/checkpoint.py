@@ -1,10 +1,10 @@
 """Generation-rotated, durable checkpoints for the gateway service.
 
-The fleet layer already solved "don't lose hours of compute to a kill"
-with per-shard JSON checkpoints (:mod:`repro.fleet.shards`); this module
-reuses that idiom — exact ``to_state`` JSON, atomic fsync'd replace,
-explicit incompatibility errors — and adds the two things a *service*
-needs that a batch run does not:
+Files are written and read through :mod:`repro.store`, the same store
+the fleet's shard checkpoints use: exact ``to_state`` JSON, atomic
+fsync'd replaces, a ``manifest.json`` fingerprint (here: the tenant
+split) and one corrupt-file policy. This module adds the one thing a
+*service* needs that a batch run does not:
 
 * **Generations.** A batch shard writes each checkpoint once; a service
   rewrites its state forever. Rotating through
@@ -12,14 +12,13 @@ needs that a batch run does not:
   means a crash mid-write (or a corrupt latest file) falls back to the
   previous generation instead of losing everything; old generations are
   pruned so disk use stays bounded.
-* **Validated recovery.** :meth:`ServiceCheckpointer.load` does not
-  trust bytes on disk: every candidate generation is round-tripped
-  through :meth:`TenantAggregate.from_state` before being offered to
-  the server. Corrupt candidates are *quarantined* — renamed to
-  ``<file>.corrupt`` and counted in
-  ``service_checkpoint_corrupt_total`` — so restarts never re-parse
-  known-bad JSON, the evidence survives for post-mortem, and the
-  rotation stops matching (hence stops trusting) the file.
+
+:meth:`ServiceCheckpointer.load` does not trust bytes on disk: every
+candidate generation is round-tripped through
+:meth:`TenantAggregate.from_state` before being offered to the server,
+and a corrupt one is quarantined to ``<file>.corrupt`` (counted in
+``checkpoint_corrupt_total``) — the ``*.corrupt`` name no longer
+matches the generation pattern, so later loads skip it for free.
 
 Writes take an internal lock, so the server may rotate from a worker
 thread while tests (or an operator) drive saves concurrently.
@@ -27,29 +26,41 @@ thread while tests (or an operator) drive saves concurrently.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
 
-from ..fleet.shards import CheckpointMismatchError, fsync_dir, write_json_atomic
-from ..obs.metrics import METRICS
-from .tenants import DEFAULT_TENANT_BITS, TenantAggregate, TenantError
+from ..store import (ensure_manifest, fsync_dir, read_or_quarantine,
+                     write_json_atomic)
+from .tenants import DEFAULT_TENANT_BITS, TenantAggregate
 
 _SCHEMA = 1
 _CURRENT = "CURRENT"
 _GENERATION_RE = re.compile(r"^checkpoint_(\d{8})\.json$")
 
 
-def _generation_name(generation: int) -> str:
-    return f"checkpoint_{generation:08d}.json"
+def _restore(payload: dict) -> dict:
+    """A generation's snapshot with ``tenants`` parsed into
+    ``{tenant_id: TenantAggregate}``; raises on anything unusable."""
+    if payload["schema"] != _SCHEMA:
+        raise ValueError(f"unknown schema {payload['schema']!r}")
+    payload["tenants"] = {
+        int(tenant_id): TenantAggregate.from_state(state)
+        for tenant_id, state in payload["tenants"].items()}
+    return payload
 
 
 class ServiceCheckpointer:
     """Rotating checkpoint writer/loader for one gateway's state.
 
     ``keep_generations`` bounds disk use; at least 2 are kept so a
-    corrupt newest generation always has a fallback.
+    corrupt newest generation always has a fallback. The directory's
+    manifest records ``tenant_bits``: a directory written under a
+    different tenant split is *not* corruption — it is someone pointing
+    the service at the wrong directory — so construction raises
+    :class:`repro.store.CheckpointMismatchError` instead of silently
+    recomputing over it, and a directory holding generations but no
+    manifest raises :class:`repro.store.CheckpointError`.
     """
 
     def __init__(self, directory: str, keep_generations: int = 3,
@@ -60,12 +71,17 @@ class ServiceCheckpointer:
                              "newest generation has a fallback")
         self.directory = directory
         self.keep_generations = keep_generations
-        self.tenant_bits = tenant_bits
         self.durable = durable
         self._lock = threading.Lock()
         os.makedirs(directory, exist_ok=True)
         existing = self.generations()
+        ensure_manifest(directory, {"tenant_bits": tenant_bits},
+                        holds_checkpoints=bool(existing))
         self._next_generation = (existing[-1] + 1) if existing else 0
+
+    def _path(self, generation: int) -> str:
+        return os.path.join(self.directory,
+                            f"checkpoint_{generation:08d}.json")
 
     # -- writing -------------------------------------------------------------
 
@@ -75,8 +91,7 @@ class ServiceCheckpointer:
 
         ``snapshot`` carries the server's counters plus
         ``{"tenants": {str(tenant_id): TenantAggregate.to_state()}}``;
-        schema, generation and tenant split are stamped here so every
-        file on disk is self-describing.
+        schema and generation are stamped here.
         """
         with self._lock:
             generation = self._next_generation
@@ -84,8 +99,7 @@ class ServiceCheckpointer:
             payload = dict(snapshot)
             payload["schema"] = _SCHEMA
             payload["generation"] = generation
-            payload["tenant_bits"] = self.tenant_bits
-            path = os.path.join(self.directory, _generation_name(generation))
+            path = self._path(generation)
             write_json_atomic(path, payload, durable=self.durable)
             write_json_atomic(
                 os.path.join(self.directory, _CURRENT),
@@ -99,8 +113,7 @@ class ServiceCheckpointer:
         pruned = False
         for generation in self.generations():
             if generation < cutoff:
-                os.unlink(os.path.join(self.directory,
-                                       _generation_name(generation)))
+                os.unlink(self._path(generation))
                 pruned = True
         if pruned and self.durable:
             fsync_dir(self.directory)
@@ -116,19 +129,19 @@ class ServiceCheckpointer:
                 found.append(int(match.group(1)))
         return sorted(found)
 
+    def newest_path(self) -> str | None:
+        """The newest generation file on disk, or ``None``."""
+        generations = self.generations()
+        return self._path(generations[-1]) if generations else None
+
     def load(self) -> dict | None:
         """Best valid checkpoint, or ``None`` for a fresh start.
 
         Tries the ``CURRENT`` generation first, then earlier ones in
-        descending order. Corrupt or schema-invalid candidates are
-        quarantined (renamed to ``*.corrupt``, counted in
-        ``service_checkpoint_corrupt_total``) and skipped, so the next
-        restart does not re-parse them. A checkpoint written under a
-        different
-        tenant split is *not* corruption — it is someone pointing the
-        service at the wrong directory — so that raises
-        :class:`repro.fleet.shards.CheckpointMismatchError` instead of
-        being silently recomputed over.
+        descending order, skipping (and quarantining) corrupt or
+        schema-invalid candidates. A corrupt ``CURRENT`` pointer is
+        quarantined too, and the newest generation file is tried first;
+        the next save rewrites the pointer.
 
         The returned dict has ``tenants`` parsed into
         ``{tenant_id: TenantAggregate}``; other keys are the raw
@@ -136,68 +149,15 @@ class ServiceCheckpointer:
         """
         with self._lock:
             candidates = self.generations()
-            current = self._read_current()
-            if current is not None and current in candidates:
+            current = read_or_quarantine(
+                os.path.join(self.directory, _CURRENT),
+                lambda pointer: int(pointer["generation"]), self.durable)
+            if current in candidates:
                 candidates.remove(current)
                 candidates.append(current)
             for generation in reversed(candidates):
-                path = os.path.join(self.directory,
-                                    _generation_name(generation))
-                payload = self._read_validated(path)
+                payload = read_or_quarantine(self._path(generation),
+                                             _restore, self.durable)
                 if payload is not None:
                     return payload
             return None
-
-    def _read_current(self) -> int | None:
-        path = os.path.join(self.directory, _CURRENT)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                pointer = json.load(handle)
-            return int(pointer["generation"])
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                TypeError, ValueError):
-            # A corrupt pointer is recoverable: fall back to the newest
-            # generation file; the next save rewrites CURRENT.
-            return None
-
-    def _read_validated(self, path: str) -> dict | None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            if payload.get("schema") != _SCHEMA:
-                raise TenantError(f"unknown schema {payload.get('schema')!r}")
-            found_bits = int(payload["tenant_bits"])
-            if found_bits != self.tenant_bits:
-                raise CheckpointMismatchError(
-                    self.directory, ["tenant_bits"],
-                    expected={"tenant_bits": self.tenant_bits},
-                    found={"tenant_bits": found_bits})
-            tenants = {
-                int(tenant_id): TenantAggregate.from_state(state)
-                for tenant_id, state in payload["tenants"].items()}
-        except FileNotFoundError:
-            return None
-        except CheckpointMismatchError:
-            raise
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                TypeError, ValueError, TenantError):
-            self._quarantine(path)
-            return None
-        payload["tenants"] = tenants
-        return payload
-
-    def _quarantine(self, path: str) -> None:
-        """Move a corrupt generation aside instead of deleting it: the
-        ``*.corrupt`` name no longer matches the generation pattern, so
-        every later load skips the bad bytes for free, and the file
-        itself survives for a post-mortem."""
-        METRICS.counter("service_checkpoint_corrupt_total").inc()
-        try:
-            os.replace(path, path + ".corrupt")
-        except OSError:
-            # Quarantine is best-effort; a vanished file skips fine.
-            pass
-        if self.durable:
-            fsync_dir(self.directory)

@@ -635,16 +635,13 @@ class FederationCoordinator:
         directory = self._partition_dir(partition)
         if directory is None:
             return
-        checkpointer = ServiceCheckpointer(
+        newest = ServiceCheckpointer(
             directory, tenant_bits=self.config.tenant_bits,
-            durable=False)
-        generations = checkpointer.generations()
-        if not generations:
+            durable=False).newest_path()
+        if newest is None:
             return
         self._corrupt_pending.discard(partition)
-        name = f"checkpoint_{generations[-1]:08d}.json"
-        with open(os.path.join(directory, name), "w",
-                  encoding="utf-8") as handle:
+        with open(newest, "w", encoding="utf-8") as handle:
             handle.write('{"schema": 1, "tenants": "scribbled mid-write')
 
     async def _restart_slot(self, slot: int, attempt: int,

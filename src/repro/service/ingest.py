@@ -24,14 +24,13 @@ type, flags and numeric readings; for everything else it raises
 equivalence is differentially pinned in ``tests/test_service.py`` over
 randomized messages, flag combinations and corruptions.
 
-:func:`decode_batch` is the unit the process pool fans out over: a
-batch of raw frames in, one partial per-tenant aggregate state out.
+:func:`decode_wires` decodes one batch of raw frames into payloads in
+stream order; :func:`decode_batch_task` is that batch as the unit the
+gateway's process pool fans out over.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import struct
 import zlib
 from dataclasses import dataclass
@@ -39,7 +38,8 @@ from typing import Sequence
 
 from ..core.payload import WILE_VENDOR_TYPE, WILE_VERSION, crc16_ccitt
 from ..dot11.mac import WILE_OUI
-from .tenants import DEFAULT_TENANT_BITS, TenantAggregate
+from ..experiments.runner import kill_once
+from .tenants import DEFAULT_TENANT_BITS
 
 
 class IngestError(ValueError):
@@ -239,8 +239,8 @@ def decode_wires(wires: Sequence[bytes],
     Returns ``(payloads, errors)``: the decodable frames' payloads in
     stream order, plus the count of undecodable frames (dropped, never
     fatal — one mangled capture must not take the service down).
-    ``tenant_bits`` is accepted for signature parity with the old
-    partial-state decoder; tenancy is derived by the merge side now.
+    ``tenant_bits`` is unused: tenancy is derived where payloads are
+    observed.
     """
     del tenant_bits  # tenancy is resolved where payloads are observed
     payloads: list[BeaconPayload] = []
@@ -253,50 +253,16 @@ def decode_wires(wires: Sequence[bytes],
     return payloads, errors
 
 
-def decode_batch(wires: Sequence[bytes],
-                 tenant_bits: int = DEFAULT_TENANT_BITS,
-                 ) -> tuple[dict[int, dict], int]:
-    """Decode one batch into partial per-tenant aggregate states.
-
-    Returns ``(states, errors)`` where ``states`` maps tenant id to the
-    exact :meth:`TenantAggregate.to_state` of this batch's partial, and
-    ``errors`` counts undecodable frames. The live service no longer
-    merges these partials (it observes :func:`decode_wires` payloads in
-    stream order, which makes aggregates independent of batch
-    boundaries); this form remains the compact unit for offline tools
-    and the differential tests that pin partial-merge exactness.
-    """
-    payloads, errors = decode_wires(wires)
-    partials: dict[int, TenantAggregate] = {}
-    for payload in payloads:
-        tenant_id = payload.device_id >> tenant_bits
-        aggregate = partials.get(tenant_id)
-        if aggregate is None:
-            aggregate = partials[tenant_id] = TenantAggregate(
-                tenant_id=tenant_id)
-        aggregate.observe(payload)
-    return ({tenant_id: aggregate.to_state()
-             for tenant_id, aggregate in partials.items()}, errors)
-
-
-def decode_batch_task(task: tuple) -> tuple[int, list[BeaconPayload], int]:
+def decode_batch_task(task: tuple) -> tuple[list[BeaconPayload], int]:
     """Worker-side unit of fan-out (module-level so it pickles).
 
     ``task`` is ``(batch_id, wires, tenant_bits, chaos_dir,
-    chaos_kill_batch)``; the result is ``(batch_id, payloads, errors)``
-    with payloads in stream order, so the server can observe them
-    sequentially. The chaos hook mirrors the fleet shard runner: the
-    *first* attempt at the named batch SIGKILLs its own worker (marker
-    file first, so the retry proceeds), which is how the chaos smoke
-    proves a killed worker loses no aggregates.
+    chaos_kill_batch)``; the result is :func:`decode_wires`'s. The
+    chaos hook mirrors the fleet shard runner: the *first* attempt at
+    the named batch SIGKILLs its own worker, which is how the chaos
+    smoke proves a killed worker loses no aggregates.
     """
     batch_id, wires, tenant_bits, chaos_dir, chaos_kill_batch = task
-    if chaos_kill_batch is not None and batch_id == chaos_kill_batch \
-            and chaos_dir is not None:
-        marker = os.path.join(chaos_dir, f"chaos_kill_{batch_id}.marker")
-        if not os.path.exists(marker):
-            with open(marker, "w", encoding="utf-8") as handle:
-                handle.write("killed once\n")
-            os.kill(os.getpid(), signal.SIGKILL)
-    payloads, errors = decode_wires(wires, tenant_bits)
-    return batch_id, payloads, errors
+    if batch_id == chaos_kill_batch and chaos_dir is not None:
+        kill_once(chaos_dir, f"kill_{batch_id}")
+    return decode_wires(wires, tenant_bits)

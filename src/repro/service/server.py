@@ -7,26 +7,27 @@ queue in the middle::
     submit()/submit_many()          (receiver front-end, replay, tests)
         └─> BoundedPayloadQueue     (bounded; drop-oldest or block)
               └─> _pump()           (batches; inline or process pool)
-                    └─> _merge_ready()   (strictly batch-ordered)
+                    └─> _merge()         (strictly batch-ordered)
                           └─> per-tenant TenantAggregate
                                 └─> ServiceCheckpointer (periodic)
 
 Correctness properties the tests lean on:
 
-* **Ordered merges, sequential observation.** Decode batches may
-  complete out of order (pool mode) but their payloads are observed
-  strictly in batch-id order through a reorder buffer, one payload at
-  a time in stream order. Aggregates are therefore a pure function of
-  the frame sequence — independent of batch boundaries, pool timing,
-  worker deaths, *and* (the property federation rests on) of which
-  gateway processed which stretch of the stream. The chaos smoke and
-  the federation chaos suite both assert exact ``to_state`` equality,
-  not tolerances.
-* **Broken-pool rescue.** The same ladder as
-  :class:`repro.experiments.runner.ParallelRunner`: a broken pool is
-  rebuilt and in-flight batches resubmitted (payloads are retained
-  until merged); batches that exceed ``max_retries`` decode serially
-  in-process, so one poison batch cannot wedge the service.
+* **Ordered merges, sequential observation.** The pump always awaits
+  the *oldest* in-flight batch, so batches merge strictly in batch-id
+  order, and their payloads are observed one at a time in stream
+  order. Aggregates are therefore a pure function of the frame
+  sequence — independent of batch boundaries, pool timing, worker
+  deaths, *and* (the property federation rests on) of which gateway
+  processed which stretch of the stream. The chaos smoke and the
+  federation chaos suite both assert exact ``to_state`` equality, not
+  tolerances.
+* **Broken-pool rescue.** Batches decode on the shared
+  :class:`repro.experiments.runner.ProcessPool`, which keeps every
+  batch's frames until its result is taken: a broken pool is rebuilt
+  and in-flight batches resubmitted, and a batch lost more than
+  ``RETRIES`` times decodes in-process, so one poison batch cannot
+  wedge the service.
 * **Graceful drain.** ``stop()`` (wired to SIGTERM/SIGINT via
   :meth:`install_signal_handlers`) closes intake, drains the queue and
   every in-flight batch, writes a final checkpoint, then shuts the pool
@@ -47,12 +48,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..experiments.runner import ProcessPool
 from ..obs.metrics import METRICS
 from .checkpoint import ServiceCheckpointer
 from .ingest import decode_batch_task, decode_wires
@@ -81,8 +81,6 @@ class ServiceConfig:
     keep_generations: int = 3
     durable_checkpoints: bool = True
     metrics_interval_s: float = 1.0
-    #: Pool resubmissions per batch before the in-process serial rescue.
-    max_retries: int = 2
     #: Hard ceiling on how long stop() waits for the drain. ``None``
     #: waits forever (the pre-federation behaviour); a finite deadline
     #: makes a hung drain fail loudly instead of stalling CI.
@@ -144,24 +142,19 @@ class GatewayService:
         self._started = False
         self._stopped = False
         self._tasks: list[asyncio.Task] = []
-        self._executor: ProcessPoolExecutor | None = None
+        self._pool: ProcessPool | None = None
         #: Set when the pump dies unexpectedly; poisons intake.
         self._pump_error: BaseException | None = None
         #: All checkpoint saves go through this one thread so they are
         #: strictly ordered (periodic saves never shadow the final one).
         self._checkpoint_executor: ThreadPoolExecutor | None = None
-        # Pool bookkeeping: batches stay in _pending (with their
-        # payloads) until merged, so a broken pool can always resubmit.
-        self._pending: "OrderedDict[int, tuple[list, asyncio.Future]]" = \
-            OrderedDict()
-        self._retries: dict[int, int] = {}
-        self._merge_buffer: dict[int, tuple[list, int]] = {}
+        # Batches merge in id order, so the ones in flight are exactly
+        # _next_merge_id .. _next_batch_id - 1.
         self._next_batch_id = 0
         self._next_merge_id = 0
         # Counters (ingested/decode_errors resume from the checkpoint).
         self._ingested = 0
         self._decode_errors = 0
-        self._rescued = 0
         self._checkpoints_written = 0
         self._last_checkpoint_monotonic: float | None = None
         self._mirrored: dict[str, float] = {}
@@ -178,7 +171,7 @@ class GatewayService:
             self._checkpoint_executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="service-checkpoint")
         if self.config.workers > 0:
-            self._executor = self._new_executor()
+            self._pool = ProcessPool(self.config.workers)
         self._tasks.append(asyncio.ensure_future(self._pump()))
         if self.checkpointer is not None \
                 and self.config.checkpoint_interval_s > 0:
@@ -222,7 +215,7 @@ class GatewayService:
             self._checkpoint_executor.shutdown(wait=True)
             self._checkpoint_executor = None
         self._publish_metrics()
-        self._shutdown_executor()
+        self._close_pool()
         if pump_error is not None:
             raise ServiceError(
                 "gateway pump failed; state merged before the failure "
@@ -256,7 +249,7 @@ class GatewayService:
         if self._checkpoint_executor is not None:
             self._checkpoint_executor.shutdown(wait=True)
             self._checkpoint_executor = None
-        self._shutdown_executor()
+        self._close_pool()
 
     @property
     def stopped(self) -> bool:
@@ -271,7 +264,7 @@ class GatewayService:
     @property
     def pending_batches(self) -> int:
         """Batches submitted to the pool but not yet merged."""
-        return len(self._pending)
+        return self._next_batch_id - self._next_merge_id
 
     @property
     def frames_processed(self) -> int:
@@ -339,8 +332,8 @@ class GatewayService:
                     break
                 continue
             await self._dispatch(batch)
-        while self._pending:
-            await self._reap_oldest()
+        while self.pending_batches:
+            await self._merge_oldest()
 
     async def _before_dispatch(self, batch: list) -> None:
         """Subclass hook, awaited before each batch is dispatched. The
@@ -352,86 +345,34 @@ class GatewayService:
         await self._before_dispatch(batch)
         batch_id = self._next_batch_id
         self._next_batch_id += 1
-        if self._executor is None:
-            payloads, errors = decode_wires(batch, self.config.tenant_bits)
-            self._merge_ready(batch_id, payloads, errors)
+        if self._pool is None:
+            self._merge(*decode_wires(batch, self.config.tenant_bits))
             return
-        self._submit_to_pool(batch_id, batch)
-        # Bound in-flight work so payload retention (for rescue) stays
-        # proportional to the pool, not the backlog.
-        while len(self._pending) >= 2 * self.config.workers:
-            await self._reap_oldest()
+        self._pool.submit(batch_id, decode_batch_task,
+                          (batch_id, batch, self.config.tenant_bits,
+                           self.config.chaos_dir,
+                           self.config.chaos_kill_batch))
+        # Bound in-flight work so the frames the pool retains (for
+        # rescue) stay proportional to the pool, not the backlog.
+        while self.pending_batches >= 2 * self.config.workers:
+            await self._merge_oldest()
 
-    def _submit_to_pool(self, batch_id: int, batch: list) -> None:
-        task = (batch_id, batch, self.config.tenant_bits,
-                self.config.chaos_dir, self.config.chaos_kill_batch)
-        future = asyncio.wrap_future(
-            self._executor.submit(decode_batch_task, task))
-        self._pending[batch_id] = (batch, future)
+    async def _merge_oldest(self) -> None:
+        self._merge(*await self._pool.take_async(self._next_merge_id))
 
-    async def _reap_oldest(self) -> None:
-        batch_id, (_, future) = next(iter(self._pending.items()))
-        try:
-            done_id, payloads, errors = await future
-        except (BrokenProcessPool, OSError, RuntimeError):
-            await self._rescue_broken_pool()
-            return
-        self._pending.pop(done_id, None)
-        self._retries.pop(done_id, None)
-        self._merge_ready(done_id, payloads, errors)
-
-    async def _rescue_broken_pool(self) -> None:
-        """A worker died (chaos kill, OOM, ...): every in-flight future
-        is now poisoned. Rebuild the pool and resubmit from the retained
-        payloads; batches out of retries decode serially here."""
-        pending = list(self._pending.items())
-        self._pending.clear()
-        await asyncio.gather(*(future for _, (_, future) in pending),
-                             return_exceptions=True)
-        self._shutdown_executor()
-        try:
-            self._executor = self._new_executor()
-        except OSError:
-            self._executor = None
-        self._rescued += len(pending)
-        for batch_id, (batch, _) in pending:
-            retries = self._retries.get(batch_id, 0) + 1
-            self._retries[batch_id] = retries
-            if self._executor is not None \
-                    and retries <= self.config.max_retries:
-                self._submit_to_pool(batch_id, batch)
-            else:
-                payloads, errors = decode_wires(batch,
-                                                self.config.tenant_bits)
-                self._retries.pop(batch_id, None)
-                self._merge_ready(batch_id, payloads, errors)
-
-    def _new_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.config.workers)
-
-    def _shutdown_executor(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+    def _close_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.close()
 
     # -- ordered merge -------------------------------------------------------
 
-    def _merge_ready(self, batch_id: int, payloads: list,
-                     errors: int) -> None:
-        """Buffer a completed batch; observe everything contiguous from
-        ``_next_merge_id`` up, in batch order — out-of-order completions
-        wait their turn. Payloads are observed one at a time in stream
-        order (not merged as batch partials), so every float moment in
-        every aggregate matches the sequential stream exactly, whatever
-        the batching."""
-        self._merge_buffer[batch_id] = (payloads, errors)
-        while self._next_merge_id in self._merge_buffer:
-            payloads, errors = self._merge_buffer.pop(self._next_merge_id)
-            self._next_merge_id += 1
-            self._decode_errors += errors
-            self._observe_payloads(payloads)
-
-    def _observe_payloads(self, payloads: list) -> None:
+    def _merge(self, payloads: list, errors: int) -> None:
+        """Fold the next batch in order. Payloads are observed one at a
+        time in stream order (not merged as batch partials), so every
+        float moment in every aggregate matches the sequential stream
+        exactly, whatever the batching."""
+        self._next_merge_id += 1
+        self._decode_errors += errors
         tenant_bits = self.config.tenant_bits
         tenants = self.tenants
         for payload in payloads:
@@ -506,7 +447,8 @@ class GatewayService:
                              self.queue.dropped_oldest)
         self._mirror_counter("service_blocked_puts_total",
                              self.queue.blocked_puts)
-        self._mirror_counter("service_rescued_batches_total", self._rescued)
+        self._mirror_counter("service_rescued_batches_total",
+                             self._rescued_batches())
         self._mirror_counter("service_checkpoints_total",
                              self._checkpoints_written)
 
@@ -518,13 +460,16 @@ class GatewayService:
             METRICS.counter(name).inc(delta)
             self._mirrored[name] = total
 
+    def _rescued_batches(self) -> int:
+        return 0 if self._pool is None else self._pool.rescued
+
     def stats(self) -> ServiceStats:
         return ServiceStats(
             ingested=self._ingested,
             decode_errors=self._decode_errors,
             batches_dispatched=self._next_batch_id,
             batches_merged=self._next_merge_id,
-            rescued_batches=self._rescued,
+            rescued_batches=self._rescued_batches(),
             checkpoints_written=self._checkpoints_written,
             queue_depth=len(self.queue),
             queue_accepted=self.queue.accepted,

@@ -21,7 +21,7 @@ import pytest
 
 from repro.energy import calibration as cal
 from repro.experiments.resilience import ResilienceCell, run_cell
-from repro.experiments.runner import ParallelRunner
+from repro.experiments.runner import ParallelRunner, ProcessPool
 from repro.faults import (
     AdaptiveRedundancyController,
     FaultConfig,
@@ -303,36 +303,52 @@ def _die_once(arg):
 
 class TestRunnerRescue:
     def test_timeout_lost_chunk_retried(self, tmp_path):
-        runner = ParallelRunner(workers=2, chunk_size=1, timeout_s=1.0,
-                                retries=2, backoff_s=0.01)
+        runner = ParallelRunner(workers=2, chunk_size=1, timeout_s=1.0)
         items = [(str(tmp_path), value) for value in range(6)]
         assert runner.map(_sleep_once, items) == [v * v for v in range(6)]
         assert runner.last_backend == "process-pool-recovered"
 
     def test_dead_worker_lost_chunks_retried(self, tmp_path):
         before = METRICS.counter("runner_pool_breaks_total").value
-        runner = ParallelRunner(workers=2, chunk_size=1, retries=2,
-                                backoff_s=0.01)
+        runner = ParallelRunner(workers=2, chunk_size=1)
         items = [(str(tmp_path), value) for value in range(6)]
         assert runner.map(_die_once, items) == [v * v for v in range(6)]
         assert runner.last_backend == "process-pool-recovered"
         assert METRICS.counter("runner_pool_breaks_total").value > before
 
-    def test_retries_exhausted_falls_back_to_serial_rescue(self, tmp_path):
+    def test_retries_exhausted_falls_back_to_serial_rescue(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.experiments.runner.RETRIES", 0)
         before = METRICS.counter("runner_chunks_rescued_total").value
-        runner = ParallelRunner(workers=2, chunk_size=1, timeout_s=1.0,
-                                retries=0, backoff_s=0.01)
+        runner = ParallelRunner(workers=2, chunk_size=1, timeout_s=1.0)
         items = [(str(tmp_path), value) for value in range(6)]
-        # item 3 hangs in the pool (retries=0, no second round); the
-        # serial rescue re-runs only the lost cell — the marker is
+        # item 3 hangs in the pool (RETRIES=0, no resubmission); the
+        # in-process rescue re-runs the lost cells — the marker is
         # already on disk so the rescue returns instantly.
         assert runner.map(_sleep_once, items) == [v * v for v in range(6)]
         assert runner.last_backend == "process-pool-recovered"
         assert METRICS.counter("runner_chunks_rescued_total").value > before
 
+    def test_submit_after_worker_death_rebuilds_the_pool(self, tmp_path):
+        # The gateway may submit its next batch after a worker died but
+        # before it takes the batch that killed it: that submit must
+        # rebuild the pool, not raise BrokenProcessPool.
+        pool = ProcessPool(1, timeout_s=30.0)
+        try:
+            pool.submit(0, _die_once, (str(tmp_path), 3))
+            deadline = time.monotonic() + 10.0
+            while not (tmp_path / "died_3").exists() \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)  # let the executor notice the death
+            pool.submit(1, _die_once, (str(tmp_path), 2))
+            assert [pool.take(0), pool.take(1)] == [9, 4]
+            assert pool.rescued >= 1
+        finally:
+            pool.close()
+
     def test_genuine_exceptions_still_propagate(self):
-        runner = ParallelRunner(workers=2, chunk_size=1, retries=1,
-                                backoff_s=0.01)
+        runner = ParallelRunner(workers=2, chunk_size=1)
         with pytest.raises(ZeroDivisionError):
             runner.map(_reciprocal, [2, 1, 0])
 
@@ -419,6 +435,20 @@ class TestCheckpointHygiene:
         # the recompute rewrote a valid checkpoint over the corpse
         import json
         json.loads(bad.read_text(encoding="utf-8"))
+
+    def test_corrupt_checkpoint_quarantined_and_counted(self, tmp_path):
+        plan, _ = self._checkpointed_run(tmp_path)
+        (tmp_path / "shard_0001.json").write_text("{ torn",
+                                                  encoding="utf-8")
+        before = METRICS.counter("checkpoint_corrupt_total").value
+        run_sharded_fleet(plan, shard_count=2, workers=1,
+                          checkpoint_dir=str(tmp_path))
+        # Moved aside (not deleted) for a post-mortem, exactly as the
+        # service quarantines a corrupt generation.
+        corpse = tmp_path / "shard_0001.json.corrupt"
+        assert corpse.read_text(encoding="utf-8") == "{ torn"
+        assert METRICS.counter("checkpoint_corrupt_total").value \
+            == before + 1
 
     def test_truncated_checkpoint_recomputed(self, tmp_path):
         plan, clean = self._checkpointed_run(tmp_path)

@@ -41,7 +41,6 @@ from repro.dot11 import Beacon, Ssid
 from repro.dot11.elements import VendorSpecific
 from repro.dot11.mac import WILE_OUI
 from repro.dot11.parser import ParseError, parse_frame
-from repro.fleet.shards import CheckpointMismatchError
 from repro.obs.metrics import METRICS
 from repro.service import (
     BackpressurePolicy,
@@ -52,7 +51,7 @@ from repro.service import (
     QueueClosed,
     ServiceCheckpointer,
     ServiceConfig,
-    decode_batch,
+    decode_wires,
     extract_payload,
     generate_stream,
     load_stream,
@@ -63,6 +62,7 @@ from repro.service import (
 from repro.service.ingest import decode_message_blob
 from repro.service.server import ServiceError
 from repro.service.tenants import DeviceChain, TenantAggregate, TenantError
+from repro.store import CheckpointError, CheckpointMismatchError
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +276,11 @@ class TestIngestDifferential:
         with pytest.raises(IngestError):
             extract_payload(wire[:40])
 
-    def test_decode_batch_counts_errors(self):
+    def test_decode_wires_counts_errors(self):
         wires = generate_stream(100, seed=5, corrupt_fraction=0.0)
-        states, errors = decode_batch(wires + [b"junk"])
+        payloads, errors = decode_wires(wires + [b"junk"])
         assert errors == 1
-        assert sum(TenantAggregate.from_state(state).payloads
-                   for state in states.values()) == 100
+        assert len(payloads) == 100
 
     @staticmethod
     def _sealed_blob(tlvs: bytes) -> bytes:
@@ -321,16 +320,15 @@ class TestIngestDifferential:
             with pytest.raises((PayloadError, struct.error)):
                 WileMessage.decode(blob)
 
-    def test_decode_batch_survives_length_mismatched_tlv(self):
+    def test_decode_wires_survives_length_mismatched_tlv(self):
         good = _wire(WileMessage(
             device_id=0x00020005, sequence=1,
             readings=(SensorReading(SensorKind.COUNTER, 4.0),)))
         # FCS and CRC16 both valid; only the TLV length lies.
         bad = self._frame_with_blob(self._sealed_blob(b"\x05\x01\x00"))
-        states, errors = decode_batch([good, bad, good])
+        payloads, errors = decode_wires([good, bad, good])
         assert errors == 1
-        assert sum(TenantAggregate.from_state(state).payloads
-                   for state in states.values()) == 2
+        assert len(payloads) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +474,7 @@ class TestServiceCheckpointer:
         # it without re-parsing.
         assert not os.path.exists(path)
         assert os.path.exists(path + ".corrupt")
-        assert METRICS.get("service_checkpoint_corrupt_total").value == 1
+        assert METRICS.get("checkpoint_corrupt_total").value == 1
         METRICS.clear()
 
     def test_corrupt_current_pointer_recovers(self, tmp_path):
@@ -501,6 +499,14 @@ class TestServiceCheckpointer:
         with pytest.raises(CheckpointMismatchError) as excinfo:
             ServiceCheckpointer(str(tmp_path), tenant_bits=8).load()
         assert "tenant_bits" in str(excinfo.value)
+
+    def test_unfingerprinted_generations_refused(self, tmp_path):
+        # Same stance as a fleet directory holding shard checkpoints
+        # but no manifest: their provenance cannot be established.
+        ServiceCheckpointer(str(tmp_path)).save(_snapshot())
+        (tmp_path / "manifest.json").unlink(missing_ok=True)
+        with pytest.raises(CheckpointError):
+            ServiceCheckpointer(str(tmp_path))
 
     def test_concurrent_rotation_is_safe(self, tmp_path):
         checkpointer = ServiceCheckpointer(str(tmp_path), keep_generations=4)
@@ -579,12 +585,13 @@ class TestGatewayService:
         assert chaos.stats().rescued_batches > 0
         assert _digest(chaos) == _digest(clean)
 
-    def test_poison_batch_falls_back_to_serial_rescue(self, tmp_path):
-        # max_retries=0: the killed batch immediately decodes in-process.
+    def test_poison_batch_falls_back_to_serial_rescue(self, tmp_path,
+                                                      monkeypatch):
+        # RETRIES=0: the killed batch immediately decodes in-process.
+        monkeypatch.setattr("repro.experiments.runner.RETRIES", 0)
         clean = _run_stream(self.WIRES, batch_size=512, workers=1)
         chaos = _run_stream(self.WIRES, batch_size=512, workers=1,
-                            chaos_kill_batch=2, chaos_dir=str(tmp_path),
-                            max_retries=0)
+                            chaos_kill_batch=2, chaos_dir=str(tmp_path))
         assert _digest(chaos) == _digest(clean)
 
     def test_checkpoint_resume_matches_clean_counters(self, tmp_path):
