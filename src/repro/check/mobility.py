@@ -117,7 +117,8 @@ def _zero_speed_cohort() -> Deviation:
         "constant-velocity walk along a row of N APs makes exactly N-1 "
         "handoffs")
 def _handoff_crossings() -> Deviation:
-    from ..mobility import ApGrid, HandoffPolicy, Trajectory, walk_trajectory
+    from ..mobility import (ApGrid, HandoffPolicy, Trajectory,
+                            reassociation_cost, walk_trajectory)
     grid = ApGrid.build((500.0, 50.0), spacing_m=50.0)
     # One straight pass down the row's centreline: the strongest AP is
     # the nearest, which changes exactly at the 9 cell midlines.
@@ -128,8 +129,8 @@ def _handoff_crossings() -> Deviation:
     for technology in ("Wi-LE", "WiFi-PS"):
         stats = walk_trajectory(trajectory, grid,
                                 HandoffPolicy(kind="strongest"),
-                                technology, duration_s=1000.0,
-                                interval_s=10.0)
+                                reassociation_cost(technology),
+                                duration_s=1000.0, interval_s=10.0)
         expected = grid.columns - 1
         if stats.handoffs != expected or stats.reacquisitions != 1 \
                 or stats.outage_s != 0.0:

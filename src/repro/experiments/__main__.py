@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from ..obs import METRICS, audit_all
 from ..obs.audit import AuditReport
-from ..scenarios import ensure_scenario_metrics, run_all_scenarios
+from ..scenarios import run_all_scenarios
 from . import (
     ablations,
     adaptive,
@@ -255,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is not None:
         _banner(f"Artifacts -> {args.out}")
-        for artifact in export_all(args.out, results, kept):
+        for artifact in export_all(args.out, kept):
             print(f"  wrote {artifact.path} ({artifact.rows} rows)")
 
     if args.timings:
@@ -277,9 +277,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.metrics:
         from .report import render_metrics
-        # A parallel run leaves scenario metrics in the dead workers;
-        # re-emit them from the results so the artifact is complete.
-        ensure_scenario_metrics(results)
         _banner("Metrics")
         print(render_metrics(METRICS))
         path = os.path.join(args.out, "metrics.jsonl") if args.out else "metrics.jsonl"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..energy.trace import CurrentTrace
 from ..obs import METRICS
 from ..obs.metrics import MetricsRegistry
-from ..scenarios import ScenarioResult, ensure_scenario_metrics, figure4, table1
+from ..scenarios import ScenarioResult, figure4, table1
 
 
 class ArtifactError(RuntimeError):
@@ -146,8 +146,7 @@ def write_metrics_jsonl(path: str,
     return WrittenArtifact(path, len(records))
 
 
-def export_all(output_dir: str, results: dict[str, ScenarioResult],
-               outcomes) -> list[WrittenArtifact]:
+def export_all(output_dir: str, outcomes) -> list[WrittenArtifact]:
     """Write a run's artifact set under ``output_dir``.
 
     ``outcomes`` are the ``(experiment, result)`` pairs that
@@ -158,9 +157,6 @@ def export_all(output_dir: str, results: dict[str, ScenarioResult],
     artifacts = [write(os.path.join(output_dir, filename), result)
                  for experiment, result in outcomes
                  for filename, write in experiment.artifacts]
-    # Scenario metrics recorded in pool workers died with the pool;
-    # re-emit from the results so the artifact is always complete.
-    ensure_scenario_metrics(results)
     artifacts.append(write_metrics_jsonl(
         os.path.join(output_dir, "metrics.jsonl")))
     return artifacts

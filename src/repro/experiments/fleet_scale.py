@@ -85,15 +85,15 @@ def run_fleet_point(config: FleetConfig, shard_count: int = 4,
                                   workers=workers, kernel=kernel)
     labels = {"devices": str(config.device_count),
               "interval_s": f"{config.interval_s:g}"}
-    METRICS.counter("fleet_beacons_sent_total", **labels).inc(
+    METRICS.counter("fleet.beacons_sent", **labels).inc(
         aggregate.beacons_sent)
-    METRICS.counter("fleet_uplink_delivered_total", **labels).inc(
+    METRICS.counter("fleet.uplink_delivered", **labels).inc(
         aggregate.uplink_delivered)
-    METRICS.counter("fleet_uplink_lost_collision_total", **labels).inc(
+    METRICS.counter("fleet.uplink_lost_collision", **labels).inc(
         aggregate.uplink_lost_collision)
-    METRICS.gauge("fleet_delivery_rate", **labels).set(
+    METRICS.gauge("fleet.delivery_rate", **labels).set(
         aggregate.delivery_rate)
-    METRICS.gauge("fleet_channel_utilisation", **labels).set(
+    METRICS.gauge("fleet.channel_utilisation", **labels).set(
         aggregate.channel_utilisation)
     return FleetScalePoint(
         device_count=config.device_count,

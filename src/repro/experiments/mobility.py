@@ -38,6 +38,7 @@ from ..faults.plan import stable_uniform
 from ..mobility import (
     HANDOFF_TECHNOLOGIES,
     ApGrid,
+    HandoffCost,
     HandoffPolicy,
     MobilityConfig,
     build_trajectory,
@@ -155,13 +156,20 @@ def _start_position(cell: MobilityCell, index: int) -> tuple[float, float]:
 
 
 def run_cell(cell: MobilityCell) -> MobilityPoint:
-    """Walk one (speed, density, technology) cell. Module-level and
-    picklable-in/out, so it fans over the experiment pool unchanged."""
+    """Walk one (speed, density, technology) cell, replaying its
+    technology's handoff cost."""
+    return _walk_cell((cell, reassociation_cost(cell.technology)))
+
+
+def _walk_cell(task: tuple[MobilityCell, HandoffCost]) -> MobilityPoint:
+    """Walk one cell at its technology's handoff cost and record its
+    handoff accounting. Module-level and picklable-in/out, so it fans
+    over the experiment pool unchanged (which brings the metrics home)."""
+    cell, cost = task
     grid = ApGrid.build(cell.area_m, spacing_m=cell.ap_spacing_m)
     config = MobilityConfig(model=cell.model, speed_mps=cell.speed_mps,
                             epoch_s=cell.epoch_s, seed=cell.seed)
     policy = HandoffPolicy(kind=cell.policy)
-    cost = reassociation_cost(cell.technology)
 
     point = MobilityPoint(cell=cell, devices=cell.device_count,
                           handoff_unit_j=cost.energy_j,
@@ -171,7 +179,7 @@ def run_cell(cell: MobilityCell) -> MobilityPoint:
         trajectory = build_trajectory(config, index,
                                       _start_position(cell, index),
                                       cell.area_m, cell.duration_s)
-        stats = walk_trajectory(trajectory, grid, policy, cell.technology,
+        stats = walk_trajectory(trajectory, grid, policy, cost,
                                 duration_s=cell.duration_s,
                                 interval_s=cell.interval_s)
         point.handoffs += stats.handoffs
@@ -197,29 +205,20 @@ def run_cell(cell: MobilityCell) -> MobilityPoint:
     point.energy_per_device_day_j = (
         (active_j + point.handoff_energy_j) * scale / cell.device_count
         + idle_j)
+    labels = {"technology": cell.technology, "speed": f"{cell.speed_mps:g}",
+              "spacing": f"{cell.ap_spacing_m:g}"}
+    METRICS.counter("mobility.handoffs", **labels).inc(point.handoffs)
+    METRICS.counter("mobility.reacquisitions", **labels).inc(
+        point.reacquisitions)
+    METRICS.counter("mobility.beacons_sent", **labels).inc(point.beacons_sent)
+    METRICS.counter("mobility.beacons_delivered", **labels).inc(
+        point.beacons_delivered)
+    METRICS.gauge("mobility.handoff_energy_j", **labels).set(
+        point.handoff_energy_j)
+    METRICS.gauge("mobility.energy_per_device_day_j", **labels).set(
+        point.energy_per_device_day_j)
+    METRICS.gauge("mobility.delivery_rate", **labels).set(point.delivery_rate)
     return point
-
-
-def _record_metrics(points: Sequence[MobilityPoint]) -> None:
-    """Parent-side metrics (pool workers' registries die with them)."""
-    for point in points:
-        labels = {"technology": point.cell.technology,
-                  "speed": f"{point.cell.speed_mps:g}",
-                  "spacing": f"{point.cell.ap_spacing_m:g}"}
-        METRICS.counter("mobility_handoffs_total", **labels).inc(
-            point.handoffs)
-        METRICS.counter("mobility_reacquisitions_total", **labels).inc(
-            point.reacquisitions)
-        METRICS.counter("mobility_beacons_sent_total", **labels).inc(
-            point.beacons_sent)
-        METRICS.counter("mobility_beacons_delivered_total", **labels).inc(
-            point.beacons_delivered)
-        METRICS.gauge("mobility_handoff_energy_j", **labels).set(
-            point.handoff_energy_j)
-        METRICS.gauge("mobility_energy_per_device_day_j", **labels).set(
-            point.energy_per_device_day_j)
-        METRICS.gauge("mobility_delivery_rate", **labels).set(
-            point.delivery_rate)
 
 
 def run_mobility(speeds: Sequence[float] = DEFAULT_SPEEDS,
@@ -233,18 +232,19 @@ def run_mobility(speeds: Sequence[float] = DEFAULT_SPEEDS,
                  workers: int = 1) -> list[MobilityPoint]:
     """The sweep: every (speed, AP spacing, technology) cell.
 
-    Cells are independent and internally deterministic, so results are
-    identical for any ``workers`` value.
+    Each technology's handoff cost is replayed once, here, and handed
+    to its cells. Cells are independent and internally deterministic,
+    so results are identical for any ``workers`` value.
     """
-    cells = [MobilityCell(speed_mps=speed, ap_spacing_m=spacing,
-                          technology=technology, model=model, policy=policy,
-                          device_count=device_count, duration_s=duration_s,
-                          seed=seed)
+    costs = {technology: reassociation_cost(technology)
+             for technology in technologies}
+    tasks = [(MobilityCell(speed_mps=speed, ap_spacing_m=spacing,
+                           technology=technology, model=model, policy=policy,
+                           device_count=device_count, duration_s=duration_s,
+                           seed=seed), costs[technology])
              for speed in speeds for spacing in spacings
              for technology in technologies]
-    points = run_grid(run_cell, cells, workers=workers)
-    _record_metrics(points)
-    return points
+    return run_grid(_walk_cell, tasks, workers=workers)
 
 
 def audit_points(points: Sequence[MobilityPoint]):

@@ -137,8 +137,9 @@ class ResiliencePoint:
 
 
 def run_cell(cell: ResilienceCell) -> ResiliencePoint:
-    """Simulate one (intensity, policy) cell. Module-level and
-    picklable-in/out, so it fans over the experiment pool unchanged."""
+    """Simulate one (intensity, policy) cell and record its delivery
+    accounting. Module-level and picklable-in/out, so it fans over the
+    experiment pool unchanged (which brings the metrics home)."""
     from ..core.device import WiLEDevice
     from ..core.payload import SensorKind, SensorReading
     from ..core.receiver import WiLEReceiver
@@ -237,26 +238,16 @@ def run_cell(cell: ResilienceCell) -> ResiliencePoint:
     point.recoveries = sum(controller.stats.recoveries
                            for controller in controllers)
     point.fault_stats = injector.stats
+    labels = {"policy": cell.policy, "intensity": f"{cell.intensity:g}"}
+    METRICS.counter("resilience.copies_sent", **labels).inc(point.copies_sent)
+    METRICS.counter("resilience.delivered", **labels).inc(point.delivered)
+    METRICS.counter("resilience.drops_injected", **labels).inc(
+        point.lost_injected)
+    METRICS.counter("resilience.suppressed", **labels).inc(point.suppressed)
+    METRICS.counter("resilience.reboots", **labels).inc(point.reboots)
+    METRICS.gauge("resilience.delivery_rate", **labels).set(
+        point.delivery_rate)
     return point
-
-
-def _record_metrics(points: Sequence[ResiliencePoint]) -> None:
-    """Parent-side metrics (pool workers' registries die with them)."""
-    for point in points:
-        labels = {"policy": point.cell.policy,
-                  "intensity": f"{point.cell.intensity:g}"}
-        METRICS.counter("resilience_copies_sent_total", **labels).inc(
-            point.copies_sent)
-        METRICS.counter("resilience_delivered_total", **labels).inc(
-            point.delivered)
-        METRICS.counter("resilience_drops_injected_total", **labels).inc(
-            point.lost_injected)
-        METRICS.counter("resilience_suppressed_total", **labels).inc(
-            point.suppressed)
-        METRICS.counter("resilience_reboots_total", **labels).inc(
-            point.reboots)
-        METRICS.gauge("resilience_delivery_rate", **labels).set(
-            point.delivery_rate)
 
 
 def run_resilience(intensities: Sequence[float] = DEFAULT_INTENSITIES,
@@ -274,9 +265,7 @@ def run_resilience(intensities: Sequence[float] = DEFAULT_INTENSITIES,
                             interval_s=interval_s, duration_s=duration_s,
                             seed=seed)
              for intensity in intensities for policy in policies]
-    points = run_grid(run_cell, cells, workers=workers)
-    _record_metrics(points)
-    return points
+    return run_grid(run_cell, cells, workers=workers)
 
 
 def audit_points(points: Sequence[ResiliencePoint]):

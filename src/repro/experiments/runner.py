@@ -8,7 +8,8 @@ and seeds its own RNGs). That independence is the whole contract here:
 * :class:`ProcessPool` is the one process pool in the repository: the
   sweeps, the sharded fleet and the gateway service all fan out over
   it. It keeps every input until its result is taken, so a worker that
-  dies or hangs costs a resubmission, never a result.
+  dies or hangs costs a resubmission, never a result (nor the metrics
+  the input recorded: taking a result merges them into this process).
 * :class:`ParallelRunner` fans a function over a work list through that
   pool, **returning results in input order** regardless of completion
   order, so a parallel sweep is byte-identical to the serial loop it
@@ -38,6 +39,8 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import (Any, Callable, Hashable, Iterable, Iterator, Sequence,
                     TypeVar)
+
+from ..obs.metrics import METRICS
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -116,9 +119,21 @@ class StageTimings:
 RETRIES = 2
 
 
-def _metric(name: str):
-    from ..obs.metrics import METRICS
-    return METRICS.counter(name)
+def _pooled(fn: Callable[..., _R], args: tuple) -> tuple[_R, list[dict]]:
+    """Worker side of :class:`ProcessPool`: ``fn(*args)`` and the
+    metrics it recorded. A worker serves many inputs (and a forked one
+    starts with the parent's registry), so the registry is emptied
+    first."""
+    METRICS.clear()
+    return fn(*args), METRICS.snapshot()
+
+
+def _merged(outcome: tuple[_R, list[dict]]) -> _R:
+    """Parent side of :func:`_pooled`: merge the metrics, return the
+    result."""
+    result, records = outcome
+    METRICS.merge(records)
+    return result
 
 
 def first_attempt(directory: str, name: str) -> bool:
@@ -159,15 +174,18 @@ class ProcessPool:
     ``submit(key, fn, *args)`` hands one input to a worker and keeps it
     until ``take(key)`` (or ``await take_async(key)``) returns its
     result, so taking keys in submission order yields results in that
-    order whatever order the workers finish in. A worker that dies
-    (``BrokenProcessPool``: SIGKILL, OOM, segfault) or, in :meth:`take`,
-    hangs past ``timeout_s`` breaks the pool: it is replaced at once,
-    with no backoff sleep, and every input still in flight resubmitted
-    (finished results are kept). An input lost more than
-    :data:`RETRIES` times runs in-process when taken. ``rescued``
-    counts the inputs resubmitted or moved in-process. Genuine
-    exceptions from ``fn`` propagate from ``take``; the constructor
-    raises :class:`OSError` when the platform cannot host a pool.
+    order whatever order the workers finish in. Taking a result also
+    merges the metrics its input recorded in the worker into this
+    process's registry, which so ends as a serial run leaves it. A
+    worker that dies (``BrokenProcessPool``: SIGKILL, OOM, segfault)
+    or, in :meth:`take`, hangs past ``timeout_s`` breaks the pool: it
+    is replaced at once, with no backoff sleep, and every input still
+    in flight resubmitted (finished results are kept; a lost attempt's
+    metrics die with it). An input lost more than :data:`RETRIES` times
+    runs in-process when taken. ``rescued`` counts the inputs
+    resubmitted or moved in-process. Genuine exceptions from ``fn``
+    propagate from ``take``; the constructor raises :class:`OSError`
+    when the platform cannot host a pool.
     """
 
     def __init__(self, workers: int, timeout_s: float | None = None) -> None:
@@ -189,13 +207,13 @@ class ProcessPool:
         except BrokenProcessPool:
             # A worker died since the last take: replace the pool, then
             # start this job on the new one.
-            self._replace_broken("runner_pool_breaks_total")
+            self._replace_broken(METRICS.counter("runner.pool_breaks"))
             self._start(job)
         self._jobs[key] = job
 
     def _start(self, job: _Job) -> None:
         if self._executor is not None and job.losses <= RETRIES:
-            job.future = self._executor.submit(job.fn, *job.args)
+            job.future = self._executor.submit(_pooled, job.fn, job.args)
         else:
             job.future = None
 
@@ -204,14 +222,14 @@ class ProcessPool:
         job = self._jobs[key]
         while job.future is not None:
             try:
-                result = job.future.result(timeout=self.timeout_s)
+                outcome = job.future.result(timeout=self.timeout_s)
             except FuturesTimeout:
-                self._replace_broken("runner_task_timeouts_total")
+                self._replace_broken(METRICS.counter("runner.task_timeouts"))
             except BrokenProcessPool:
-                self._replace_broken("runner_pool_breaks_total")
+                self._replace_broken(METRICS.counter("runner.pool_breaks"))
             else:
                 del self._jobs[key]
-                return result
+                return _merged(outcome)
         del self._jobs[key]
         return job.fn(*job.args)
 
@@ -222,18 +240,19 @@ class ProcessPool:
         job = self._jobs[key]
         while job.future is not None:
             try:
-                result = await asyncio.wrap_future(job.future)
+                outcome = await asyncio.wrap_future(job.future)
             except BrokenProcessPool:
-                self._replace_broken("runner_pool_breaks_total")
+                self._replace_broken(METRICS.counter("runner.pool_breaks"))
             else:
                 del self._jobs[key]
-                return result
+                return _merged(outcome)
         del self._jobs[key]
         return job.fn(*job.args)
 
-    def _replace_broken(self, metric: str) -> None:
-        """Replace a broken or hung pool and resubmit what it lost."""
-        _metric(metric).inc()
+    def _replace_broken(self, cause) -> None:
+        """Replace a broken or hung pool and resubmit what it lost;
+        ``cause`` is the counter of why."""
+        cause.inc()
         self._shutdown()
         try:
             self._executor = self._new_executor()
@@ -246,9 +265,10 @@ class ProcessPool:
                 continue  # already due in-process, or done before the break
             job.losses += 1
             self.rescued += 1
+            METRICS.counter("runner.rescued").inc()
             self._start(job)
             if job.future is None:
-                _metric("runner_chunks_rescued_total").inc()
+                METRICS.counter("runner.chunks_rescued").inc()
 
     def _shutdown(self) -> None:
         if self._executor is None:
@@ -357,11 +377,12 @@ class ParallelRunner:
             # No worker processes on this platform, or unpicklable
             # results (CPython reports local lambdas as AttributeError
             # and unpicklable objects as TypeError). Cells are
-            # side-effect-free, so a serial rerun is safe and gives the
-            # identical answer — and re-raises any genuine error from
-            # ``fn`` itself.
+            # side-effect-free, so running the items not yet taken
+            # in-process gives the identical answer (and counts no
+            # taken item's metrics twice) — and re-raises any genuine
+            # error from ``fn`` itself.
             self.last_backend = "serial-fallback"
-            return [fn(item) for item in work]
+            return results + [fn(item) for item in work[len(results):]]
         self.last_backend = ("process-pool-recovered" if pool.rescued
                              else "process-pool")
         return results

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .runner import ParallelRunner
+from .runner import run_grid
 
 
 class StatisticsError(ValueError):
@@ -181,8 +181,7 @@ class Replication:
 
 def replicate(metric: Callable[[int], float],
               seeds: Sequence[int] = tuple(range(10)),
-              workers: int = 1,
-              runner: ParallelRunner | None = None) -> Replication:
+              workers: int = 1) -> Replication:
     """Evaluate ``metric(seed)`` across seeds.
 
     With ``workers > 1`` the seeds fan out over a process pool; results
@@ -193,21 +192,18 @@ def replicate(metric: Callable[[int], float],
     """
     if not seeds:
         raise StatisticsError("need at least one seed")
-    pool = runner if runner is not None else ParallelRunner(workers=workers)
-    return Replication(tuple(float(value)
-                             for value in pool.map(metric, seeds)))
+    return Replication(tuple(float(value) for value
+                             in run_grid(metric, seeds, workers=workers)))
 
 
 def replicate_many(metrics: Callable[[int], dict[str, float]],
                    seeds: Sequence[int] = tuple(range(10)),
-                   workers: int = 1,
-                   runner: ParallelRunner | None = None) -> dict[str, Replication]:
+                   workers: int = 1) -> dict[str, Replication]:
     """Like :func:`replicate` for functions returning several metrics."""
     if not seeds:
         raise StatisticsError("need at least one seed")
-    pool = runner if runner is not None else ParallelRunner(workers=workers)
     collected: dict[str, list[float]] = {}
-    for result in pool.map(metrics, seeds):
+    for result in run_grid(metrics, seeds, workers=workers):
         for name, value in result.items():
             collected.setdefault(name, []).append(float(value))
     counts = {len(values) for values in collected.values()}

@@ -88,7 +88,8 @@ def resolve_kernel(kernel: str, device_count: int) -> str:
 
 @dataclass
 class KernelStats:
-    """Observability for one cohort run (also mirrored into METRICS)."""
+    """Observability for one cohort run (its totals are also counted in
+    METRICS)."""
 
     devices: int = 0
     transmissions: int = 0
@@ -174,7 +175,7 @@ def run_shard_cohort(shard: ShardSpec,
         # vectorized.
         from .shards import run_shard
         stats.demotions += 1
-        METRICS.counter("fleet_kernel_mobility_demotions").inc()
+        METRICS.counter("fleet.kernel.mobility_demotions").inc()
         return run_shard(shard, kernel="event")
     aggregate = FleetAggregate(
         device_count=len(shard.devices),
@@ -466,8 +467,8 @@ def run_shard_cohort(shard: ShardSpec,
         aggregate.avg_current_a.observe(average_current_a)
         aggregate.current_histogram.observe(average_current_a)
 
-    METRICS.counter("fleet_kernel_cohort_runs").inc()
-    METRICS.counter("fleet_kernel_transmissions").inc(total_tx)
-    METRICS.counter("fleet_kernel_demotions").inc(stats.demotions)
-    METRICS.counter("fleet_kernel_promotions").inc(stats.promotions)
+    METRICS.counter("fleet.kernel.cohort_runs").inc()
+    METRICS.counter("fleet.kernel.transmissions").inc(total_tx)
+    METRICS.counter("fleet.kernel.demotions").inc(stats.demotions)
+    METRICS.counter("fleet.kernel.promotions").inc(stats.promotions)
     return aggregate

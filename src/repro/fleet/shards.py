@@ -518,7 +518,7 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
     are quarantined to ``*.corrupt`` and their shards recomputed.
     Shard failures raise :class:`ShardExecutionError` carrying (shard
     index, device range, worker traceback) per failure, and increment
-    the ``fleet_shard_failures`` counter in :data:`repro.obs.metrics.
+    the ``fleet.shard_failures`` counter in :data:`repro.obs.metrics.
     METRICS`.
     """
     from .kernel import resolve_kernel
@@ -562,7 +562,7 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
             failures.append((outcome[1], outcome[2], outcome[3]))
     if failures:
         from ..obs.metrics import METRICS
-        METRICS.counter("fleet_shard_failures").inc(len(failures))
+        METRICS.counter("fleet.shard_failures").inc(len(failures))
         raise ShardExecutionError(failures)
     total = FleetAggregate()
     for _index, state in sorted(states, key=lambda item: item[0]):

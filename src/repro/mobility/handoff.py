@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from ..dot11 import MacAddress
 from ..dot11.airtime import frame_airtime_us
@@ -213,10 +212,11 @@ def _replay_ble_repair() -> tuple[int, int, float, float, float]:
     return mac_frames, 0, airtime_s, latency_s, energy_j
 
 
-@lru_cache(maxsize=None)
 def reassociation_cost(technology: str) -> HandoffCost:
-    """What changing AP costs ``technology`` — cached because the WiFi
-    replay runs a full simulated association (~ms of wall clock).
+    """What changing AP costs ``technology``. The WiFi cost replays a
+    full simulated association (~ms of wall clock, and the MAC layer
+    counts its frames), so a sweep resolves it once per technology and
+    hands the :class:`HandoffCost` to every walk.
 
     Wi-LE's entry is the structural point, not a small number: beacons
     are connection-less broadcast frames, so there is no association
@@ -264,18 +264,18 @@ class DeviceMobilityStats:
 
 
 def walk_trajectory(trajectory: Trajectory, grid: ApGrid,
-                    policy: HandoffPolicy, technology: str,
+                    policy: HandoffPolicy, cost: HandoffCost,
                     duration_s: float, interval_s: float,
                     first_wake_s: float = 0.0,
                     sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM,
                     ) -> DeviceMobilityStats:
     """Evaluate AP selection per epoch along ``trajectory`` and score
-    beacon delivery + handoff cost for ``technology``.
+    beacon delivery + handoff cost for ``cost.technology``.
 
     Per epoch: the strongest detectable AP is found through the grid's
     O(1) candidate index, the policy picks the camped AP, and every AP
-    change (or coverage reacquisition) charges one
-    :func:`reassociation_cost`. Wakes at ``first_wake_s + k *
+    change (or coverage reacquisition) charges one ``cost`` (see
+    :func:`reassociation_cost`). Wakes at ``first_wake_s + k *
     interval_s`` deliver iff the epoch's camped AP exists — for Wi-LE
     and WiFi-DC the *strongest* AP (connection-less injection /
     fresh association per wake), for WiFi-PS and BLE the *serving* AP
@@ -283,7 +283,7 @@ def walk_trajectory(trajectory: Trajectory, grid: ApGrid,
     """
     if duration_s <= 0 or interval_s <= 0:
         raise HandoffError("duration and interval must be positive")
-    cost = reassociation_cost(technology)
+    technology = cost.technology
     stats = DeviceMobilityStats(device_id=trajectory.device_id,
                                 technology=technology)
     epoch_s = trajectory.epoch_s

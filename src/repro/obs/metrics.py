@@ -7,18 +7,18 @@ snapshots to plain dicts, so ``python -m repro.experiments --metrics``
 can render a table and write a JSONL artifact without any external
 telemetry dependency.
 
-Metrics are named with dotted paths (``mac.station.frames_tx``) and an
-optional label set (``scenario="Wi-LE"``, ``layer="mac"``); the
-(name, labels) pair identifies one instrument. The default registry
-(:data:`METRICS`) is per-process: worker processes of a parallel sweep
-record into their own copy, and only parent-side metrics survive a
-fan-out.
+Metrics are named ``<package>[.<module>].<noun>`` (no ``_total``:
+the record's type says counter) with an optional label set
+(``scenario="Wi-LE"``, ``layer="mac"``); the (name, labels) pair
+identifies one instrument. The default registry (:data:`METRICS`) is
+per-process: :class:`repro.experiments.runner.ProcessPool` merges what
+each input recorded in its worker into the parent's registry.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class MetricsError(ValueError):
@@ -181,6 +181,25 @@ class MetricsRegistry:
         return [instrument.snapshot()
                 for _key, instrument in sorted(self._instruments.items(),
                                                key=lambda item: item[0])]
+
+    def merge(self, records: Iterable[Mapping]) -> None:
+        """Fold another registry's :meth:`snapshot` into this one:
+        counters add, gauges take the recorded value, histograms add
+        count and sum and combine min/max. A histogram's sum matches a
+        serial run only while each label set is observed by one input."""
+        for record in records:
+            name, labels = record["name"], record["labels"]
+            if record["type"] == "counter":
+                self.counter(name, **labels).inc(record["value"])
+            elif record["type"] == "gauge":
+                self.gauge(name, **labels).set(record["value"])
+            else:
+                histogram = self.histogram(name, **labels)
+                if record["count"]:
+                    histogram.count += record["count"]
+                    histogram.sum += record["sum"]
+                    histogram.min = min(histogram.min, record["min"])
+                    histogram.max = max(histogram.max, record["max"])
 
     def clear(self) -> None:
         """Drop every instrument (test isolation)."""

@@ -6,7 +6,6 @@ from .base import (
     ScenarioError,
     ScenarioResult,
     emit_scenario_metrics,
-    ensure_scenario_metrics,
     overlay_window,
 )
 from .ble import run_ble

@@ -59,9 +59,9 @@ def emit_scenario_metrics(result: ScenarioResult,
     leaves its Table 1 inputs — energy per packet, transmission window,
     idle current, trace charge per phase, frame counts — in the metrics
     registry alongside whatever the MAC layer counted during the run.
-    Metrics recorded in pool workers stay in the worker; parent-side
-    callers can re-emit from the returned results (see
-    ``ensure_scenario_metrics``).
+    A run in a pool worker records into the worker's registry, and the
+    pool merges those records into the parent's when it takes the
+    result.
     """
     registry = registry if registry is not None else METRICS
     name = result.name
@@ -107,21 +107,6 @@ def emit_scenario_metrics(result: ScenarioResult,
                              layer=layer.value).inc(frame_log.count(layer))
         registry.counter("scenario.frame_bytes_on_air", scenario=name).inc(
             frame_log.bytes_on_air())
-
-
-def ensure_scenario_metrics(results: dict[str, ScenarioResult],
-                            registry: MetricsRegistry | None = None) -> None:
-    """Emit metrics for any scenario result missing from ``registry``.
-
-    A parallel ``run_all_scenarios`` records each scenario's metrics in
-    its worker process, where they die with the pool; this re-emits
-    parent-side from the returned results without double-counting the
-    serial path (which already recorded them).
-    """
-    registry = registry if registry is not None else METRICS
-    for name, result in results.items():
-        if registry.get("scenario.runs", scenario=name) is None:
-            emit_scenario_metrics(result, registry)
 
 
 @dataclass(frozen=True, slots=True)

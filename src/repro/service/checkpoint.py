@@ -17,7 +17,7 @@ split) and one corrupt-file policy. This module adds the one thing a
 candidate generation is round-tripped through
 :meth:`TenantAggregate.from_state` before being offered to the server,
 and a corrupt one is quarantined to ``<file>.corrupt`` (counted in
-``checkpoint_corrupt_total``) — the ``*.corrupt`` name no longer
+``store.checkpoint_corrupt``) — the ``*.corrupt`` name no longer
 matches the generation pattern, so later loads skip it for free.
 
 Writes take an internal lock, so the server may rotate from a worker

@@ -73,7 +73,7 @@ class FederationError(ServiceError):
 class ServiceChaosKill(RuntimeError):
     """The injected 'gateway process died' fault — raised inside the
     pump so it travels the real pump-failure path (poisoned intake,
-    ``service_pump_failures_total``, error surfaced to the
+    ``service.pump_failures``, error surfaced to the
     supervisor)."""
 
 
@@ -346,7 +346,7 @@ class _Pipeline:
         skip = min(len(wires), self.cursor - start_offset)
         if skip:
             self.deduped += skip
-            METRICS.counter("federation_replay_deduped_total").inc(skip)
+            METRICS.counter("federation.replay_deduped").inc(skip)
         fresh = wires[skip:]
         if not fresh:
             return 0
@@ -420,7 +420,7 @@ class FederationCoordinator:
         for partition in range(config.gateways):
             self._pipelines[partition] = await self._start_pipeline(
                 partition, partition)
-        METRICS.gauge("federation_partitions").set(float(config.gateways))
+        METRICS.gauge("federation.partitions").set(float(config.gateways))
         supervisor = asyncio.ensure_future(self._supervise())
         feeders = [asyncio.ensure_future(self._feed(partition))
                    for partition in range(config.gateways)]
@@ -470,7 +470,7 @@ class FederationCoordinator:
             errors += stats.decode_errors
             deduped += pipeline.deduped
         merged = merge_federated(parts)
-        METRICS.gauge("federation_alive_gateways").set(
+        METRICS.gauge("federation.alive_gateways").set(
             float(sum(self._slot_alive)))
         return FederationReport(
             tenants=merged, ingested=ingested, decode_errors=errors,
@@ -605,7 +605,7 @@ class FederationCoordinator:
                 "failover", slot=slot, partition=partition,
                 attempt=attempt, delay_s=delay, reason=reason))
             self._failovers += 1
-            METRICS.counter("federation_failovers_total").inc()
+            METRICS.counter("federation.failovers").inc()
             self._restart_tasks.append(asyncio.ensure_future(
                 self._restart_slot(slot, attempt, delay)))
         await pipeline.service.kill()
@@ -615,7 +615,7 @@ class FederationCoordinator:
         self._pipelines[partition] = successor
         if self._recovery_s is None:
             self._recovery_s = loop.time() - detected_t
-        METRICS.gauge("federation_alive_gateways").set(
+        METRICS.gauge("federation.alive_gateways").set(
             float(sum(self._slot_alive)))
 
     def _next_alive_slot(self, dead_slot: int) -> int:
@@ -653,7 +653,7 @@ class FederationCoordinator:
         await asyncio.sleep(delay)
         self._slot_alive[slot] = True
         self._restarts += 1
-        METRICS.counter("federation_restarts_total").inc()
+        METRICS.counter("federation.restarts").inc()
         self._events.append(FederationEvent(
             "restart", slot=slot, partition=slot, attempt=attempt,
             delay_s=delay))
@@ -671,7 +671,7 @@ class FederationCoordinator:
             pass
         self._pipelines[slot] = await self._start_pipeline(slot, slot)
         self._handbacks += 1
-        METRICS.counter("federation_handbacks_total").inc()
+        METRICS.counter("federation.handbacks").inc()
         self._events.append(FederationEvent(
             "handback", slot=slot, partition=slot, attempt=attempt,
             delay_s=0.0))

@@ -13,10 +13,10 @@ kill minutes later. The gateway service makes the decision explicit:
   because it makes the ingested stream — and therefore every aggregate
   — exactly reproducible.
 
-Every drop and every blocked put is counted (the server mirrors the
-counts into :data:`repro.obs.metrics.METRICS` as
-``service_dropped_oldest_total`` / ``service_blocked_puts_total``), so
-backpressure is observable rather than silent.
+Every drop and every blocked put is counted, on the queue and in
+:data:`repro.obs.metrics.METRICS` as ``service.dropped_oldest`` /
+``service.blocked_puts``, so backpressure is observable rather than
+silent.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import asyncio
 import enum
 from collections import deque
 from typing import Sequence
+
+from ..obs.metrics import METRICS
 
 
 class QueueClosed(RuntimeError):
@@ -79,9 +81,8 @@ class BoundedPayloadQueue:
         self._items: deque = deque()
         self._closed = False
         self._condition = asyncio.Condition()
-        #: Lifetime accounting, mirrored into METRICS by the server's
-        #: metrics loop (the queue itself stays registry-free so unit
-        #: tests can use it without touching the process-global state).
+        #: Lifetime accounting of this queue (drops and blocked puts
+        #: are also counted in METRICS as they happen).
         self.accepted = 0
         self.dropped_oldest = 0
         self.blocked_puts = 0
@@ -143,6 +144,7 @@ class BoundedPayloadQueue:
             return
         if len(self._items) >= self.capacity:
             self.blocked_puts += 1
+            METRICS.counter("service.blocked_puts").inc()
             await self._condition.wait_for(
                 lambda: len(self._items) < self.capacity or self._closed)
             if self._closed:
@@ -155,6 +157,7 @@ class BoundedPayloadQueue:
             # Only reachable under DROP_OLDEST (BLOCK waited for room).
             self._items.popleft()
             self.dropped_oldest += 1
+            METRICS.counter("service.dropped_oldest").inc()
         self._items.append(item)
         self.accepted += 1
 

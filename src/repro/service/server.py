@@ -40,7 +40,7 @@ Correctness properties the tests lean on:
   thereby shadow) the final post-drain checkpoint.
 * **Pump failures are loud.** An unexpected exception in the decode/
   merge pump closes intake (so producers fail fast instead of feeding
-  a dead pipeline), bumps ``service_pump_failures_total``, and is
+  a dead pipeline), bumps ``service.pump_failures``, and is
   re-raised from :meth:`GatewayService.stop` with the original cause.
 """
 
@@ -157,7 +157,6 @@ class GatewayService:
         self._decode_errors = 0
         self._checkpoints_written = 0
         self._last_checkpoint_monotonic: float | None = None
-        self._mirrored: dict[str, float] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -200,7 +199,7 @@ class GatewayService:
             # wait_for already cancelled the pump; the merged prefix is
             # still consistent and worth checkpointing below.
             drain_expired = True
-            METRICS.counter("service_drain_deadline_total").inc()
+            METRICS.counter("service.drain_deadline").inc()
         except Exception as error:
             pump_error = error
         for task in self._tasks[1:]:
@@ -319,7 +318,7 @@ class GatewayService:
             # accepting: poison intake, count it, and re-raise so
             # stop() surfaces the original cause.
             self._pump_error = error
-            METRICS.counter("service_pump_failures_total").inc()
+            METRICS.counter("service.pump_failures").inc()
             await self.queue.close()
             raise
 
@@ -373,6 +372,7 @@ class GatewayService:
         exactly, whatever the batching."""
         self._next_merge_id += 1
         self._decode_errors += errors
+        METRICS.counter("service.decode_errors").inc(errors)
         tenant_bits = self.config.tenant_bits
         tenants = self.tenants
         for payload in payloads:
@@ -383,6 +383,7 @@ class GatewayService:
                     tenant_id=tenant_id)
             aggregate.observe(payload)
         self._ingested += len(payloads)
+        METRICS.counter("service.ingested").inc(len(payloads))
 
     # -- checkpointing -------------------------------------------------------
 
@@ -413,6 +414,7 @@ class GatewayService:
         await loop.run_in_executor(self._checkpoint_executor,
                                    self.checkpointer.save, snapshot)
         self._checkpoints_written += 1
+        METRICS.counter("service.checkpoints").inc()
         self._last_checkpoint_monotonic = time.monotonic()
 
     async def _checkpoint_loop(self) -> None:
@@ -430,38 +432,19 @@ class GatewayService:
             now = time.monotonic()
             rate = (self._ingested - last_ingested) / max(now - last_time,
                                                           1e-9)
-            METRICS.gauge("service_ingest_rate_per_s").set(rate)
+            METRICS.gauge("service.ingest_rate_per_s").set(rate)
             last_ingested, last_time = self._ingested, now
             self._publish_metrics()
 
     def _publish_metrics(self) -> None:
-        METRICS.gauge("service_queue_depth").set(float(len(self.queue)))
-        age = float("inf") if self._last_checkpoint_monotonic is None \
-            else time.monotonic() - self._last_checkpoint_monotonic
-        if self.checkpointer is not None and age != float("inf"):
-            METRICS.gauge("service_checkpoint_age_s").set(age)
-        self._mirror_counter("service_ingested_total", self._ingested)
-        self._mirror_counter("service_decode_errors_total",
-                             self._decode_errors)
-        self._mirror_counter("service_dropped_oldest_total",
-                             self.queue.dropped_oldest)
-        self._mirror_counter("service_blocked_puts_total",
-                             self.queue.blocked_puts)
-        self._mirror_counter("service_rescued_batches_total",
-                             self._rescued_batches())
-        self._mirror_counter("service_checkpoints_total",
-                             self._checkpoints_written)
-
-    def _mirror_counter(self, name: str, total: float) -> None:
-        """METRICS counters are monotonic `inc` APIs; mirror an absolute
-        total by feeding the delta since the last publish."""
-        delta = total - self._mirrored.get(name, 0.0)
-        if delta > 0:
-            METRICS.counter(name).inc(delta)
-            self._mirrored[name] = total
-
-    def _rescued_batches(self) -> int:
-        return 0 if self._pool is None else self._pool.rescued
+        """Refresh the gauges. The counters (``service.ingested``, ...)
+        are incremented where their events happen and count what this
+        process did; totals restored from a checkpoint stay in
+        :meth:`stats`."""
+        METRICS.gauge("service.queue_depth").set(float(len(self.queue)))
+        if self._last_checkpoint_monotonic is not None:
+            METRICS.gauge("service.checkpoint_age_s").set(
+                time.monotonic() - self._last_checkpoint_monotonic)
 
     def stats(self) -> ServiceStats:
         return ServiceStats(
@@ -469,7 +452,7 @@ class GatewayService:
             decode_errors=self._decode_errors,
             batches_dispatched=self._next_batch_id,
             batches_merged=self._next_merge_id,
-            rescued_batches=self._rescued_batches(),
+            rescued_batches=0 if self._pool is None else self._pool.rescued,
             checkpoints_written=self._checkpoints_written,
             queue_depth=len(self.queue),
             queue_accepted=self.queue.accepted,

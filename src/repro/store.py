@@ -82,7 +82,7 @@ def read_or_quarantine(path: str, restore: Callable[[object], _T],
     cannot use. An unusable file — not JSON, not UTF-8, or rejected by
     ``restore`` — is quarantined: renamed to ``path + ".corrupt"``
     (fsyncing the directory when ``durable``) and counted in
-    ``checkpoint_corrupt_total``. A half-written file from a killed
+    ``store.checkpoint_corrupt``. A half-written file from a killed
     writer therefore costs a recompute or a fallback, never a crash.
     """
     try:
@@ -95,7 +95,7 @@ def read_or_quarantine(path: str, restore: Callable[[object], _T],
         # ValueError covers JSONDecodeError, UnicodeDecodeError and the
         # aggregates' own state errors.
         pass
-    METRICS.counter("checkpoint_corrupt_total").inc()
+    METRICS.counter("store.checkpoint_corrupt").inc()
     try:
         os.replace(path, path + ".corrupt")
     except OSError:

@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,7 +96,7 @@ class TestExportAll:
         outcomes = [(experiment, experiment.run(results, 1))
                     for experiment in EXPERIMENTS
                     if experiment.quick or experiment.name == "multi_device"]
-        artifacts = export_all(str(tmp_path / "artifacts"), results, outcomes)
+        artifacts = export_all(str(tmp_path / "artifacts"), outcomes)
         names = {os.path.basename(artifact.path) for artifact in artifacts}
         assert names == {"table1.csv", "figure4.csv", "figure3a_wifi.csv",
                          "figure3b_wile.csv", "figure3a_wifi_segments.csv",
@@ -120,6 +122,30 @@ class TestMetricsJsonl:
         by_name = {record["name"]: record for record in records}
         assert by_name["frames"]["value"] == 5
         assert by_name["charge_c"]["labels"] == {"scenario": "Wi-LE"}
+
+
+def driver_metrics(out, *argv) -> bytes:
+    """The ``metrics.jsonl`` a fresh ``python -m repro.experiments
+    --metrics`` process writes for ``argv``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run([sys.executable, "-m", "repro.experiments", "--metrics",
+                    "--out", str(out), *argv],
+                   env=env, capture_output=True, check=True, timeout=600)
+    with open(os.path.join(out, "metrics.jsonl"), "rb") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("selection", [["--quick"], ["--only", "mobility"]],
+                         ids=["quick", "mobility"])
+def test_metrics_identical_at_any_worker_count(selection, tmp_path):
+    """Worker metrics come home through the pool, so fanning out
+    changes no record: not the scenario workers' MAC counters, not the
+    mobility cells' (which replay no association of their own)."""
+    serial = driver_metrics(tmp_path / "w1", *selection, "--workers", "1")
+    assert b'"mac.ap.beacons_sent"' in serial
+    assert driver_metrics(tmp_path / "w2", *selection,
+                          "--workers", "2") == serial
 
 
 class TestCli:

@@ -309,17 +309,17 @@ class TestRunnerRescue:
         assert runner.last_backend == "process-pool-recovered"
 
     def test_dead_worker_lost_chunks_retried(self, tmp_path):
-        before = METRICS.counter("runner_pool_breaks_total").value
+        before = METRICS.counter("runner.pool_breaks").value
         runner = ParallelRunner(workers=2, chunk_size=1)
         items = [(str(tmp_path), value) for value in range(6)]
         assert runner.map(_die_once, items) == [v * v for v in range(6)]
         assert runner.last_backend == "process-pool-recovered"
-        assert METRICS.counter("runner_pool_breaks_total").value > before
+        assert METRICS.counter("runner.pool_breaks").value > before
 
     def test_retries_exhausted_falls_back_to_serial_rescue(
             self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.experiments.runner.RETRIES", 0)
-        before = METRICS.counter("runner_chunks_rescued_total").value
+        before = METRICS.counter("runner.chunks_rescued").value
         runner = ParallelRunner(workers=2, chunk_size=1, timeout_s=1.0)
         items = [(str(tmp_path), value) for value in range(6)]
         # item 3 hangs in the pool (RETRIES=0, no resubmission); the
@@ -327,7 +327,7 @@ class TestRunnerRescue:
         # already on disk so the rescue returns instantly.
         assert runner.map(_sleep_once, items) == [v * v for v in range(6)]
         assert runner.last_backend == "process-pool-recovered"
-        assert METRICS.counter("runner_chunks_rescued_total").value > before
+        assert METRICS.counter("runner.chunks_rescued").value > before
 
     def test_submit_after_worker_death_rebuilds_the_pool(self, tmp_path):
         # The gateway may submit its next batch after a worker died but
@@ -383,7 +383,7 @@ class TestFleetChaos:
         assert moments_close(first, resumed, rel_tol=0.0) == []
 
     def test_shard_failure_carries_context(self):
-        before = METRICS.counter("fleet_shard_failures").value
+        before = METRICS.counter("fleet.shard_failures").value
         plan = generate_fleet(self.CONFIG)
         with pytest.raises(ShardExecutionError) as exc_info:
             run_sharded_fleet(plan, shard_count=3, workers=1,
@@ -392,7 +392,7 @@ class TestFleetChaos:
         assert error.failures[0][0] == 1           # shard index
         assert ".." in error.failures[0][1]        # device-id range
         assert "shard 1" in str(error)
-        assert METRICS.counter("fleet_shard_failures").value == before + 1
+        assert METRICS.counter("fleet.shard_failures").value == before + 1
 
     def test_chaos_kill_requires_checkpoint_and_workers(self, tmp_path):
         plan = generate_fleet(self.CONFIG)
@@ -436,18 +436,20 @@ class TestCheckpointHygiene:
         import json
         json.loads(bad.read_text(encoding="utf-8"))
 
-    def test_corrupt_checkpoint_quarantined_and_counted(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_corrupt_checkpoint_quarantined_and_counted(self, tmp_path,
+                                                        workers):
         plan, _ = self._checkpointed_run(tmp_path)
         (tmp_path / "shard_0001.json").write_text("{ torn",
                                                   encoding="utf-8")
-        before = METRICS.counter("checkpoint_corrupt_total").value
-        run_sharded_fleet(plan, shard_count=2, workers=1,
+        before = METRICS.counter("store.checkpoint_corrupt").value
+        run_sharded_fleet(plan, shard_count=2, workers=workers,
                           checkpoint_dir=str(tmp_path))
         # Moved aside (not deleted) for a post-mortem, exactly as the
         # service quarantines a corrupt generation.
         corpse = tmp_path / "shard_0001.json.corrupt"
         assert corpse.read_text(encoding="utf-8") == "{ torn"
-        assert METRICS.counter("checkpoint_corrupt_total").value \
+        assert METRICS.counter("store.checkpoint_corrupt").value \
             == before + 1
 
     def test_truncated_checkpoint_recomputed(self, tmp_path):

@@ -398,11 +398,11 @@ class TestDrainDeadline:
                 await service.stop()
             return loop.time() - started
 
-        before = METRICS.get("service_drain_deadline_total")
+        before = METRICS.get("service.drain_deadline")
         before_value = before.value if before is not None else 0.0
         elapsed = asyncio.run(scenario())
         assert elapsed < 5.0
-        assert METRICS.get("service_drain_deadline_total").value \
+        assert METRICS.get("service.drain_deadline").value \
             == before_value + 1
 
 

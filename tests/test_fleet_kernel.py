@@ -30,6 +30,7 @@ from repro.fleet import (
 )
 from repro.fleet.aggregate import counters_equal, moments_close
 from repro.fleet.shards import ShardSpec
+from repro.obs.metrics import METRICS
 
 SMALL = FleetConfig(device_count=60, area_m=(60.0, 30.0), interval_s=30.0,
                     duration_s=600.0, seed=11)
@@ -101,6 +102,21 @@ class TestCohortEquivalence:
         event = run_sharded_fleet(plan, shard_count=3, kernel="event")
         cohort = run_sharded_fleet(plan, shard_count=3, kernel="cohort")
         _assert_identical(event, cohort)
+
+    def test_kernel_counters_survive_fan_out(self):
+        plan = generate_fleet(SYNC)
+        counters = []
+        for workers in (1, 2):
+            METRICS.clear()
+            run_sharded_fleet(plan, shard_count=3, workers=workers,
+                              kernel="cohort")
+            counters.append({record["name"]: record["value"]
+                             for record in METRICS.snapshot()
+                             if record["name"].startswith("fleet.kernel.")})
+        METRICS.clear()
+        assert counters[0]["fleet.kernel.cohort_runs"] == 3
+        assert counters[0]["fleet.kernel.demotions"] > 0
+        assert counters[1] == counters[0]
 
     def test_checkpoint_resume_with_cohort_kernel(self):
         plan = generate_fleet(SMALL)

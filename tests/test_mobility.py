@@ -251,7 +251,8 @@ class TestWalk:
         trajectory = Trajectory(device_id=0, epoch_s=10.0,
                                 knots=((0.0, 5.0, 25.0),
                                        (1000.0, 495.0, 25.0)))
-        stats = walk_trajectory(trajectory, grid, HandoffPolicy(), "Wi-LE",
+        stats = walk_trajectory(trajectory, grid, HandoffPolicy(),
+                                reassociation_cost("Wi-LE"),
                                 duration_s=1000.0, interval_s=10.0)
         assert stats.handoffs == grid.columns - 1
         assert stats.reacquisitions == 1
@@ -264,8 +265,8 @@ class TestWalk:
                                 knots=((0.0, 50.0, 50.0),))
         for technology in ("Wi-LE", "WiFi-PS", "WiFi-DC", "BLE"):
             stats = walk_trajectory(trajectory, grid, HandoffPolicy(),
-                                    technology, duration_s=3600.0,
-                                    interval_s=600.0)
+                                    reassociation_cost(technology),
+                                    duration_s=3600.0, interval_s=600.0)
             assert stats.handoffs == 0
             assert stats.reacquisitions == 1  # the cold start
             assert stats.beacons_delivered == stats.beacons_sent == 6
@@ -280,8 +281,8 @@ class TestWalk:
         trajectory = Trajectory(device_id=0, epoch_s=60.0,
                                 knots=((0.0, 1.0, 1.0),))
         stats = walk_trajectory(trajectory, grid, HandoffPolicy(),
-                                "WiFi-PS", duration_s=3600.0,
-                                interval_s=600.0)
+                                reassociation_cost("WiFi-PS"),
+                                duration_s=3600.0, interval_s=600.0)
         assert stats.outage_s == 3600.0
         assert stats.handoffs == stats.reacquisitions == 0
         assert stats.beacons_delivered == 0

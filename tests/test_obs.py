@@ -1,7 +1,9 @@
 """Tests for the observability layer (repro.obs): metrics registry,
 simulator trace hooks, and the invariant auditor."""
 
+import ast
 import json
+import os
 
 import pytest
 
@@ -279,3 +281,93 @@ class TestScenarioMetricsEmission:
                     if record["name"] == "scenario.trace.charge_by_label_c"]
         assert sum(record["value"] for record in by_label) == \
             pytest.approx(charge, rel=1e-12)
+
+
+def _record_input(registry, value):
+    """What one pooled input records: a counter, a gauge and a
+    histogram of its own."""
+    registry.counter("frames", layer="mac").inc(value)
+    registry.gauge("last_value").set(value)
+    registry.histogram("duration_s", input=str(value)).observe(value / 8)
+    registry.histogram("duration_s", input=str(value)).observe(value / 3)
+    registry.histogram("empty")
+
+
+class TestRegistryMerge:
+    def test_merged_snapshots_match_the_serial_registry(self):
+        serial = MetricsRegistry()
+        serial.counter("frames", layer="mac").inc(2)
+        merged = MetricsRegistry()
+        merged.counter("frames", layer="mac").inc(2)
+        for value in (3, 1, 7):
+            _record_input(serial, value)
+            worker = MetricsRegistry()
+            _record_input(worker, value)
+            merged.merge(worker.snapshot())
+        assert merged.snapshot() == serial.snapshot()
+        assert merged.counter("frames", layer="mac").value == 13
+        assert merged.gauge("last_value").value == 7
+
+    def test_histograms_add_count_and_sum_and_widen_min_max(self):
+        merged = MetricsRegistry()
+        merged.histogram("h").observe(2.0)
+        worker = MetricsRegistry()
+        for value in (5.0, 0.5):
+            worker.histogram("h").observe(value)
+        merged.merge(worker.snapshot())
+        merged.merge(MetricsRegistry().snapshot())
+        record = merged.histogram("h").snapshot()
+        assert (record["count"], record["sum"]) == (3, 7.5)
+        assert (record["min"], record["max"]) == (0.5, 5.0)
+
+    def test_type_conflict_rejected(self):
+        registry = MetricsRegistry()
+        registry.gauge("x")
+        worker = MetricsRegistry()
+        worker.counter("x").inc()
+        with pytest.raises(MetricsError):
+            registry.merge(worker.snapshot())
+
+
+def _metric_names(path):
+    """The first argument of every ``.counter(``, ``.gauge(`` and
+    ``.histogram(`` call in ``path``, as ``(name, line)``; ``None`` for
+    a name that is not a string literal."""
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("counter", "gauge", "histogram"):
+            first = node.args[0]
+            literal = (isinstance(first, ast.Constant)
+                       and isinstance(first.value, str))
+            yield (first.value if literal else None), node.lineno
+
+
+def test_every_metric_name_is_dotted():
+    """One naming scheme: ``<package>[.<module>].<noun>``, no
+    ``_total`` suffix (the record's type already says counter)."""
+    source = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src", "repro")
+    names = set()
+    bad = []
+    for directory, _dirs, files in os.walk(source):
+        for filename in files:
+            path = os.path.join(directory, filename)
+            # The registry's own merge passes recorded names through.
+            if not filename.endswith(".py") or os.path.relpath(
+                    path, source) == os.path.join("obs", "metrics.py"):
+                continue
+            for name, line in _metric_names(path):
+                where = f"{os.path.relpath(path, source)}:{line}"
+                if name is None:
+                    bad.append(f"{where}: name is not a literal")
+                elif "." not in name or name.endswith("_total"):
+                    bad.append(f"{where}: {name}")
+                else:
+                    names.add(name)
+    assert bad == []
+    assert {"mac.station.frames_tx", "scenario.runs", "check.runs",
+            "service.ingested", "fleet.kernel.demotions",
+            "runner.pool_breaks", "store.checkpoint_corrupt"} <= names

@@ -11,11 +11,14 @@ from repro.experiments.contention import run_contention_point
 from repro.experiments.reliability import run_reliability_point
 from repro.experiments.runner import (
     ParallelRunner,
+    ProcessPool,
     RunnerError,
     StageTimings,
+    kill_once,
     run_grid,
 )
 from repro.experiments.statistics import replicate, replicate_many
+from repro.obs.metrics import METRICS
 from repro.security.keys import (
     PMK_CACHE_MAX,
     pmk_cache_clear,
@@ -43,6 +46,34 @@ def fleet_metrics(seed):
     point = run_contention_point(0.3, False, rounds=5, seed=seed)
     return {"rate": point.delivery_rate,
             "sent": float(point.beacons_sent)}
+
+
+def record(value):
+    """Count one input and set a gauge in whichever process runs it."""
+    METRICS.counter("test.pool.inputs").inc()
+    METRICS.gauge("test.pool.last").set(value)
+    return value
+
+
+def record_then_die_once(directory, value):
+    """:func:`record`, then SIGKILL the worker on the first attempt."""
+    record(value)
+    kill_once(directory, "record")
+    return value
+
+
+def record_unpicklable(value):
+    """:func:`record`; results from 2 on cannot cross back to the
+    parent."""
+    record(value)
+    return value if value < 2 else (lambda: value)
+
+
+@pytest.fixture
+def metrics():
+    METRICS.clear()
+    yield METRICS
+    METRICS.clear()
 
 
 class TestParallelRunner:
@@ -104,6 +135,48 @@ class TestDeterminism:
         assert set(serial) == set(parallel)
         for name in serial:
             assert parallel[name].values == serial[name].values
+
+
+class TestPoolMetrics:
+    """Metrics recorded in a pool worker come home once per take."""
+
+    def test_worker_metrics_merge_on_take(self, metrics):
+        pool = ProcessPool(2)
+        try:
+            for key in range(4):
+                pool.submit(key, record, float(key))
+            assert metrics.get("test.pool.inputs") is None  # not taken yet
+            for key in range(4):
+                assert pool.take(key) == key
+                assert metrics.get("test.pool.inputs").value == key + 1
+                assert metrics.get("test.pool.last").value == key
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("retries", [2, 0],
+                             ids=["resubmitted", "in-process"])
+    def test_rescued_input_counted_once(self, retries, metrics, tmp_path,
+                                        monkeypatch):
+        monkeypatch.setattr("repro.experiments.runner.RETRIES", retries)
+        pool = ProcessPool(2)
+        try:
+            pool.submit(0, record_then_die_once, str(tmp_path), 7.0)
+            assert pool.take(0) == 7.0
+            assert pool.rescued == 1
+        finally:
+            pool.close()
+        assert metrics.get("runner.pool_breaks").value == 1
+        assert metrics.get("runner.rescued").value == 1
+        assert metrics.get("test.pool.inputs").value == 1
+        assert metrics.get("test.pool.last").value == 7.0
+
+    def test_serial_fallback_counts_each_item_once(self, metrics):
+        runner = ParallelRunner(workers=2, chunk_size=1)
+        results = runner.map(record_unpicklable, range(4))
+        assert runner.last_backend == "serial-fallback"
+        assert results[:2] == [0, 1]
+        assert [result() for result in results[2:]] == [2, 3]
+        assert metrics.get("test.pool.inputs").value == 4
 
 
 class TestRunGrid:

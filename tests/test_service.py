@@ -474,7 +474,7 @@ class TestServiceCheckpointer:
         # it without re-parsing.
         assert not os.path.exists(path)
         assert os.path.exists(path + ".corrupt")
-        assert METRICS.get("checkpoint_corrupt_total").value == 1
+        assert METRICS.get("store.checkpoint_corrupt").value == 1
         METRICS.clear()
 
     def test_corrupt_current_pointer_recovers(self, tmp_path):
@@ -648,10 +648,10 @@ class TestGatewayService:
     def test_metrics_published(self):
         METRICS.clear()
         service = _run_stream(self.WIRES[:1000], metrics_interval_s=0.001)
-        assert METRICS.get("service_ingested_total") is not None
-        ingested = METRICS.get("service_ingested_total").value
+        assert METRICS.get("service.ingested") is not None
+        ingested = METRICS.get("service.ingested").value
         assert ingested == service.stats().ingested
-        assert METRICS.get("service_queue_depth").value == 0.0
+        assert METRICS.get("service.queue_depth").value == 0.0
         METRICS.clear()
 
     def test_pump_failure_poisons_intake_and_surfaces_at_stop(
