@@ -52,7 +52,6 @@ from .shards import (
 )
 from .kernel import (
     COHORT_AUTO_THRESHOLD,
-    CohortState,
     KernelError,
     KernelStats,
     resolve_kernel,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import tempfile
 import time
@@ -165,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
         print(_render(aggregate))
         print(f"wall clock            {elapsed:.1f} s "
               f"({aggregate.duration_s / elapsed:.0f}x real time)")
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"peak memory           {peak_mb:.0f} MB (this process only, "
+              f"not its pool workers)")
 
     if args.json:
         with open(args.json, "w") as handle:

@@ -47,6 +47,7 @@ scalar operations). The ``cohort-vs-event`` oracles in
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,19 +106,6 @@ class KernelStats:
     #: devices end the run demoted (the event engine never decides them
     #: either; they count as ``beacons_in_flight``)
     still_demoted_at_horizon: int = 0
-
-
-@dataclass
-class CohortState:
-    """Structure-of-arrays per-device state (one slot per spec, sorted
-    by device id; owned and halo devices interleaved)."""
-
-    next_wake_s: np.ndarray      # first wake beyond the horizon (or the
-                                 # last computed wake), per device
-    records: np.ndarray          # transmissions injected (int64)
-    completed: np.ndarray        # records whose airtime ended in-horizon
-    charge_j: np.ndarray         # accumulated energy per device
-    demoted: np.ndarray          # bool: device hit the exact path
 
 
 def _frame_length_bytes(device_id: int, channel: int) -> int:
@@ -225,16 +213,17 @@ def run_shard_cohort(shard: ShardSpec,
     # Replay each device's duty-cycle recurrence exactly as the event
     # engine would schedule it: wake at t (fires iff t <= horizon), boot,
     # transmit at t + boot (records iff <= horizon), back-to-sleep at
-    # + window (one gated clock draw iff <= horizon), repeat.
+    # + window (one gated clock draw iff <= horizon), repeat. Every
+    # transmit instant goes into one flat float64 buffer, device by
+    # device, so the cohort costs 8 bytes per transmission here.
     records = np.zeros(n_devices, dtype=np.int64)
-    next_wake = np.zeros(n_devices)
-    start_chunks: list[list[float]] = []
+    timeline = array("d")
+    append = timeline.append
     for index, spec in enumerate(specs):
         actual_interval = spec.make_clock().actual_interval_s
         interval = spec.interval_s
         t = max(spec.first_wake_s, 1e-9)
-        chunk: list[float] = []
-        append = chunk.append
+        before = len(timeline)
         while t <= duration:
             transmit_at = t + boot_s
             if transmit_at > duration:
@@ -244,35 +233,24 @@ def run_shard_cohort(shard: ShardSpec,
             if sleep_at > duration:
                 break
             t = sleep_at + actual_interval(interval)
-        records[index] = len(chunk)
-        next_wake[index] = t
-        start_chunks.append(chunk)
+        records[index] = len(timeline) - before
 
     total_tx = int(records.sum())
     stats.transmissions = total_tx
-    state = CohortState(
-        next_wake_s=next_wake,
-        records=records,
-        completed=np.zeros(n_devices, dtype=np.int64),
-        charge_j=np.zeros(n_devices),
-        demoted=np.zeros(n_devices, dtype=bool))
 
     # -- 2. slot-level medium arbitration ---------------------------------
     # One flat, stably sorted timeline. Ties (the synchronised-start
     # worst case) keep device-id order, which is exactly the event
     # engine's fire order for simultaneous wakes: every callback chain
     # traces back to device.start() calls made in sorted-id order.
-    flat_starts = np.concatenate(
-        [np.asarray(chunk) for chunk in start_chunks if chunk]
-        or [np.zeros(0)])
+    flat_starts = np.frombuffer(timeline)
     flat_device = np.repeat(np.arange(n_devices), records)
     order = np.argsort(flat_starts, kind="stable")
     starts = flat_starts[order]
     device_of = flat_device[order]
     ends = starts + airtime_s
     completed_mask = ends <= duration
-    state.completed[:] = np.bincount(device_of[completed_mask],
-                                     minlength=n_devices)
+    completed = np.bincount(device_of[completed_mask], minlength=n_devices)
 
     # Transmission k overlaps j iff both occupy the air simultaneously.
     # Boundary instants are *inclusive* on both sides: at equal
@@ -362,9 +340,7 @@ def run_shard_cohort(shard: ShardSpec,
     stats.demotions = int(demoted_indices.size)
     stats.still_demoted_at_horizon = int(
         np.count_nonzero(~completed_mask & overlapped))
-    if np.any(overlapped):
-        state.demoted[np.unique(device_of[overlapped])] = True
-        stats.demoted_devices = int(np.count_nonzero(state.demoted))
+    stats.demoted_devices = int(np.unique(device_of[overlapped]).size)
     if demoted_indices.size:
         interference_cache: dict[tuple[int, int], float | None] = {}
         device_x = [spec.x_m for spec in specs]
@@ -441,13 +417,13 @@ def run_shard_cohort(shard: ShardSpec,
         (spec.device_id in owned_ids for spec in specs),
         dtype=bool, count=n_devices)
     aggregate.wakes += int(records[owned_mask].sum())
-    owned_completed = int(state.completed[owned_mask].sum())
+    owned_completed = int(completed[owned_mask].sum())
     aggregate.beacons_sent += owned_completed
     aggregate.beacons_in_flight += int(
-        (records - state.completed)[owned_mask].sum())
+        (records - completed)[owned_mask].sum())
     for index, spec in enumerate(specs):
         if owned_mask[index] and spec.device_id in uncovered:
-            aggregate.uplink_out_of_range += int(state.completed[index])
+            aggregate.uplink_out_of_range += int(completed[index])
     # The event engine's airtime counter is a sequential sum of one
     # constant per completed owned beacon; same for per-device energy.
     airtime_table = _sequential_sum_table(airtime_s, owned_completed)
@@ -458,7 +434,6 @@ def run_shard_cohort(shard: ShardSpec,
     for index, spec in enumerate(specs):
         count = int(records[index])
         energy_j = float(energy_table[count - 1]) if count else 0.0
-        state.charge_j[index] = energy_j
         if not owned_mask[index]:
             continue  # halo copies are scored by their home shard
         average_current_a = (cal.ESP32_DEEP_SLEEP_A

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..mobility.trajectories import MobilityConfig, Trajectory, build_trajectories
-from ..sim import JitteryClock, Position, crystal_population
+from ..sim import JitteryClock, Position, crystal_draws
 
 #: Device ids start here so fleet devices never collide with the small
 #: experiments' 0x100-range ids in mixed traces.
@@ -51,8 +51,8 @@ class FleetConfig:
         start: ``staggered`` draws each device's first wake uniformly in
             one interval (steady state); ``synchronised`` wakes everyone
             at exactly one interval — §6's worst case.
-        drift_std_ppm / jitter_std_s: crystal population parameters
-            (see :func:`repro.sim.crystal_population`).
+        drift_std_ppm / jitter_std_s: crystal population parameters,
+            drawn and checked by :func:`repro.sim.crystal_draws`.
         receiver_spacing_m: pitch of the square grid of monitor-mode
             gateway receivers covering the area. The 14 m default gives
             each grid cell a half-diagonal of 9.9 m, inside Wi-LE's
@@ -337,10 +337,10 @@ def generate_fleet(config: FleetConfig) -> FleetPlan:
     devices themselves.
     """
     positions = _positions(config)
-    clocks = crystal_population(config.device_count,
-                                drift_std_ppm=config.drift_std_ppm,
-                                jitter_std_s=config.jitter_std_s,
-                                seed=config.seed)
+    crystals = crystal_draws(config.device_count,
+                             drift_std_ppm=config.drift_std_ppm,
+                             jitter_std_s=config.jitter_std_s,
+                             seed=config.seed)
     if config.start == "synchronised":
         first_wakes = [config.interval_s] * config.device_count
     else:
@@ -350,17 +350,16 @@ def generate_fleet(config: FleetConfig) -> FleetPlan:
         phase_draws = _uniform_stream(f"{config.seed}-phases",
                                       config.device_count)
         first_wakes = (config.interval_s * (1.0 - phase_draws)).tolist()
-    devices = []
-    for index, ((x_m, y_m), clock) in enumerate(zip(positions, clocks)):
-        first_wake_s = first_wakes[index]
-        devices.append(DeviceSpec(
-            device_id=FLEET_DEVICE_ID_BASE + index,
-            x_m=x_m, y_m=y_m,
-            interval_s=config.interval_s,
-            first_wake_s=first_wake_s,
-            drift_ppm=clock.drift_ppm,
-            jitter_std_s=clock.jitter_std_s,
-            clock_seed=clock.seed))
+    devices = tuple(
+        DeviceSpec(device_id=FLEET_DEVICE_ID_BASE + index,
+                   x_m=x_m, y_m=y_m,
+                   interval_s=config.interval_s,
+                   first_wake_s=first_wake_s,
+                   drift_ppm=drift_ppm,
+                   jitter_std_s=config.jitter_std_s,
+                   clock_seed=clock_seed)
+        for index, ((x_m, y_m), first_wake_s, (drift_ppm, clock_seed))
+        in enumerate(zip(positions, first_wakes, crystals)))
     receivers, columns, rows = _receiver_grid(config)
     trajectories = None
     if config.mobility is not None:
@@ -369,7 +368,7 @@ def generate_fleet(config: FleetConfig) -> FleetPlan:
             [(device.device_id, device.x_m, device.y_m)
              for device in devices],
             area_m=config.area_m, duration_s=config.duration_s)
-    return FleetPlan(config=config, devices=tuple(devices),
+    return FleetPlan(config=config, devices=devices,
                      receivers=receivers,
                      receiver_columns=columns, receiver_rows=rows,
                      trajectories=trajectories)

@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate: engine, clocks, medium, radios."""
 
-from .clock import ClockError, JitteryClock, crystal_population
+from .clock import ClockError, JitteryClock, crystal_draws, crystal_population
 from .engine import EventHandle, PeriodicTask, SimulationError, Simulator
 from .medium import (
     DeliveryReport,

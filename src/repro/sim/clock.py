@@ -18,6 +18,14 @@ class ClockError(ValueError):
     """Raised for nonsensical clock parameters."""
 
 
+def _check_clock(drift_ppm: float, jitter_std_s: float) -> None:
+    """Raise :class:`ClockError` unless the parameters describe a clock."""
+    if abs(drift_ppm) >= 1e6:
+        raise ClockError(f"drift of {drift_ppm} ppm is not a clock")
+    if jitter_std_s < 0:
+        raise ClockError("jitter cannot be negative")
+
+
 class JitteryClock:
     """A sleep timer with ppm-scale systematic drift and random jitter.
 
@@ -36,10 +44,7 @@ class JitteryClock:
 
     def __init__(self, drift_ppm: float = 0.0, jitter_std_s: float = 0.0,
                  seed: int = 0) -> None:
-        if abs(drift_ppm) >= 1e6:
-            raise ClockError(f"drift of {drift_ppm} ppm is not a clock")
-        if jitter_std_s < 0:
-            raise ClockError("jitter cannot be negative")
+        _check_clock(drift_ppm, jitter_std_s)
         self.drift_ppm = drift_ppm
         self.jitter_std_s = jitter_std_s
         self.seed = seed
@@ -59,6 +64,26 @@ class JitteryClock:
         return max(drifted, nominal_s * 1e-3)
 
 
+def crystal_draws(count: int, drift_std_ppm: float, jitter_std_s: float,
+                  seed: int) -> list[tuple[float, int]]:
+    """The ``(drift_ppm, clock_seed)`` of ``count`` manufactured crystals.
+
+    Each crystal draws its ppm error, then its jitter seed, from one
+    ``random.Random(seed)`` stream, and is checked as
+    :class:`JitteryClock` would check it, so callers that keep only the
+    numbers (:func:`repro.fleet.generate_fleet`) need no live clock.
+    """
+    if count < 0:
+        raise ClockError("cannot build a negative number of clocks")
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        drift_ppm = rng.gauss(0.0, drift_std_ppm)
+        _check_clock(drift_ppm, jitter_std_s)
+        draws.append((drift_ppm, rng.randrange(2**31)))
+    return draws
+
+
 def crystal_population(count: int, drift_std_ppm: float = 20.0,
                        jitter_std_s: float = 200e-6,
                        seed: int = 0) -> list[JitteryClock]:
@@ -67,12 +92,7 @@ def crystal_population(count: int, drift_std_ppm: float = 20.0,
     Models a batch of devices: each crystal's ppm error is drawn once at
     "manufacture time" and stays fixed, as in real hardware.
     """
-    if count < 0:
-        raise ClockError("cannot build a negative number of clocks")
-    rng = random.Random(seed)
-    return [
-        JitteryClock(drift_ppm=rng.gauss(0.0, drift_std_ppm),
-                     jitter_std_s=jitter_std_s,
-                     seed=rng.randrange(2**31))
-        for _ in range(count)
-    ]
+    return [JitteryClock(drift_ppm=drift_ppm, jitter_std_s=jitter_std_s,
+                         seed=clock_seed)
+            for drift_ppm, clock_seed in crystal_draws(
+                count, drift_std_ppm, jitter_std_s, seed)]
