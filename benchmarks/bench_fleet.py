@@ -38,10 +38,11 @@ def _aggregate_counters(aggregate):
 
 
 def test_fleet_thousand_devices(benchmark):
-    """1,000 devices, 30 simulated minutes, 4 shards — the baseline."""
+    """1,000 devices, 30 simulated minutes, 4 shards, event engine — the
+    baseline."""
     def run():
         plan = generate_fleet(BENCH_CONFIG)
-        return run_sharded_fleet(plan, shard_count=4)
+        return run_sharded_fleet(plan, shard_count=4, kernel="event")
 
     aggregate, seconds = timed_once(benchmark, run)
     record_baseline("fleet", "fleet_event_1000dev", seconds,
@@ -93,8 +94,10 @@ def test_fleet_generation_only(benchmark):
 
 
 def test_fleet_shard_invariance_smoke(benchmark):
-    """The CI guarantee, timed: 1 shard vs 2 shards, identical stats."""
-    (aggregate, mismatches), seconds = timed_once(benchmark, run_fleet_smoke)
+    """The CI guarantee, timed: 1 shard vs 2 shards, identical stats —
+    on the event engine its baseline was recorded with."""
+    (aggregate, mismatches), seconds = timed_once(
+        benchmark, run_fleet_smoke, kernel="event")
     record_baseline("fleet", "fleet_smoke_invariance", seconds,
                     counters={**_aggregate_counters(aggregate),
                               "mismatches": len(mismatches)})

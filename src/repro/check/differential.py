@@ -209,7 +209,7 @@ def _kernel_differential(config: FleetConfig,
     transmissions = 0
     demotions = 0
     for shard in plan_shards(plan, shard_count):
-        event = run_shard(shard, kernel="event")
+        event = run_shard(shard)
         stats = KernelStats()
         cohort = run_shard_cohort(shard, stats=stats)
         transmissions += stats.transmissions

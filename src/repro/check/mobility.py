@@ -66,12 +66,12 @@ def _trajectory_golden() -> Deviation:
                             f"positions across 2 models")
 
 
-def _zero_speed_states(kernel: str) -> tuple[dict, dict]:
+def _zero_speed_states(engine) -> tuple[dict, dict]:
     """Aggregate states of a static plan and its zero-speed mobility
-    twin, both sharded 2-ways under ``kernel``."""
+    twin, both sharded 2-ways, each shard run by ``engine``."""
     from ..fleet.aggregate import FleetAggregate
     from ..fleet.population import FleetConfig, generate_fleet
-    from ..fleet.shards import plan_shards, run_shard
+    from ..fleet.shards import plan_shards
     from ..mobility import MobilityConfig
 
     base = dict(device_count=48, area_m=(120.0, 60.0), interval_s=60.0,
@@ -85,7 +85,7 @@ def _zero_speed_states(kernel: str) -> tuple[dict, dict]:
     for plan in (static_plan, mobile_plan):
         total = FleetAggregate()
         for shard in plan_shards(plan, 2):
-            total.merge(run_shard(shard, kernel=kernel))
+            total.merge(engine(shard))
         states.append(total.to_state())
     return states[0], states[1]
 
@@ -99,7 +99,8 @@ def _state_mismatches(a: dict, b: dict) -> tuple[int, str]:
         "zero-speed mobility fleet == static fleet, event engine, "
         "bit-identical")
 def _zero_speed_event() -> Deviation:
-    count, detail = _state_mismatches(*_zero_speed_states("event"))
+    from ..fleet.shards import run_shard
+    count, detail = _state_mismatches(*_zero_speed_states(run_shard))
     return Deviation(max_deviation=float(count), tolerance=0.0,
                      unit="mismatches", detail=detail)
 
@@ -108,7 +109,8 @@ def _zero_speed_event() -> Deviation:
         "zero-speed mobility fleet == static fleet, cohort kernel, "
         "bit-identical")
 def _zero_speed_cohort() -> Deviation:
-    count, detail = _state_mismatches(*_zero_speed_states("cohort"))
+    from ..fleet.kernel import run_shard_cohort
+    count, detail = _state_mismatches(*_zero_speed_states(run_shard_cohort))
     return Deviation(max_deviation=float(count), tolerance=0.0,
                      unit="mismatches", detail=detail)
 
@@ -210,7 +212,7 @@ def _moving_shard_invariance() -> Deviation:
     for shard_count in (1, 3):
         total = FleetAggregate()
         for shard in plan_shards(plan, shard_count):
-            total.merge(run_shard(shard, kernel="event"))
+            total.merge(run_shard(shard))
         states.append(total.to_state())
     one, many = states
     failures = []

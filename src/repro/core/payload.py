@@ -19,12 +19,16 @@ its OUI + type:
 The trailing CRC-16 (CCITT-FALSE) protects against a receiver-side OS
 truncating or mangling the IE it hands to the application — the 802.11
 FCS is not visible above the driver on the phones the paper targets.
+Every encode stamps it and every decode checks it, so ``crc16_ccitt``
+is the stdlib's ``binascii.crc_hqx`` (C speed); the table-driven
+``crc16_ccitt_reference`` is the reference the tests check it against.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+from binascii import crc_hqx
 from dataclasses import dataclass, field
 
 from ..dot11.elements import VENDOR_IE_MAX_DATA
@@ -81,15 +85,15 @@ def _build_crc16_table() -> tuple[int, ...]:
 _CRC16_TABLE = _build_crc16_table()
 
 
-def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
-    """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
+def crc16_ccitt(data: bytes) -> int:
+    """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no final XOR)."""
+    return crc_hqx(data, 0xFFFF)
 
-    Table-driven (one lookup per byte): the gateway ingest service
-    validates this CRC on every payload at production rates, where the
-    original bit-at-a-time loop was the single hottest instruction
-    stream in the decode path (~14 µs per 20-byte message vs ~1.5 µs).
-    """
-    crc = initial
+
+def crc16_ccitt_reference(data: bytes) -> int:
+    """:func:`crc16_ccitt` from first principles, one table lookup per
+    byte."""
+    crc = 0xFFFF
     table = _CRC16_TABLE
     for byte in data:
         crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ byte]

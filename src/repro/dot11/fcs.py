@@ -1,12 +1,19 @@
-"""IEEE 802 frame check sequence (CRC-32) implemented from first principles.
+"""IEEE 802 frame check sequence (CRC-32).
 
 802.11 frames end in a 32-bit FCS computed with the standard IEEE CRC-32
-polynomial (0x04C11DB7, reflected form 0xEDB88320). We build the reflected
-lookup table once at import time; ``crc32`` then processes one byte per
-table lookup, which is plenty fast for simulated frames.
+polynomial (0x04C11DB7, reflected form 0xEDB88320). Every encoded frame
+appends an FCS and every parsed frame checks one, so ``crc32`` is the
+stdlib's C ``zlib.crc32``, which computes exactly this CRC; a Python
+loop here was most of the time of frame-heavy sweeps (see
+``docs/PERFORMANCE.md``). ``crc32_reference`` is the same CRC from first
+principles — a reflected lookup table built once at import, one lookup
+per byte — kept as the reference the ``fcs-vs-zlib`` oracle and the
+tests check ``zlib.crc32`` against.
 """
 
 from __future__ import annotations
+
+from zlib import crc32
 
 _POLY_REFLECTED = 0xEDB88320
 
@@ -27,13 +34,12 @@ def _build_table() -> tuple[int, ...]:
 _TABLE = _build_table()
 
 
-def crc32(data: bytes, initial: int = 0xFFFFFFFF) -> int:
-    """Compute the IEEE CRC-32 of ``data``.
+def crc32_reference(data: bytes) -> int:
+    """Compute the IEEE CRC-32 of ``data`` one table lookup per byte.
 
-    Matches ``zlib.crc32`` (init all-ones, final XOR all-ones) so captures
-    produced here validate against standard tooling.
+    Init all-ones, final XOR all-ones: the CRC ``zlib.crc32`` computes.
     """
-    crc = initial
+    crc = 0xFFFFFFFF
     for byte in data:
         crc = (crc >> 8) ^ _TABLE[(crc ^ byte) & 0xFF]
     return crc ^ 0xFFFFFFFF

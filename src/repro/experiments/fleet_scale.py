@@ -77,12 +77,11 @@ class FleetScalePoint:
 
 
 def run_fleet_point(config: FleetConfig, shard_count: int = 4,
-                    workers: int = 1,
-                    kernel: str = "event") -> FleetScalePoint:
+                    workers: int = 1) -> FleetScalePoint:
     """Run one fleet configuration through the sharded runner."""
     plan = generate_fleet(config)
     aggregate = run_sharded_fleet(plan, shard_count=shard_count,
-                                  workers=workers, kernel=kernel)
+                                  workers=workers)
     labels = {"devices": str(config.device_count),
               "interval_s": f"{config.interval_s:g}"}
     METRICS.counter("fleet.beacons_sent", **labels).inc(
@@ -111,7 +110,6 @@ def run_fleet_scale(device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
                     shard_count: int = 4, workers: int = 1,
                     seed: int = 0,
                     include_synchronised: bool = True,
-                    kernel: str = "event",
                     ) -> list[FleetScalePoint]:
     """The density sweep: every (device count, interval) combination.
 
@@ -131,14 +129,14 @@ def run_fleet_scale(device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
                                  duration_s=duration_s,
                                  area_m=area_m, seed=seed)
             points.append(run_fleet_point(config, shard_count=shard_count,
-                                          workers=workers, kernel=kernel))
+                                          workers=workers))
     if include_synchronised and device_counts and intervals_s:
         config = FleetConfig(device_count=max(device_counts),
                              interval_s=min(intervals_s),
                              duration_s=duration_s, area_m=area_m,
                              start="synchronised", seed=seed)
         points.append(run_fleet_point(config, shard_count=shard_count,
-                                      workers=workers, kernel=kernel))
+                                      workers=workers))
     return points
 
 
@@ -156,7 +154,7 @@ def run_fleet_smoke(device_count: int = 200, shard_count: int = 2,
                     area_m: tuple[float, float] = (100.0, 50.0),
                     interval_s: float = 60.0, duration_s: float = 900.0,
                     workers: int = 1, seed: int = 0,
-                    kernel: str = "event",
+                    kernel: str = "cohort",
                     ) -> tuple[FleetAggregate, list[str]]:
     """The CI smoke check: run one small fleet unsharded and sharded,
     and return the merged aggregate plus any invariance violations

@@ -50,12 +50,6 @@ from .shards import (
     run_shard,
     run_sharded_fleet,
 )
-from .kernel import (
-    COHORT_AUTO_THRESHOLD,
-    KernelError,
-    KernelStats,
-    resolve_kernel,
-    run_shard_cohort,
-)
+from .kernel import KernelError, KernelStats, run_shard_cohort
 
 __all__ = [name for name in dir() if not name.startswith("_")]

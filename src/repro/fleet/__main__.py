@@ -109,12 +109,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--shards", type=int, default=8)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--kernel", default="auto",
-                        choices=("event", "cohort", "auto"),
-                        help="per-shard engine: the discrete-event heap, "
-                             "the vectorized cohort kernel (identical "
-                             "counters, ≥10x at fleet density), or pick "
-                             "by shard size (default)")
+    parser.add_argument("--kernel", default="cohort",
+                        choices=("cohort", "event"),
+                        help="per-shard engine: the vectorized cohort "
+                             "kernel (default), or the discrete-event "
+                             "reference it is checked against (identical "
+                             "output, ≥10x slower at fleet density)")
     parser.add_argument("--audit", action="store_true",
                         help="cross-check accounting invariants; "
                              "non-zero exit on violation")

@@ -64,27 +64,11 @@ from ..phy.link import frame_delivered
 from ..phy.pathloss import noise_floor_dbm, received_power_dbm
 from ..sim import Position, Simulator, WirelessMedium
 from .aggregate import FleetAggregate
-from .shards import _BOOT_ENERGY_J, ShardSpec, _steady_reading
-
-#: ``kernel="auto"`` picks the cohort kernel at or above this many
-#: simulated devices (owned + halo); below it the event engine's
-#: constant factor wins and it stays the battle-tested default.
-COHORT_AUTO_THRESHOLD = 512
-
-_KERNELS = ("event", "cohort", "auto")
+from .shards import _BOOT_ENERGY_J, ShardSpec, _steady_reading, run_shard
 
 
 class KernelError(ValueError):
     """Raised for an unknown kernel name."""
-
-
-def resolve_kernel(kernel: str, device_count: int) -> str:
-    """Map a ``--kernel`` choice to the concrete engine for one shard."""
-    if kernel not in _KERNELS:
-        raise KernelError(f"unknown kernel {kernel!r}; choose from {_KERNELS}")
-    if kernel == "auto":
-        return "cohort" if device_count >= COHORT_AUTO_THRESHOLD else "event"
-    return kernel
 
 
 @dataclass
@@ -161,10 +145,9 @@ def run_shard_cohort(shard: ShardSpec,
         # (the same demotion discipline as step 3, at shard
         # granularity); zero-speed mobility shards fall through and stay
         # vectorized.
-        from .shards import run_shard
         stats.demotions += 1
         METRICS.counter("fleet.kernel.mobility_demotions").inc()
-        return run_shard(shard, kernel="event")
+        return run_shard(shard)
     aggregate = FleetAggregate(
         device_count=len(shard.devices),
         receiver_count=len(shard.receivers),

@@ -242,21 +242,16 @@ def _steady_reading() -> tuple[SensorReading, ...]:
 _BOOT_ENERGY_J = cal.WILE_BOOT_S * cal.ESP32_BOOT_A * cal.SUPPLY_VOLTAGE_V
 
 
-def run_shard(shard: ShardSpec, kernel: str = "event") -> FleetAggregate:
-    """Simulate one shard to its horizon; returns mergeable statistics.
+def run_shard(shard: ShardSpec) -> FleetAggregate:
+    """Simulate one shard to its horizon on the discrete-event engine;
+    returns mergeable statistics.
 
-    ``kernel`` selects the engine: ``event`` walks the discrete-event
-    heap (this function's body), ``cohort`` dispatches to the
-    vectorized :func:`repro.fleet.kernel.run_shard_cohort` (identical
-    counters, ≥10x throughput at fleet density), and ``auto`` picks by
-    shard size. Module-level and picklable-in/picklable-out, so it fans
-    out over the experiment process pool unchanged.
+    This is the reference semantics: the vectorized
+    :func:`repro.fleet.kernel.run_shard_cohort` (the default engine) is
+    checked against it, and falls back to it for shards whose devices
+    move. Module-level and picklable-in/picklable-out, so it fans out
+    over the experiment process pool unchanged.
     """
-    from .kernel import resolve_kernel, run_shard_cohort
-    resolved = resolve_kernel(
-        kernel, len(shard.devices) + len(shard.halo_devices))
-    if resolved == "cohort":
-        return run_shard_cohort(shard)
     sim = Simulator()
     medium = WirelessMedium(sim, max_range_m=shard.max_range_m,
                             interference_range_m=shard.interference_range_m)
@@ -414,7 +409,7 @@ class ShardTask:
     checkpoint_dir: str | None = None
     chaos_kill_shard: int | None = None
     chaos_fail_shard: int | None = None
-    kernel: str = "event"
+    kernel: str = "cohort"
 
 
 def plan_fingerprint(plan: FleetPlan, shard_count: int, halo_m: float,
@@ -452,6 +447,17 @@ def _checkpoint_path(directory: str, index: int) -> str:
     return os.path.join(directory, f"shard_{index:04d}.json")
 
 
+def _shard_engine(kernel: str):
+    """The shard engine named ``kernel``: ``cohort`` or ``event``."""
+    from .kernel import KernelError, run_shard_cohort
+    if kernel == "cohort":
+        return run_shard_cohort
+    if kernel == "event":
+        return run_shard
+    raise KernelError(f"unknown kernel {kernel!r}; choose 'cohort' or "
+                      f"'event'")
+
+
 def _run_shard_task(task: ShardTask) -> tuple:
     """Worker-side wrapper: checkpoint lookup, chaos hooks, and failure
     capture with shard context.
@@ -482,7 +488,7 @@ def _run_shard_task(task: ShardTask) -> tuple:
             return ("failed", index, _device_range(shard),
                     traceback.format_exc())
     try:
-        aggregate = run_shard(shard, kernel=task.kernel)
+        aggregate = _shard_engine(task.kernel)(shard)
     except Exception:
         return ("failed", index, _device_range(shard),
                 traceback.format_exc())
@@ -500,12 +506,14 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
                       checkpoint_dir: str | None = None,
                       chaos_kill_shard: int | None = None,
                       chaos_fail_shard: int | None = None,
-                      kernel: str = "event",
+                      kernel: str = "cohort",
                       ) -> FleetAggregate:
     """Shard ``plan``, fan the shards over the pool, merge the results.
 
-    ``kernel`` is forwarded to every :func:`run_shard` call — see its
-    docstring for the ``event`` / ``cohort`` / ``auto`` semantics.
+    ``kernel`` picks every shard's engine: ``cohort`` (the default) runs
+    the vectorized :func:`repro.fleet.kernel.run_shard_cohort`,
+    ``event`` the discrete-event :func:`run_shard` it is checked
+    against. Both produce the same aggregate.
 
     With ``checkpoint_dir`` set, completed shards persist their exact
     aggregate state through :mod:`repro.store`; a worker killed mid-run
@@ -521,8 +529,7 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
     the ``fleet.shard_failures`` counter in :data:`repro.obs.metrics.
     METRICS`.
     """
-    from .kernel import resolve_kernel
-    resolve_kernel(kernel, 0)  # fail fast on a bad name, before fan-out
+    _shard_engine(kernel)  # fail fast on a bad name, before fan-out
     if chaos_kill_shard is not None:
         if workers < 2:
             raise ShardError(

@@ -9,13 +9,14 @@ per beacon, which caps a single core below the gateway's 1M
 payloads/minute target. This module is the same parse expressed as
 byte-offset arithmetic over the raw frame:
 
-* FCS via :func:`zlib.crc32` (C speed; the repo's first-principles
-  table in :mod:`repro.dot11.fcs` matches it by construction);
+* FCS via :func:`repro.dot11.fcs.check_fcs`, the same C-speed check
+  the full parser makes;
 * one information-element walk to find the Wi-LE vendor IE (OUI +
   vendor type), no element objects materialised;
-* the message header in one ``struct.unpack_from``, the CRC-16 via the
-  shared table-driven :func:`repro.core.payload.crc16_ccitt`, and the
-  sensor TLVs decoded straight to ``(kind, value)`` pairs.
+* the message header in one ``struct.unpack_from``, the CRC-16 via
+  :func:`repro.core.payload.crc16_ccitt` (stdlib ``binascii.crc_hqx``,
+  the same function the encoder stamps it with), and the sensor TLVs
+  decoded straight to ``(kind, value)`` pairs.
 
 **Contract:** for every frame the full parser accepts as a Wi-LE
 beacon, :func:`extract_payload` returns the same device id, sequence,
@@ -32,11 +33,11 @@ gateway's process pool fans out over.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.payload import WILE_VENDOR_TYPE, WILE_VERSION, crc16_ccitt
+from ..dot11.fcs import check_fcs as fcs_valid
 from ..dot11.mac import WILE_OUI
 from ..experiments.runner import kill_once
 from .tenants import DEFAULT_TENANT_BITS
@@ -106,10 +107,8 @@ def extract_payload(wire: bytes, check_fcs: bool = True) -> BeaconPayload:
     # DS/order flags — exactly what an injected (or real) beacon sends.
     if wire[0] != 0x80 or wire[1] != 0x00:
         raise IngestError("not a plain beacon frame")
-    if check_fcs:
-        expected = int.from_bytes(wire[n - 4:], "little")
-        if zlib.crc32(wire[:n - 4]) & 0xFFFFFFFF != expected:
-            raise IngestError("FCS mismatch")
+    if check_fcs and not fcs_valid(wire):
+        raise IngestError("FCS mismatch")
     # Walk the information elements for the Wi-LE vendor IE.
     pos = _MGMT_HEADER + _FIXED_PARAMS
     end = n - _FCS_BYTES

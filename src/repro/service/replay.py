@@ -31,6 +31,7 @@ from ..core.payload import (
     WileFlags,
     WileMessage,
 )
+from ..dot11.fcs import append_fcs
 from .tenants import DEFAULT_TENANT_BITS
 
 _MAGIC = "wile-beacon-stream"
@@ -100,7 +101,6 @@ def _corrupt(wire: bytes, rng: random.Random) -> bytes:
     """Flip one bit inside the Wi-LE message blob and re-seal the FCS,
     so the damage presents as a message-CRC16 failure — the layer a
     gateway must catch itself, not a frame the NIC already dropped."""
-    import zlib
     end = len(wire) - 4
     pos = 36  # mgmt header + fixed params; then the IE walk
     blob_range = None
@@ -114,8 +114,7 @@ def _corrupt(wire: bytes, rng: random.Random) -> bytes:
         return wire
     mangled = bytearray(wire[:-4])
     mangled[rng.randrange(*blob_range)] ^= 1 << rng.randrange(8)
-    fcs = zlib.crc32(bytes(mangled)) & 0xFFFFFFFF
-    return bytes(mangled) + fcs.to_bytes(4, "little")
+    return append_fcs(bytes(mangled))
 
 
 def record_stream(path: str, wires: list[bytes],

@@ -13,6 +13,7 @@ from repro.core.payload import (
     WileMessage,
     WileMessageType,
     crc16_ccitt,
+    crc16_ccitt_reference,
     fragment_message,
 )
 from repro.dot11.elements import VENDOR_IE_MAX_DATA
@@ -22,6 +23,11 @@ class TestCrc16:
     def test_known_check_value(self):
         # CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
         assert crc16_ccitt(b"123456789") == 0x29B1
+        assert crc16_ccitt_reference(b"123456789") == 0x29B1
+
+    @given(st.binary(max_size=512))
+    def test_matches_reference(self, data):
+        assert crc16_ccitt(data) == crc16_ccitt_reference(data)
 
     def test_empty(self):
         assert crc16_ccitt(b"") == 0xFFFF

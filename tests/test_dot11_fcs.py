@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dot11.fcs import append_fcs, check_fcs, crc32, strip_fcs
+from repro.dot11.fcs import (
+    append_fcs,
+    check_fcs,
+    crc32,
+    crc32_reference,
+    strip_fcs,
+)
 
 
 class TestCrc32:
@@ -16,10 +22,15 @@ class TestCrc32:
     def test_known_value(self):
         # The classic check value for "123456789" under CRC-32/ISO-HDLC.
         assert crc32(b"123456789") == 0xCBF43926
+        assert crc32_reference(b"123456789") == 0xCBF43926
 
     @given(st.binary(max_size=512))
     def test_matches_zlib(self, data):
         assert crc32(data) == zlib.crc32(data)
+
+    @given(st.binary(max_size=2048))
+    def test_matches_reference(self, data):
+        assert crc32(data) == crc32_reference(data)
 
     def test_single_bit_sensitivity(self):
         base = crc32(b"\x00" * 16)

@@ -16,14 +16,13 @@ import pytest
 
 from repro.check.bench import BenchGateError, load_baseline, run_gate
 from repro.check.bench import main as bench_gate_main
+from repro.experiments.fleet_scale import run_fleet_point
 from repro.fleet import (
-    COHORT_AUTO_THRESHOLD,
     FleetConfig,
     KernelError,
     KernelStats,
     generate_fleet,
     plan_shards,
-    resolve_kernel,
     run_shard,
     run_shard_cohort,
     run_sharded_fleet,
@@ -45,23 +44,25 @@ def _assert_identical(event, cohort, context=""):
     assert moments_close(event, cohort) == [], context
 
 
-class TestResolveKernel:
-    def test_explicit_names_pass_through(self):
-        assert resolve_kernel("event", 10 ** 6) == "event"
-        assert resolve_kernel("cohort", 1) == "cohort"
+class TestKernelSelection:
+    @pytest.mark.parametrize("kernel", ["auto", "bogus"])
+    def test_unknown_kernel_rejected_before_any_shard_runs(
+            self, kernel, monkeypatch):
+        def no_shards(*args, **kwargs):
+            raise AssertionError("shards planned for a bad kernel name")
 
-    def test_auto_switches_on_shard_size(self):
-        assert resolve_kernel("auto", COHORT_AUTO_THRESHOLD - 1) == "event"
-        assert resolve_kernel("auto", COHORT_AUTO_THRESHOLD) == "cohort"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(KernelError):
-            resolve_kernel("bogus", 100)
-
-    def test_run_sharded_fleet_rejects_unknown_kernel_early(self):
+        monkeypatch.setattr("repro.fleet.shards.plan_shards", no_shards)
         plan = generate_fleet(SMALL)
         with pytest.raises(KernelError):
-            run_sharded_fleet(plan, shard_count=2, kernel="bogus")
+            run_sharded_fleet(plan, shard_count=2, kernel=kernel)
+
+    def test_fleet_point_runs_on_cohort_kernel(self):
+        METRICS.clear()
+        run_fleet_point(SMALL, shard_count=2)
+        runs = [record["value"] for record in METRICS.snapshot()
+                if record["name"] == "fleet.kernel.cohort_runs"]
+        METRICS.clear()
+        assert runs == [2]
 
 
 class TestCohortEquivalence:

@@ -334,14 +334,14 @@ class TestFleetIntegration:
         frozen = dataclasses.replace(
             base, mobility=MobilityConfig(model="random-waypoint",
                                           speed_mps=0.0, seed=5))
-        for kernel in ("event", "cohort"):
+        for engine in (run_shard, run_shard_cohort):
             states = []
             for config in (base, frozen):
                 total = FleetAggregate()
                 for shard in plan_shards(generate_fleet(config), 2):
-                    total.merge(run_shard(shard, kernel=kernel))
+                    total.merge(engine(shard))
                 states.append(total.to_state())
-            assert states[0] == states[1], kernel
+            assert states[0] == states[1], engine.__name__
 
     def test_moving_fleet_shard_invariance(self):
         # The 2-way split at x=60 cuts straight through moving devices'
@@ -357,7 +357,7 @@ class TestFleetIntegration:
         for shard_count in (1, 2):
             total = FleetAggregate()
             for shard in plan_shards(plan, shard_count):
-                total.merge(run_shard(shard, kernel="event"))
+                total.merge(run_shard(shard))
             states.append(total.to_state())
         one, two = states
         for key, value in one.items():
@@ -374,7 +374,7 @@ class TestFleetIntegration:
         stats = KernelStats()
         cohort = run_shard_cohort(shard, stats=stats)
         assert stats.demotions >= 1
-        assert cohort.to_state() == run_shard(shard, kernel="event").to_state()
+        assert cohort.to_state() == run_shard(shard).to_state()
 
 
 class TestMoveRadio:
