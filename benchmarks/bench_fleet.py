@@ -87,9 +87,9 @@ def test_fleet_generation_only(benchmark):
     (nearest-gateway assignment is O(1) per device, not O(receivers))."""
     plan, seconds = timed_once(benchmark, generate_fleet, BENCH_CONFIG)
     record_baseline("fleet", "fleet_generation_1000dev", seconds,
-                    counters={"devices": len(plan.devices),
+                    counters={"devices": len(plan.x_m),
                               "receivers": len(plan.receivers)})
-    assert len(plan.devices) == 1000
+    assert len(plan.x_m) == 1000
     assert len(plan.receivers) == 121
 
 

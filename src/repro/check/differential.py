@@ -12,15 +12,22 @@ vs serial).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+
+import numpy as np
 
 from ..energy.trace import CurrentTrace
 from ..experiments.statistics import replicate
 from ..fleet.aggregate import counters_equal, moments_close
 from ..fleet.kernel import KernelStats, run_shard_cohort
-from ..fleet.population import FleetConfig, generate_fleet
-from ..fleet.shards import plan_shards, run_shard, run_sharded_fleet
+from ..fleet.population import (FLEET_DEVICE_ID_BASE, FleetConfig,
+                                FleetPlan, generate_fleet)
+from ..fleet.shards import (DEFAULT_INTERFERENCE_RANGE_M, DEFAULT_MAX_RANGE_M,
+                            ShardSpec, plan_shards, run_shard,
+                            run_sharded_fleet)
+from ..mobility import MobilityConfig
 from ..security.aes import Aes
 from ..security.ccm import CcmContext, ccm_decrypt, ccm_encrypt
 from ..security.keys import derive_pmk, pmk_from_passphrase
@@ -242,6 +249,124 @@ def check_cohort_kernel_smoke() -> Deviation:
         "the event engine shard by shard", smoke=False)
 def check_cohort_kernel_full() -> Deviation:
     return _kernel_differential(_KERNEL_FULL_FLEET, shard_count=4)
+
+
+def shards_by_definition(
+        plan: FleetPlan, shard_count: int,
+        max_range_m: float = DEFAULT_MAX_RANGE_M,
+        interference_range_m: float = DEFAULT_INTERFERENCE_RANGE_M,
+) -> list[ShardSpec]:
+    """What :func:`plan_shards` must return, straight from its
+    definition, one device at a time: a device's owner strip is
+    ``min(int(x // width), shards - 1)``, a shard's members are its
+    owned devices plus every device whose x-extent reaches within the
+    halo of the strip, and a designated gateway is the ``(math.hypot,
+    receiver_id)`` minimum over *every* receiver."""
+    config = plan.config
+    halo = max(max_range_m, interference_range_m)
+    width = config.area_m[0] / shard_count
+    mobile = plan.trajectories is not None
+
+    def owner(x_m: float) -> int:
+        return min(int(x_m // width), shard_count - 1)
+
+    devices = []  # (row, owner, (low, high), gateway, distance)
+    for row, (x_m, y_m) in enumerate(zip(plan.x_m.tolist(),
+                                         plan.y_m.tolist())):
+        gateway = min(plan.receivers, key=lambda receiver: (
+            math.hypot(x_m - receiver.x_m, y_m - receiver.y_m),
+            receiver.receiver_id))
+        devices.append((row, owner(x_m), plan.trajectories[row].x_extent(
+            config.duration_s) if mobile else (x_m, x_m), gateway,
+            math.hypot(x_m - gateway.x_m, y_m - gateway.y_m)))
+    shards = []
+    for index in range(shard_count):
+        x_min, x_max = index * width, (index + 1) * width
+        members = [device for device in devices if device[1] == index
+                   or x_min - halo <= device[2][1]
+                   and device[2][0] <= x_max + halo]
+        rows = [device[0] for device in members]
+        owned = [device for device in members if device[1] == index]
+        receivers = tuple(receiver for receiver in plan.receivers
+                          if owner(receiver.x_m) == index)
+        shards.append(ShardSpec(
+            index=index, shard_count=shard_count, x_min_m=x_min,
+            x_max_m=x_max, halo_m=halo, max_range_m=max_range_m,
+            interference_range_m=interference_range_m,
+            channel=config.channel, duration_s=config.duration_s,
+            interval_s=config.interval_s, jitter_std_s=config.jitter_std_s,
+            device_id=FLEET_DEVICE_ID_BASE + np.array(rows, dtype=int),
+            x_m=plan.x_m[rows], y_m=plan.y_m[rows],
+            first_wake_s=plan.first_wake_s[rows],
+            drift_ppm=plan.drift_ppm[rows], clock_seed=plan.clock_seed[rows],
+            owned=np.array([device[1] == index for device in members]),
+            receivers=receivers,
+            designated=np.array([
+                (FLEET_DEVICE_ID_BASE + device[0], device[3].receiver_id)
+                for device in members if device[3] in receivers
+                and (mobile or device[4] <= max_range_m)]).reshape(-1, 2),
+            uncovered=np.array([FLEET_DEVICE_ID_BASE + device[0]
+                                for device in owned if not mobile
+                                and device[4] > max_range_m]),
+            epoch_s=config.mobility.epoch_s if mobile else 0.0,
+            trajectories=tuple(plan.trajectories[row] for row in rows)
+            if mobile else (),
+            designated_uplinks=tuple(
+                (FLEET_DEVICE_ID_BASE + device[0], device[3].x_m,
+                 device[3].y_m) for device in owned) if mobile else ()))
+    return shards
+
+
+def _edge_plan(positions: list[tuple[float, float]], **config) -> FleetPlan:
+    """A generated plan with its first devices moved to ``positions``."""
+    plan = generate_fleet(FleetConfig(device_count=40, **config))
+    x_m, y_m = plan.x_m.copy(), plan.y_m.copy()
+    x_m[:len(positions)], y_m[:len(positions)] = zip(*positions)
+    return dataclasses.replace(plan, x_m=x_m, y_m=y_m)
+
+
+@oracle("shards-vs-definition", "differential",
+        "the columnar shard planner equals its one-device-at-a-time "
+        "definition for every layout, start and mobility, 1-7 shards, "
+        "boundary, tie and cutoff devices included")
+def check_shards_by_definition() -> Deviation:
+    base = dict(device_count=150, area_m=(120.0, 40.0), interval_s=60.0,
+                duration_s=900.0, seed=7)
+    plans = [generate_fleet(FleetConfig(**base, layout=layout, start=start))
+             for layout, start in (("uniform", "staggered"),
+                                   ("grid", "synchronised"),
+                                   ("clusters", "staggered"))]
+    plans += [generate_fleet(FleetConfig(**base, mobility=MobilityConfig(
+        model="random-waypoint", speed_mps=speed, epoch_s=30.0, seed=2)))
+              for speed in (0.0, 3.0)]
+    plans += [
+        # Receivers on exact binary coordinates: (14, 7) is equidistant
+        # from receivers 0 and 1; x = 16, 28, 56 are strip boundaries
+        # for 7, 4 and 2 shards, and 112 is the far edge.
+        _edge_plan([(14.0, 7.0), (56.0, 30.0), (112.0, 10.0), (0.0, 50.0),
+                    (16.0, 0.0), (28.0, 56.0)], area_m=(112.0, 56.0)),
+        # Gateways at (28, 28) and (84, 28): the first four devices are
+        # exactly max_range_m (20 m) from theirs, the fifth one float
+        # beyond, the last 20.0 m by np.hypot but not by math.hypot.
+        _edge_plan([(48.0, 28.0), (40.0, 44.0), (28.0, 8.0), (64.0, 28.0),
+                    (math.nextafter(48.0, 60.0), 28.0),
+                    (39.64265386382772, 44.26187599900754)],
+                   area_m=(112.0, 56.0), receiver_spacing_m=56.0),
+        # Near-ties np.hypot orders the other way round.
+        _edge_plan([(11.72023483453723, 11.1), (2.3854515926496003, 11.1)],
+                   area_m=(61.7, 33.3)),
+    ]
+    mismatches = [f"plan {number}, shard {shard.index} of {count}"
+                  for number, plan in enumerate(plans)
+                  for count in range(1, 8)
+                  for shard, expected in zip(
+                      plan_shards(plan, count),
+                      shards_by_definition(plan, count))
+                  if shard != expected]
+    return Deviation(max_deviation=float(len(mismatches)), tolerance=0.0,
+                     unit="mismatches",
+                     detail=f"{len(plans)} plans x 1-7 shards"
+                     + (f"; {mismatches[:5]}" if mismatches else ""))
 
 
 def _deployment_counts(install_zero_plan: bool, duration_s: float = 30.0,

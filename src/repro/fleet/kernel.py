@@ -7,12 +7,11 @@ of bookkeeping per device wake. At the fleet densities Wi-LE targets
 overhead dwarfs the physics. This kernel exploits what makes the fleet
 workload special: every device runs the *same* duty cycle (sleep, boot,
 inject one fixed-length beacon, sleep), every random draw is pre-frozen
-into its :class:`~repro.fleet.population.DeviceSpec`, and the channel
-model is deterministic. So instead of simulating events we *replay*
-them:
+into the shard's member columns, and the channel model is
+deterministic. So instead of simulating events we *replay* them:
 
 1. **Batched wake scheduling** — each device's wake/transmit timeline is
-   generated directly from its spec (the exact float-by-float recurrence
+   generated directly from its columns (the exact float-by-float recurrence
    the event engine would produce, including the clock's gated gauss
    draws), giving a structure-of-arrays timeline for the whole cohort.
 2. **Slot-level medium arbitration** — transmissions are sorted once;
@@ -62,7 +61,7 @@ from ..energy.esp32 import Esp32PowerModel, Esp32State
 from ..obs.metrics import METRICS
 from ..phy.link import frame_delivered
 from ..phy.pathloss import noise_floor_dbm, received_power_dbm
-from ..sim import Position, Simulator, WirelessMedium
+from ..sim import JitteryClock, Simulator, WirelessMedium
 from .aggregate import FleetAggregate
 from .shards import _BOOT_ENERGY_J, ShardSpec, _steady_reading, run_shard
 
@@ -149,14 +148,13 @@ def run_shard_cohort(shard: ShardSpec,
         METRICS.counter("fleet.kernel.mobility_demotions").inc()
         return run_shard(shard)
     aggregate = FleetAggregate(
-        device_count=len(shard.devices),
+        device_count=int(np.count_nonzero(shard.owned)),
         receiver_count=len(shard.receivers),
         shard_count=1,
         duration_s=shard.duration_s)
 
-    specs = sorted(shard.devices + shard.halo_devices,
-                   key=lambda item: item.device_id)
-    n_devices = len(specs)
+    device_ids = shard.device_id.tolist()
+    n_devices = len(device_ids)
     stats.devices = n_devices
     if n_devices == 0:
         return aggregate
@@ -179,8 +177,8 @@ def run_shard_cohort(shard: ShardSpec,
     rate = WILE_DEFAULT_RATE
     from ..core.device import WILE_TX_POWER_DBM
     power_dbm = WILE_TX_POWER_DBM
-    frame_len = _frame_length_bytes(specs[0].device_id, shard.channel)
-    if _frame_length_bytes(specs[-1].device_id, shard.channel) != frame_len:
+    frame_len = _frame_length_bytes(device_ids[0], shard.channel)
+    if _frame_length_bytes(device_ids[-1], shard.channel) != frame_len:
         raise KernelError("fleet beacon length is not uniform; the "
                           "cohort kernel's constant-airtime arbitration "
                           "does not apply")
@@ -202,10 +200,14 @@ def run_shard_cohort(shard: ShardSpec,
     records = np.zeros(n_devices, dtype=np.int64)
     timeline = array("d")
     append = timeline.append
-    for index, spec in enumerate(specs):
-        actual_interval = spec.make_clock().actual_interval_s
-        interval = spec.interval_s
-        t = max(spec.first_wake_s, 1e-9)
+    interval = shard.interval_s
+    for index, (first_wake_s, drift_ppm, clock_seed) in enumerate(zip(
+            shard.first_wake_s.tolist(), shard.drift_ppm.tolist(),
+            shard.clock_seed.tolist())):
+        actual_interval = JitteryClock(
+            drift_ppm=drift_ppm, jitter_std_s=shard.jitter_std_s,
+            seed=clock_seed).actual_interval_s
+        t = max(first_wake_s, 1e-9)
         before = len(timeline)
         while t <= duration:
             transmit_at = t + boot_s
@@ -227,10 +229,12 @@ def run_shard_cohort(shard: ShardSpec,
     # engine's fire order for simultaneous wakes: every callback chain
     # traces back to device.start() calls made in sorted-id order.
     flat_starts = np.frombuffer(timeline)
-    flat_device = np.repeat(np.arange(n_devices), records)
     order = np.argsort(flat_starts, kind="stable")
     starts = flat_starts[order]
-    device_of = flat_device[order]
+    device_of = np.repeat(np.arange(n_devices), records)[order]
+    # Only the sorted copies are read from here on; release the rest
+    # before the per-transmission arrays below are allocated.
+    del timeline, flat_starts, order
     ends = starts + airtime_s
     completed_mask = ends <= duration
     completed = np.bincount(device_of[completed_mask], minlength=n_devices)
@@ -265,15 +269,21 @@ def run_shard_cohort(shard: ShardSpec,
                int(gateway_y[gi] // max_range))
         cells.setdefault(key, []).append(gi)
 
-    designated = frozenset(shard.designated)
-    pair_lists: list[list[tuple[int, float]]] = []
+    designated = dict(shard.designated.tolist())
+    device_x = shard.x_m.tolist()
+    device_y = shard.y_m.tolist()
+    # Only the senders of demoted transmissions (step 3b) need their
+    # per-gateway signals again; everyone else is settled in bulk.
+    demoted_indices = np.nonzero(completed_mask & overlapped)[0]
+    demoted_senders = frozenset(device_of[demoted_indices].tolist())
+    pair_lists: dict[int, list[tuple[int, float]]] = {}
     clean_delivered = np.zeros(n_devices, dtype=np.int64)
     clean_lost_snr = np.zeros(n_devices, dtype=np.int64)
     uplink_ok = np.zeros(n_devices, dtype=np.int64)
     uplink_bad = np.zeros(n_devices, dtype=np.int64)
     designated_gateway = np.full(n_devices, -1, dtype=np.int64)
-    for index, spec in enumerate(specs):
-        x, y = spec.x_m, spec.y_m
+    for index, (device_id, x, y) in enumerate(zip(device_ids, device_x,
+                                                  device_y)):
         pairs: list[tuple[int, float]] = []
         column = int(x // max_range)
         row = int(y // max_range)
@@ -295,13 +305,14 @@ def run_shard_cohort(shard: ShardSpec,
                         clean_delivered[index] += 1
                     else:
                         clean_lost_snr[index] += 1
-                    if (spec.device_id, gateway_id[gi]) in designated:
+                    if designated.get(device_id) == gateway_id[gi]:
                         designated_gateway[index] = gi
                         if ok:
                             uplink_ok[index] = 1
                         else:
                             uplink_bad[index] = 1
-        pair_lists.append(pairs)
+        if index in demoted_senders:
+            pair_lists[index] = pairs
 
     # -- 3a. bulk resolution of the unoverlapped majority -----------------
     # No overlap means no collision branch: every completed transmission
@@ -319,15 +330,12 @@ def run_shard_cohort(shard: ShardSpec,
     # order, which is the event engine's ``transmission.overlapping``
     # order (sorted by start, ties in device order), so the float sum —
     # and therefore every threshold decision — is reproduced exactly.
-    demoted_indices = np.nonzero(completed_mask & overlapped)[0]
     stats.demotions = int(demoted_indices.size)
     stats.still_demoted_at_horizon = int(
         np.count_nonzero(~completed_mask & overlapped))
     stats.demoted_devices = int(np.unique(device_of[overlapped]).size)
     if demoted_indices.size:
         interference_cache: dict[tuple[int, int], float | None] = {}
-        device_x = [spec.x_m for spec in specs]
-        device_y = [spec.y_m for spec in specs]
         for j in demoted_indices.tolist():
             sender = int(device_of[j])
             pairs = pair_lists[sender]
@@ -381,32 +389,28 @@ def run_shard_cohort(shard: ShardSpec,
         stats.promotions = stats.demotions
 
     # -- 4. bulk charge integration and per-device accounting -------------
-    owned_ids = frozenset(spec.device_id for spec in shard.devices)
-    uncovered = frozenset(shard.uncovered)
+    owned_mask = shard.owned
+    uncovered = np.isin(shard.device_id, shard.uncovered)
     if shard.designated_uplinks:
         # Zero-speed mobility shards ship unfiltered designated pairs
         # and an empty ``uncovered``; positions never change here (the
         # moving case demoted above), so the event engine's per-record
         # range predicate collapses to a per-device classification —
         # same floats, same strict inequality.
-        position_of = {spec.device_id: spec.position for spec in specs}
-        uncovered |= frozenset(
-            device_id
-            for device_id, x_m, y_m in shard.designated_uplinks
-            if max_range is not None
-            and position_of[device_id].distance_to(Position(x_m, y_m))
-            > max_range)
-    owned_mask = np.fromiter(
-        (spec.device_id in owned_ids for spec in specs),
-        dtype=bool, count=n_devices)
+        uplink_ids, uplink_x, uplink_y = zip(*shard.designated_uplinks)
+        for index, x_m, y_m in zip(
+                np.searchsorted(shard.device_id, uplink_ids).tolist(),
+                uplink_x, uplink_y):
+            if math.hypot(device_x[index] - x_m,
+                          device_y[index] - y_m) > max_range:
+                uncovered[index] = True
     aggregate.wakes += int(records[owned_mask].sum())
     owned_completed = int(completed[owned_mask].sum())
     aggregate.beacons_sent += owned_completed
     aggregate.beacons_in_flight += int(
         (records - completed)[owned_mask].sum())
-    for index, spec in enumerate(specs):
-        if owned_mask[index] and spec.device_id in uncovered:
-            aggregate.uplink_out_of_range += int(completed[index])
+    aggregate.uplink_out_of_range += int(
+        completed[owned_mask & uncovered].sum())
     # The event engine's airtime counter is a sequential sum of one
     # constant per completed owned beacon; same for per-device energy.
     airtime_table = _sequential_sum_table(airtime_s, owned_completed)
@@ -414,11 +418,10 @@ def run_shard_cohort(shard: ShardSpec,
         aggregate.airtime_s += float(airtime_table[-1])
     energy_table = _sequential_sum_table(wake_energy_j, int(records.max())
                                          if n_devices else 0)
-    for index, spec in enumerate(specs):
-        count = int(records[index])
-        energy_j = float(energy_table[count - 1]) if count else 0.0
-        if not owned_mask[index]:
+    for count, owned in zip(records.tolist(), owned_mask.tolist()):
+        if not owned:
             continue  # halo copies are scored by their home shard
+        energy_j = float(energy_table[count - 1]) if count else 0.0
         average_current_a = (cal.ESP32_DEEP_SLEEP_A
                              + energy_j / (cal.SUPPLY_VOLTAGE_V * duration))
         aggregate.energy_j.observe(energy_j)

@@ -2,20 +2,21 @@
 
 A fleet is fully described by a :class:`FleetConfig`; expanding it with
 :func:`generate_fleet` is pure — the same config always yields the same
-:class:`FleetPlan`, device by device. Every stochastic property a device
-has (position, crystal ppm error, wake phase, per-wake jitter seed) is
-frozen into its :class:`DeviceSpec` at generation time, *before* any
-shard assignment happens. That ordering is what makes the sharded
-runner testable: a device behaves identically whether it is simulated
-in its home shard or as a halo transmitter in a neighbour, because
-every random draw it will ever make is determined by its spec alone.
+:class:`FleetPlan`, column by column. Every stochastic property a
+device has (position, crystal ppm error, wake phase, per-wake jitter
+seed) is frozen into the plan's numpy columns at generation time,
+*before* any shard assignment happens. That ordering is what makes the
+sharded runner testable: a device behaves identically whether it is
+simulated in its home shard or as a halo transmitter in a neighbour,
+because every random draw it will ever make is determined by its row
+alone.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,76 +143,131 @@ class ReceiverSpec:
         return Position(self.x_m, self.y_m)
 
 
-@dataclass(frozen=True, slots=True)
-class FleetPlan:
-    """The expanded fleet: config plus every device and receiver spec.
+#: Relative gap under which ``np.hypot`` and ``math.hypot`` may order
+#: two distances, or a distance and a cutoff, differently: each is
+#: within an ulp (~2.2e-16 relative) of the true value.
+HYPOT_SLACK = 1e-12
 
-    ``trajectories`` is populated iff ``config.mobility`` is set — one
-    compiled :class:`~repro.mobility.Trajectory` per device, in device
-    order, each starting at the device's placed position.
+
+def fields_equal(self, other) -> bool:
+    """Dataclass equality that compares numpy columns by value (``==``
+    on arrays is elementwise, so the generated ``__eq__`` cannot)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(mine, theirs)
+               if isinstance(mine, np.ndarray) else mine == theirs
+               for mine, theirs in ((getattr(self, field.name),
+                                     getattr(other, field.name))
+                                    for field in fields(self)))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class FleetPlan:
+    """The expanded fleet: its config, one numpy column per device
+    property, and every receiver spec.
+
+    Row ``i`` of the columns is device ``FLEET_DEVICE_ID_BASE + i``;
+    its beacon interval and jitter are the config's, shared by the whole
+    fleet. ``trajectories`` is populated iff ``config.mobility`` is set
+    — one compiled :class:`~repro.mobility.Trajectory` per device, in
+    device order, each starting at the device's placed position.
     """
 
     config: FleetConfig
-    devices: tuple[DeviceSpec, ...]
+    x_m: np.ndarray
+    y_m: np.ndarray
+    first_wake_s: np.ndarray
+    drift_ppm: np.ndarray
+    clock_seed: np.ndarray
     receivers: tuple[ReceiverSpec, ...]
     receiver_columns: int
     receiver_rows: int
     trajectories: tuple[Trajectory, ...] | None = None
 
-    def trajectory_of(self, device: DeviceSpec) -> Trajectory | None:
-        """The device's compiled motion, or None in a static plan."""
-        if self.trajectories is None:
-            return None
-        index = device.device_id - FLEET_DEVICE_ID_BASE
-        return self.trajectories[index]
+    __eq__ = fields_equal
 
-    def nearest_receiver(self, device: DeviceSpec) -> ReceiverSpec:
-        """The device's designated uplink gateway (deterministic:
-        smallest distance, ties broken by receiver id).
+    def _nearest_receiver(self, x_m: float, y_m: float,
+                          ) -> tuple[float, int, int]:
+        """``(distance, receiver_id, index)`` of the receiver nearest
+        ``(x_m, y_m)`` by ``math.hypot``, ties broken by receiver id.
+        The receivers form a regular grid, so it is always in the 3x3
+        neighbourhood of the cell containing the point."""
+        width, height = self.config.area_m
+        columns, rows = self.receiver_columns, self.receiver_rows
+        column = min(int(x_m // (width / columns)), columns - 1)
+        row = min(int(y_m // (height / rows)), rows - 1)
+        return min((math.hypot(x_m - receiver.x_m, y_m - receiver.y_m),
+                    receiver.receiver_id, index)
+                   for r in range(max(0, row - 1), min(rows, row + 2))
+                   for c in range(max(0, column - 1), min(columns, column + 2))
+                   for index in (r * columns + c,)
+                   for receiver in (self.receivers[index],))
 
-        The receivers form a regular grid, so the nearest one is always
-        in the 3x3 neighbourhood of the cell containing the device —
-        O(1) instead of scanning all receivers, which matters when
-        planning shards for thousands of devices.
+    def nearest_receivers(self, cutoff_m: float,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """Every device's designated uplink gateway — its index into
+        ``receivers`` — and the distance to it.
+
+        The 3x3 search runs over all devices at once with ``np.hypot``,
+        which can differ from ``math.hypot`` in the last bit. Devices
+        whose two nearest candidates, or whose distance and
+        ``cutoff_m``, lie within :data:`HYPOT_SLACK` of each other are
+        re-resolved by the scalar search, so every choice is the
+        ``(math.hypot, receiver_id)`` minimum and every distance
+        compares with ``cutoff_m`` as ``math.hypot``'s would.
         """
         width, height = self.config.area_m
         columns, rows = self.receiver_columns, self.receiver_rows
-        column = min(int(device.x_m // (width / columns)), columns - 1)
-        row = min(int(device.y_m // (height / rows)), rows - 1)
-        candidates = (
-            self.receivers[r * columns + c]
-            for r in range(max(0, row - 1), min(rows, row + 2))
-            for c in range(max(0, column - 1), min(columns, column + 2)))
-        return min(candidates,
-                   key=lambda receiver: (
-                       device.position.distance_to(receiver.position),
-                       receiver.receiver_id))
+        receiver_x = np.array([receiver.x_m for receiver in self.receivers])
+        receiver_y = np.array([receiver.y_m for receiver in self.receivers])
+        x, y = self.x_m, self.y_m
+        column = np.minimum(x // (width / columns), columns - 1).astype(int)
+        row = np.minimum(y // (height / rows), rows - 1).astype(int)
+        nearest = np.zeros(len(x), dtype=int)
+        distance = np.full(len(x), np.inf)
+        runner_up = np.full(len(x), np.inf)
+        for r in (row - 1, row, row + 1):
+            for c in (column - 1, column, column + 1):
+                valid = (r >= 0) & (r < rows) & (c >= 0) & (c < columns)
+                candidate = np.where(valid, r * columns + c, 0)
+                d = np.where(valid, np.hypot(x - receiver_x[candidate],
+                                             y - receiver_y[candidate]),
+                             np.inf)
+                closer = d < distance
+                runner_up = np.where(closer, distance,
+                                     np.minimum(runner_up, d))
+                nearest = np.where(closer, candidate, nearest)
+                distance = np.where(closer, d, distance)
+        exact = ((runner_up - distance <= HYPOT_SLACK * distance)
+                 | (np.abs(distance - cutoff_m) <= HYPOT_SLACK * cutoff_m))
+        for index in np.nonzero(exact)[0].tolist():
+            distance[index], _, nearest[index] = self._nearest_receiver(
+                x[index].item(), y[index].item())
+        return nearest, distance
 
 
 def validate_positions(plan: FleetPlan) -> None:
     """Reject devices or receivers placed outside the configured area.
 
-    The spatial listening index and the 3x3 ``nearest_receiver`` lookup
-    both assume positions inside ``config.area_m``; an out-of-bounds
-    position silently lands in a clamped edge cell and produces
-    distances the index never scans. Generated plans are in-bounds by
-    construction — this guards hand-built or mutated plans at the shard
-    planner's front door.
+    The spatial listening index and the 3x3 ``nearest_receivers``
+    search both assume positions inside ``config.area_m``; an
+    out-of-bounds position silently lands in a clamped edge cell and
+    produces distances the index never scans. Generated plans are
+    in-bounds by construction — this guards hand-built or mutated plans
+    at the shard planner's front door.
     """
     width, height = plan.config.area_m
-    for device in plan.devices:
-        if not (0.0 <= device.x_m <= width and 0.0 <= device.y_m <= height):
-            raise FleetError(
-                f"device 0x{device.device_id:x} at "
-                f"({device.x_m}, {device.y_m}) is outside the "
-                f"{width} x {height} m area")
-    for receiver in plan.receivers:
-        if not (0.0 <= receiver.x_m <= width
-                and 0.0 <= receiver.y_m <= height):
-            raise FleetError(
-                f"receiver {receiver.receiver_id} at "
-                f"({receiver.x_m}, {receiver.y_m}) is outside the "
-                f"{width} x {height} m area")
+    count = len(plan.x_m)
+    x = np.concatenate([plan.x_m, [r.x_m for r in plan.receivers]])
+    y = np.concatenate([plan.y_m, [r.y_m for r in plan.receivers]])
+    outside = np.nonzero(~((0.0 <= x) & (x <= width)
+                           & (0.0 <= y) & (y <= height)))[0]
+    if outside.size:
+        index = int(outside[0])
+        name = (f"device 0x{FLEET_DEVICE_ID_BASE + index:x}" if index < count
+                else f"receiver {plan.receivers[index - count].receiver_id}")
+        raise FleetError(f"{name} at ({x[index]}, {y[index]}) is outside "
+                         f"the {width} x {height} m area")
 
 
 def _uniform_stream(seed_key: str, count: int) -> np.ndarray:
@@ -257,9 +313,9 @@ def _positions_reference(config: FleetConfig,
     return positions
 
 
-def _positions(config: FleetConfig) -> list[tuple[float, float]]:
-    """Vectorized device placement, bit-identical per seed to
-    :func:`_positions_reference`.
+def _positions(config: FleetConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized device placement: the ``x`` and ``y`` columns,
+    bit-identical per seed to :func:`_positions_reference`.
 
     The uniform stream is batched (:func:`_uniform_stream`); every
     arithmetic step then mirrors the scalar code with IEEE-exact numpy
@@ -276,14 +332,12 @@ def _positions(config: FleetConfig) -> list[tuple[float, float]]:
         rows = math.ceil(count / columns)
         x = ((index % columns) + 0.5) * width / columns
         y = ((index // columns) + 0.5) * height / rows
-        return list(zip(x.tolist(), y.tolist()))
+        return x, y
     if config.layout == "uniform":
         # rng.uniform(0.0, w) is exactly 0.0 + (w - 0.0) * rng.random();
         # draws interleave x, y per device.
         draws = _uniform_stream(f"{config.seed}-positions", 2 * count)
-        x = width * draws[0::2]
-        y = height * draws[1::2]
-        return list(zip(x.tolist(), y.tolist()))
+        return width * draws[0::2], height * draws[1::2]
     # clusters: 2 uniforms per centre, then one gauss pair per device.
     # CPython's gauss caches the second Box-Muller value, and each device
     # consumes exactly two, so the pairing never straddles devices:
@@ -308,7 +362,7 @@ def _positions(config: FleetConfig) -> list[tuple[float, float]]:
                               0.0), width)
     y = np.minimum(np.maximum(centre_y[which] + sin_part * g2rad * std,
                               0.0), height)
-    return list(zip(x.tolist(), y.tolist()))
+    return x, y
 
 
 def _receiver_grid(config: FleetConfig) -> tuple[tuple[ReceiverSpec, ...], int, int]:
@@ -329,46 +383,39 @@ def _receiver_grid(config: FleetConfig) -> tuple[tuple[ReceiverSpec, ...], int, 
 
 
 def generate_fleet(config: FleetConfig) -> FleetPlan:
-    """Expand ``config`` into per-device and per-receiver specs.
+    """Expand ``config`` into per-device columns and receiver specs.
 
     Deterministic: positions, crystals and wake phases come from
     dedicated ``random.Random`` streams derived from ``config.seed``,
     so adding receivers or reordering shards can never perturb the
     devices themselves.
     """
-    positions = _positions(config)
-    crystals = crystal_draws(config.device_count,
-                             drift_std_ppm=config.drift_std_ppm,
+    count = config.device_count
+    x_m, y_m = _positions(config)
+    crystals = crystal_draws(count, drift_std_ppm=config.drift_std_ppm,
                              jitter_std_s=config.jitter_std_s,
                              seed=config.seed)
+    drift_ppm = np.fromiter((drift for drift, _ in crystals), float, count)
+    clock_seed = np.fromiter((seed for _, seed in crystals), np.int64, count)
+    del crystals
     if config.start == "synchronised":
-        first_wakes = [config.interval_s] * config.device_count
+        first_wake_s = np.full(count, config.interval_s)
     else:
         # Uniform phase in (0, interval]; strictly positive so two
         # devices can never share the exact same wake instant. Batched:
         # interval * (1.0 - u) per device, draws in device order.
-        phase_draws = _uniform_stream(f"{config.seed}-phases",
-                                      config.device_count)
-        first_wakes = (config.interval_s * (1.0 - phase_draws)).tolist()
-    devices = tuple(
-        DeviceSpec(device_id=FLEET_DEVICE_ID_BASE + index,
-                   x_m=x_m, y_m=y_m,
-                   interval_s=config.interval_s,
-                   first_wake_s=first_wake_s,
-                   drift_ppm=drift_ppm,
-                   jitter_std_s=config.jitter_std_s,
-                   clock_seed=clock_seed)
-        for index, ((x_m, y_m), first_wake_s, (drift_ppm, clock_seed))
-        in enumerate(zip(positions, first_wakes, crystals)))
+        first_wake_s = config.interval_s * (
+            1.0 - _uniform_stream(f"{config.seed}-phases", count))
     receivers, columns, rows = _receiver_grid(config)
     trajectories = None
     if config.mobility is not None:
         trajectories = build_trajectories(
             config.mobility,
-            [(device.device_id, device.x_m, device.y_m)
-             for device in devices],
+            [(FLEET_DEVICE_ID_BASE + index, x, y) for index, (x, y)
+             in enumerate(zip(x_m.tolist(), y_m.tolist()))],
             area_m=config.area_m, duration_s=config.duration_s)
-    return FleetPlan(config=config, devices=devices,
-                     receivers=receivers,
+    return FleetPlan(config=config, x_m=x_m, y_m=y_m,
+                     first_wake_s=first_wake_s, drift_ppm=drift_ppm,
+                     clock_seed=clock_seed, receivers=receivers,
                      receiver_columns=columns, receiver_rows=rows,
                      trajectories=trajectories)

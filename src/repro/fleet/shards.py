@@ -24,7 +24,7 @@ run is *exactly* equivalent to the unsharded one:
   overlapping transmitters (beyond the cutoff the medium contributes
   exactly zero, sharded or not).
 
-Per-device randomness is pre-drawn into :class:`DeviceSpec`, so a halo
+Per-device randomness is pre-drawn into the plan's columns, so a halo
 copy of a device replays its home-shard behaviour bit for bit. See
 ``docs/FLEET.md`` for the tolerance discussion (integer counters match
 exactly; merged Welford moments to ~1e-9 relative).
@@ -36,6 +36,8 @@ import os
 import traceback
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core import SensorKind, SensorReading, WiLEDevice
 from ..dot11.mac import MacAddress
 from ..energy import calibration as cal
@@ -43,7 +45,8 @@ from ..experiments.runner import first_attempt, kill_once, run_grid
 from ..sim import Position, Radio, Simulator, WirelessMedium
 from ..store import ensure_manifest, read_or_quarantine, write_json_atomic
 from .aggregate import FleetAggregate
-from .population import DeviceSpec, FleetPlan, ReceiverSpec
+from .population import (FLEET_DEVICE_ID_BASE, DeviceSpec, FleetPlan,
+                         ReceiverSpec, fields_equal, validate_positions)
 
 #: Default hard delivery cutoff. Wi-LE at 72.2 Mbps / 0 dBm decodes out
 #: to ~12 m under the log-distance model (the paper's "similar range as
@@ -79,9 +82,14 @@ class ShardExecutionError(RuntimeError):
         super().__init__("\n".join(lines))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ShardSpec:
-    """One strip of the fleet, ready to simulate in isolation."""
+    """One strip of the fleet, ready to simulate in isolation.
+
+    Its members — every device simulated here, owned or halo — are
+    column slices of the plan in device-id order; equality compares the
+    columns by value.
+    """
 
     index: int
     shard_count: int
@@ -92,21 +100,29 @@ class ShardSpec:
     interference_range_m: float
     channel: int
     duration_s: float
-    devices: tuple[DeviceSpec, ...]
-    halo_devices: tuple[DeviceSpec, ...]
+    #: The fleet-wide beacon interval and clock jitter.
+    interval_s: float
+    jitter_std_s: float
+    device_id: np.ndarray
+    x_m: np.ndarray
+    y_m: np.ndarray
+    first_wake_s: np.ndarray
+    drift_ppm: np.ndarray
+    clock_seed: np.ndarray
+    #: True for the members this shard owns; the rest are halo copies.
+    owned: np.ndarray
     receivers: tuple[ReceiverSpec, ...]
-    #: (device_id, receiver_id) uplink assignments whose gateway this
-    #: shard owns — the pairs its delivery listener scores.
-    designated: tuple[tuple[int, int], ...]
+    #: ``(device_id, receiver_id)`` rows, in device-id order: the uplink
+    #: assignments whose gateway this shard owns — the pairs its
+    #: delivery listener scores.
+    designated: np.ndarray
     #: Owned device ids whose designated gateway is beyond
     #: ``max_range_m`` — their beacons count as out-of-coverage.
-    uncovered: tuple[int, ...]
-    #: Mobility extension (empty/zero for static plans, keeping static
-    #: shard specs — and their checkpoints — byte-identical):
-    #: position-sampling period; radios move at integer multiples.
+    uncovered: np.ndarray
+    #: Mobility extension (empty/zero for static plans): position-
+    #: sampling period; radios move at integer multiples.
     epoch_s: float = 0.0
-    #: Compiled trajectories for every device simulated here (owned and
-    #: halo), in device-id order.
+    #: Compiled trajectories of the members, in device-id order.
     trajectories: tuple = ()
     #: ``(device_id, gateway_x_m, gateway_y_m)`` for every *owned*
     #: device — the accounting loop scores per-beacon coverage against
@@ -115,9 +131,25 @@ class ShardSpec:
     #: degenerate, whole-run version of this).
     designated_uplinks: tuple[tuple[int, float, float], ...] = ()
 
+    __eq__ = fields_equal
 
-def _owner_of(x_m: float, strip_width_m: float, shard_count: int) -> int:
-    return min(int(x_m // strip_width_m), shard_count - 1)
+    def device_specs(self) -> list[DeviceSpec]:
+        """The members as :class:`DeviceSpec` objects, in device-id
+        order — the event engine's per-device view of this shard."""
+        return [DeviceSpec(device_id=device_id, x_m=x_m, y_m=y_m,
+                           interval_s=self.interval_s,
+                           first_wake_s=first_wake_s, drift_ppm=drift_ppm,
+                           jitter_std_s=self.jitter_std_s,
+                           clock_seed=clock_seed)
+                for device_id, x_m, y_m, first_wake_s, drift_ppm, clock_seed
+                in zip(self.device_id.tolist(), self.x_m.tolist(),
+                       self.y_m.tolist(), self.first_wake_s.tolist(),
+                       self.drift_ppm.tolist(), self.clock_seed.tolist())]
+
+
+def _owner_of(x_m: np.ndarray, strip_width_m: float,
+              shard_count: int) -> np.ndarray:
+    return np.minimum(x_m // strip_width_m, shard_count - 1).astype(int)
 
 
 def plan_shards(plan: FleetPlan, shard_count: int,
@@ -139,80 +171,73 @@ def plan_shards(plan: FleetPlan, shard_count: int,
         raise ShardError(
             f"halo {halo} m is narrower than the propagation cutoffs "
             f"({required_halo} m); cross-shard effects would be lost")
-    from .population import validate_positions
     validate_positions(plan)
     config = plan.config
     width = config.area_m[0] / shard_count
     mobile = plan.trajectories is not None
+    receivers = plan.receivers
 
-    designated: dict[int, tuple[int, float]] = {}
-    gateway_position: dict[int, tuple[float, float]] = {}
-    for device in plan.devices:
-        gateway = plan.nearest_receiver(device)
-        designated[device.device_id] = (
-            gateway.receiver_id,
-            device.position.distance_to(gateway.position))
-        gateway_position[device.device_id] = (gateway.x_m, gateway.y_m)
-
+    gateway, distance = plan.nearest_receivers(max_range_m)
+    # Static plans pre-filter designated pairs to gateways in range and
+    # pre-classify the rest as whole-run uncovered. A mobile device's
+    # gateway distance varies per beacon, so its pairs stay unfiltered
+    # and coverage is scored per completed record in run_shard against
+    # ``designated_uplinks``.
+    scored = mobile | (distance <= max_range_m)
+    receiver_ids = np.array([receiver.receiver_id for receiver in receivers])
+    receiver_owner = _owner_of(np.array([receiver.x_m for receiver
+                                         in receivers]), width, shard_count)
+    gateway_owner = receiver_owner[gateway]
+    owner = _owner_of(plan.x_m, width, shard_count)
     # Halo membership in a mobile plan is by the x-extent the device
     # *ever* visits — a conservative superset of the static rule. Extra
     # halo copies cannot perturb anything: the medium enforces both
     # cutoffs per delivery at current positions, so a copy that is far
     # away at some instant contributes exactly zero then, sharded or
     # not.
+    low = high = plan.x_m
     if mobile:
-        extents = {trajectory.device_id:
-                   trajectory.x_extent(config.duration_s)
-                   for trajectory in plan.trajectories}
-    else:
-        extents = {device.device_id: (device.x_m, device.x_m)
-                   for device in plan.devices}
+        low, high = np.array([trajectory.x_extent(config.duration_s)
+                              for trajectory in plan.trajectories]).T
 
     shards = []
     for index in range(shard_count):
         x_min = index * width
         x_max = (index + 1) * width
-        owned = tuple(device for device in plan.devices
-                      if _owner_of(device.x_m, width, shard_count) == index)
-        halo_devices = tuple(
-            device for device in plan.devices
-            if _owner_of(device.x_m, width, shard_count) != index
-            and extents[device.device_id][1] >= x_min - halo
-            and extents[device.device_id][0] <= x_max + halo)
-        receivers = tuple(
-            receiver for receiver in plan.receivers
-            if _owner_of(receiver.x_m, width, shard_count) == index)
-        receiver_ids = {receiver.receiver_id for receiver in receivers}
-        # Static plans pre-filter designated pairs to gateways in range
-        # and pre-classify the rest as whole-run uncovered. A mobile
-        # device's gateway distance varies per beacon, so its pairs stay
-        # unfiltered and coverage is scored per completed record in
-        # run_shard against ``designated_uplinks``.
-        pairs = tuple(
-            (device.device_id, designated[device.device_id][0])
-            for device in owned + halo_devices
-            if designated[device.device_id][0] in receiver_ids
-            and (mobile or designated[device.device_id][1] <= max_range_m))
-        uncovered = () if mobile else tuple(
-            device.device_id for device in owned
-            if designated[device.device_id][1] > max_range_m)
-        shard_ids = {device.device_id for device in owned + halo_devices}
-        trajectories = tuple(
-            trajectory for trajectory in (plan.trajectories or ())
-            if trajectory.device_id in shard_ids)
-        uplinks = tuple(
-            (device.device_id,) + gateway_position[device.device_id]
-            for device in owned) if mobile else ()
+        owned = owner == index
+        members = np.nonzero(owned | ((high >= x_min - halo)
+                                      & (low <= x_max + halo)))[0]
+        pairs = members[(gateway_owner[members] == index) & scored[members]]
+        owned_members = members[owned[members]]
         shards.append(ShardSpec(
             index=index, shard_count=shard_count,
             x_min_m=x_min, x_max_m=x_max, halo_m=halo,
             max_range_m=max_range_m,
             interference_range_m=interference_range_m,
             channel=config.channel, duration_s=config.duration_s,
-            devices=owned, halo_devices=halo_devices, receivers=receivers,
-            designated=pairs, uncovered=uncovered,
+            interval_s=config.interval_s, jitter_std_s=config.jitter_std_s,
+            device_id=FLEET_DEVICE_ID_BASE + members,
+            x_m=plan.x_m[members], y_m=plan.y_m[members],
+            first_wake_s=plan.first_wake_s[members],
+            drift_ppm=plan.drift_ppm[members],
+            clock_seed=plan.clock_seed[members],
+            owned=owned[members],
+            receivers=tuple(receivers[receiver] for receiver in
+                            np.nonzero(receiver_owner == index)[0].tolist()),
+            designated=np.column_stack([FLEET_DEVICE_ID_BASE + pairs,
+                                        receiver_ids[gateway[pairs]]]),
+            uncovered=FLEET_DEVICE_ID_BASE + (
+                owned_members[~scored[owned_members]]),
             epoch_s=config.mobility.epoch_s if mobile else 0.0,
-            trajectories=trajectories, designated_uplinks=uplinks))
+            trajectories=tuple(plan.trajectories[member]
+                               for member in members.tolist())
+            if mobile else (),
+            designated_uplinks=tuple(
+                (FLEET_DEVICE_ID_BASE + device, receivers[choice].x_m,
+                 receivers[choice].y_m)
+                for device, choice in zip(owned_members.tolist(),
+                                          gateway[owned_members].tolist())
+            ) if mobile else ()))
     return shards
 
 
@@ -256,7 +281,7 @@ def run_shard(shard: ShardSpec) -> FleetAggregate:
     medium = WirelessMedium(sim, max_range_m=shard.max_range_m,
                             interference_range_m=shard.interference_range_m)
     stats = FleetAggregate(
-        device_count=len(shard.devices),
+        device_count=int(np.count_nonzero(shard.owned)),
         receiver_count=len(shard.receivers),
         shard_count=1,
         duration_s=shard.duration_s)
@@ -271,8 +296,7 @@ def run_shard(shard: ShardSpec) -> FleetAggregate:
 
     sender_ids: dict[Radio, int] = {}
     devices: list[tuple[DeviceSpec, WiLEDevice]] = []
-    for spec in sorted(shard.devices + shard.halo_devices,
-                       key=lambda item: item.device_id):
+    for spec in shard.device_specs():
         device = WiLEDevice(sim, medium, device_id=spec.device_id,
                             position=spec.position, channel=shard.channel,
                             clock=spec.make_clock())
@@ -307,7 +331,7 @@ def run_shard(shard: ShardSpec) -> FleetAggregate:
                        lambda radio=radio, position=position:
                        medium.move_radio(radio, Position(*position)))
 
-    designated = frozenset(shard.designated)
+    designated = frozenset(map(tuple, shard.designated.tolist()))
 
     def on_delivery(transmission, report) -> None:
         receiver_id = gateway_ids.get(report.receiver)
@@ -332,13 +356,12 @@ def run_shard(shard: ShardSpec) -> FleetAggregate:
     medium.add_delivery_listener(on_delivery)
     sim.run(until_s=shard.duration_s)
 
-    uncovered = frozenset(shard.uncovered)
+    uncovered = frozenset(shard.uncovered.tolist())
     uplinks = {device_id: Position(x_m, y_m)
                for device_id, x_m, y_m in shard.designated_uplinks}
-    owned = frozenset(spec.device_id for spec in shard.devices)
-    for spec, device in devices:
+    for (spec, device), owned in zip(devices, shard.owned.tolist()):
         device.stop()
-        if spec.device_id not in owned:
+        if not owned:
             continue  # halo copies are scored by their home shard
         stats.wakes += len(device.transmissions) + device.skipped_wakes
         trajectory = trajectories.get(spec.device_id)
@@ -384,10 +407,10 @@ def run_shard(shard: ShardSpec) -> FleetAggregate:
 
 def _device_range(shard: ShardSpec) -> str:
     """Human-readable id range of the shard's owned devices."""
-    if not shard.devices:
+    ids = shard.device_id[shard.owned]
+    if not ids.size:
         return "none"
-    ids = [spec.device_id for spec in shard.devices]
-    return f"0x{min(ids):08x}..0x{max(ids):08x}"
+    return f"0x{ids.min():08x}..0x{ids.max():08x}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,19 +440,30 @@ def plan_fingerprint(plan: FleetPlan, shard_count: int, halo_m: float,
                      ) -> dict:
     """The identity of one sharded run, for the checkpoint manifest.
 
-    ``kernel`` is deliberately *not* part of it: checkpoints are
-    kernel-agnostic (the cohort kernel produces the same exact state),
-    so a resume may switch kernels — the manifest records the kernel
-    informationally only.
+    ``plan_sha256`` digests the plan's device columns and receivers, so
+    any config field that shapes the plan — or a hand edit to it —
+    changes the identity; ``jitter_std_s`` shapes no column, only the
+    clocks built from them, so it is named on its own. ``kernel`` is
+    deliberately *not* part of it: checkpoints are kernel-agnostic (the
+    cohort kernel produces the same exact state), so a resume may switch
+    kernels — the manifest records the kernel informationally only.
     """
+    import hashlib
     config = plan.config
+    digest = hashlib.sha256()
+    for column in (plan.x_m, plan.y_m, plan.first_wake_s, plan.drift_ppm,
+                   plan.clock_seed,
+                   np.array([(receiver.receiver_id, receiver.x_m,
+                              receiver.y_m) for receiver in plan.receivers])):
+        digest.update(np.ascontiguousarray(column).tobytes())
     return {
         "seed": config.seed,
-        "device_count": len(plan.devices),
+        "device_count": len(plan.x_m),
         "receiver_count": len(plan.receivers),
         "shard_count": shard_count,
         "duration_s": config.duration_s,
         "interval_s": config.interval_s,
+        "jitter_std_s": config.jitter_std_s,
         "area_m": list(config.area_m),
         "layout": config.layout,
         "start": config.start,
@@ -440,6 +474,7 @@ def plan_fingerprint(plan: FleetPlan, shard_count: int, halo_m: float,
         # None for static plans — matching manifests written before the
         # key existed, whose .get("mobility") is also None.
         "mobility": repr(config.mobility) if config.mobility else None,
+        "plan_sha256": digest.hexdigest(),
     }
 
 

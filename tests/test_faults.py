@@ -13,6 +13,7 @@ Three contracts under test:
   run's aggregates exactly.
 """
 
+import dataclasses
 import os
 import signal
 import time
@@ -488,6 +489,32 @@ class TestCheckpointHygiene:
             run_sharded_fleet(other, shard_count=2, workers=1,
                               checkpoint_dir=str(tmp_path))
         assert "seed" in exc_info.value.mismatched
+
+    @pytest.mark.parametrize("field, value", [
+        ("drift_std_ppm", 80.0), ("jitter_std_s", 5e-3),
+        ("cluster_count", 3), ("cluster_std_m", 2.0)])
+    def test_plan_shaping_change_refused(self, tmp_path, field, value):
+        # These fields shape the plan (or, for jitter, the clocks built
+        # from it) but were missing from the fingerprint: a rerun with
+        # one of them changed silently returned the first run's
+        # aggregate.
+        config = dataclasses.replace(self.CONFIG, layout="clusters")
+        run_sharded_fleet(generate_fleet(config), shard_count=2, workers=1,
+                          checkpoint_dir=str(tmp_path))
+        other = generate_fleet(dataclasses.replace(config, **{field: value}))
+        with pytest.raises(CheckpointMismatchError):
+            run_sharded_fleet(other, shard_count=2, workers=1,
+                              checkpoint_dir=str(tmp_path))
+
+    def test_hand_edited_plan_refused(self, tmp_path):
+        plan, _ = self._checkpointed_run(tmp_path)
+        x_m = plan.x_m.copy()
+        x_m[0] /= 2.0
+        with pytest.raises(CheckpointMismatchError) as exc_info:
+            run_sharded_fleet(dataclasses.replace(plan, x_m=x_m),
+                              shard_count=2, workers=1,
+                              checkpoint_dir=str(tmp_path))
+        assert exc_info.value.mismatched == ["plan_sha256"]
 
     def test_different_shard_count_refused(self, tmp_path):
         plan, _ = self._checkpointed_run(tmp_path)

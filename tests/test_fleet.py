@@ -6,8 +6,15 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.check.differential import (
+    check_shards_by_definition,
+    shards_by_definition,
+)
 from repro.experiments.fleet_scale import (
     run_fleet_point,
     run_fleet_smoke,
@@ -24,9 +31,11 @@ from repro.fleet import (
     run_sharded_fleet,
 )
 from repro.fleet.aggregate import AggregateError, counters_equal, moments_close
+from repro.fleet.population import FLEET_DEVICE_ID_BASE
 from repro.fleet.shards import ShardError
+from repro.mobility import MobilityConfig
 from repro.obs import audit_fleet
-from repro.sim import ClockError, crystal_population
+from repro.sim import ClockError, Position, crystal_population
 
 # Small but collision-active: 60 devices on 60x30 m beaconing every
 # 30 s for 10 minutes, so the invariance checks exercise collisions,
@@ -46,11 +55,14 @@ class TestPopulation:
             device_count=60, area_m=(60.0, 30.0), interval_s=30.0,
             duration_s=600.0, seed=12))
         base = generate_fleet(SMALL)
-        assert base.devices != other.devices
+        for column in ("x_m", "y_m", "first_wake_s", "drift_ppm",
+                       "clock_seed"):
+            assert not np.array_equal(getattr(base, column),
+                                      getattr(other, column)), column
 
     def test_device_ids_unique_and_offset(self):
-        plan = generate_fleet(SMALL)
-        ids = [device.device_id for device in plan.devices]
+        (shard,) = plan_shards(generate_fleet(SMALL), 1)
+        ids = shard.device_id.tolist()
         assert len(set(ids)) == len(ids)
         assert min(ids) >= 0x10000
 
@@ -58,23 +70,23 @@ class TestPopulation:
         for layout in ("uniform", "grid", "clusters"):
             plan = generate_fleet(FleetConfig(
                 device_count=50, area_m=(40.0, 20.0), layout=layout))
-            for device in plan.devices:
-                assert 0.0 <= device.x_m <= 40.0
-                assert 0.0 <= device.y_m <= 20.0
+            assert ((0.0 <= plan.x_m) & (plan.x_m <= 40.0)).all()
+            assert ((0.0 <= plan.y_m) & (plan.y_m <= 20.0)).all()
 
     def test_staggered_first_wakes_distinct(self):
         plan = generate_fleet(SMALL)
-        wakes = [device.first_wake_s for device in plan.devices]
+        wakes = plan.first_wake_s.tolist()
         assert len(set(wakes)) == len(wakes)
         assert all(0.0 < wake <= SMALL.interval_s for wake in wakes)
 
     def test_synchronised_start_shares_first_wake(self):
         plan = generate_fleet(FleetConfig(
             device_count=10, start="synchronised", interval_s=45.0))
-        assert {device.first_wake_s for device in plan.devices} == {45.0}
+        assert set(plan.first_wake_s.tolist()) == {45.0}
 
     def test_clock_replays_identically(self):
-        device = generate_fleet(SMALL).devices[0]
+        (shard,) = plan_shards(generate_fleet(SMALL), 1)
+        device = shard.device_specs()[0]
         first, second = device.make_clock(), device.make_clock()
         assert [first.actual_interval_s(30.0) for _ in range(5)] == \
             [second.actual_interval_s(30.0) for _ in range(5)]
@@ -82,18 +94,18 @@ class TestPopulation:
     def test_nearest_receiver_matches_brute_force(self):
         plan = generate_fleet(FleetConfig(
             device_count=100, area_m=(73.0, 41.0), seed=5))
-        for device in plan.devices:
+        nearest, _ = plan.nearest_receivers(DEFAULT_MAX_RANGE_M)
+        for x_m, y_m, index in zip(plan.x_m.tolist(), plan.y_m.tolist(),
+                                   nearest.tolist()):
             brute = min(plan.receivers, key=lambda receiver: (
-                device.position.distance_to(receiver.position),
+                Position(x_m, y_m).distance_to(receiver.position),
                 receiver.receiver_id))
-            assert plan.nearest_receiver(device) == brute
+            assert plan.receivers[index] == brute
 
     def test_receiver_grid_covers_area(self):
-        plan = generate_fleet(SMALL)
-        for device in plan.devices:
-            gateway = plan.nearest_receiver(device)
-            assert device.position.distance_to(gateway.position) \
-                <= DEFAULT_MAX_RANGE_M
+        _, distance = generate_fleet(SMALL).nearest_receivers(
+            DEFAULT_MAX_RANGE_M)
+        assert (distance <= DEFAULT_MAX_RANGE_M).all()
 
     def test_vectorized_positions_match_reference(self):
         # The batched placement must reproduce the scalar loops draw for
@@ -106,7 +118,8 @@ class TestPopulation:
                                          area_m=(80.0, 45.0),
                                          layout=layout, seed=seed)
                     rng = random.Random(f"{config.seed}-positions")
-                    assert _positions(config) == \
+                    x, y = _positions(config)
+                    assert list(zip(x.tolist(), y.tolist())) == \
                         _positions_reference(config, rng), \
                         (layout, seed, count)
 
@@ -116,18 +129,19 @@ class TestPopulation:
         # before the batching change.
         from repro.fleet.population import _positions
         uniform = FleetConfig(device_count=5, area_m=(80.0, 45.0), seed=0)
-        assert _positions(uniform)[0] == \
-            (71.75601875340111, 0.9829845108219848)
+        x, y = _positions(uniform)
+        assert (x[0], y[0]) == (71.75601875340111, 0.9829845108219848)
         clusters = FleetConfig(device_count=5, area_m=(80.0, 45.0),
                                layout="clusters", seed=0)
-        assert _positions(clusters)[0] == \
-            (74.35038651392726, 16.088237731939646)
+        x, y = _positions(clusters)
+        assert (x[0], y[0]) == (74.35038651392726, 16.088237731939646)
         plan = generate_fleet(FleetConfig(
             device_count=3, area_m=(80.0, 45.0), interval_s=30.0, seed=0))
-        assert [device.first_wake_s for device in plan.devices] == \
+        assert plan.first_wake_s.tolist() == \
             [7.7850909453352815, 19.225505931215533, 11.933883084529324]
-        assert [(device.drift_ppm, device.clock_seed)
-                for device in plan.devices] == \
+        crystals = list(zip(plan.drift_ppm.tolist(),
+                            plan.clock_seed.tolist()))
+        assert crystals == \
             [(47.08577023403322, 1806341205),
              (-69.82890523505749, 173879092),
              (-3.3503257864528986, 1739178872)]
@@ -135,8 +149,8 @@ class TestPopulation:
         clocks = crystal_population(
             config.device_count, drift_std_ppm=config.drift_std_ppm,
             jitter_std_s=config.jitter_std_s, seed=config.seed)
-        assert [(device.drift_ppm, device.jitter_std_s, device.clock_seed)
-                for device in plan.devices] == \
+        assert [(drift_ppm, config.jitter_std_s, clock_seed)
+                for drift_ppm, clock_seed in crystals] == \
             [(clock.drift_ppm, clock.jitter_std_s, clock.seed)
              for clock in clocks]
 
@@ -155,36 +169,40 @@ class TestPopulation:
     def test_generation_memory_per_device(self):
         # Generation keeps each device's crystal as numbers only: with a
         # live clock (and its Mersenne Twister state) per device the
-        # peak is ~3.4 KB per device; the specs themselves hold ~0.3 KB.
+        # peak is ~3.4 KB per device. Generating and planning 8 shards
+        # peaked at ~735 B per device with a DeviceSpec object per
+        # device; as numpy columns, plan and shards stay under half.
         count = 5_000
-        generate_fleet(FleetConfig(device_count=10))
+        plan_shards(generate_fleet(FleetConfig(device_count=10)), 8)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             plan = generate_fleet(FleetConfig(device_count=count))
+            shards = plan_shards(plan, 8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(plan.devices) == count
-        assert (peak - before) / count < 1_000
+        assert len(plan.x_m) == count
+        assert sum(int(shard.owned.sum()) for shard in shards) == count
+        assert (peak - before) / count < 360
 
 
 class TestShardPlanning:
     def test_ownership_partitions_fleet(self):
         plan = generate_fleet(SMALL)
         shards = plan_shards(plan, 3)
-        owned = [device.device_id for shard in shards
-                 for device in shard.devices]
-        assert sorted(owned) == sorted(
-            device.device_id for device in plan.devices)
+        owned = [device_id for shard in shards
+                 for device_id in shard.device_id[shard.owned].tolist()]
+        assert sorted(owned) == list(range(
+            FLEET_DEVICE_ID_BASE, FLEET_DEVICE_ID_BASE + len(plan.x_m)))
 
     def test_halo_contains_only_near_boundary_foreigners(self):
         plan = generate_fleet(SMALL)
         for shard in plan_shards(plan, 3):
-            owned_ids = {device.device_id for device in shard.devices}
-            for device in shard.halo_devices:
-                assert device.device_id not in owned_ids
-                assert shard.x_min_m - shard.halo_m <= device.x_m \
+            ids = shard.device_id.tolist()
+            assert len(set(ids)) == len(ids)
+            for x_m in shard.x_m[~shard.owned].tolist():
+                assert shard.x_min_m - shard.halo_m <= x_m \
                     <= shard.x_max_m + shard.halo_m
 
     def test_designated_pairs_unique_fleet_wide(self):
@@ -192,6 +210,33 @@ class TestShardPlanning:
         shards = plan_shards(plan, 4)
         senders = [pair[0] for shard in shards for pair in shard.designated]
         assert len(set(senders)) == len(senders)
+
+    @settings(max_examples=60, deadline=None)
+    @given(layout=st.sampled_from(("uniform", "grid", "clusters")),
+           start=st.sampled_from(("staggered", "synchronised")),
+           speed=st.sampled_from((None, 0.0, 2.5)),
+           device_count=st.integers(1, 60),
+           width=st.floats(5.0, 200.0), height=st.floats(5.0, 60.0),
+           spacing=st.sampled_from((14.0, 31.0, 60.0)),
+           seed=st.integers(0, 2**16), shard_count=st.integers(1, 7))
+    def test_plan_matches_definition(self, layout, start, speed,
+                                     device_count, width, height, spacing,
+                                     seed, shard_count):
+        mobility = None if speed is None else MobilityConfig(
+            model="random-waypoint", speed_mps=speed, epoch_s=30.0,
+            seed=seed)
+        plan = generate_fleet(FleetConfig(
+            device_count=device_count, area_m=(width, height),
+            interval_s=60.0, duration_s=600.0, layout=layout, start=start,
+            receiver_spacing_m=spacing, seed=seed, mobility=mobility))
+        assert plan_shards(plan, shard_count) == \
+            shards_by_definition(plan, shard_count)
+
+    def test_definition_oracle_holds_on_edge_devices(self):
+        # Strip-boundary and far-edge devices, an exact receiver tie and
+        # devices exactly max_range_m from their gateway.
+        deviation = check_shards_by_definition()
+        assert deviation.max_deviation == 0, deviation.detail
 
     def test_narrow_halo_rejected(self):
         plan = generate_fleet(SMALL)

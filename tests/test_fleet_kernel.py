@@ -8,10 +8,12 @@ transmissions still in flight at the horizon. The gate's contract is
 that a >=30% injected slowdown or any counter drift fails CI.
 """
 
+import dataclasses
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from repro.check.bench import BenchGateError, load_baseline, run_gate
@@ -28,7 +30,6 @@ from repro.fleet import (
     run_sharded_fleet,
 )
 from repro.fleet.aggregate import counters_equal, moments_close
-from repro.fleet.shards import ShardSpec
 from repro.obs.metrics import METRICS
 
 SMALL = FleetConfig(device_count=60, area_m=(60.0, 30.0), interval_s=30.0,
@@ -136,14 +137,13 @@ class TestCohortEquivalence:
     def test_empty_shard(self):
         plan = generate_fleet(SMALL)
         (shard,) = plan_shards(plan, 1)
-        empty = ShardSpec(
-            index=0, shard_count=1, x_min_m=shard.x_min_m,
-            x_max_m=shard.x_max_m, halo_m=shard.halo_m,
-            max_range_m=shard.max_range_m,
-            interference_range_m=shard.interference_range_m,
-            channel=shard.channel, duration_s=shard.duration_s,
-            devices=(), halo_devices=(), receivers=shard.receivers,
-            designated=(), uncovered=())
+        none = np.zeros(0, dtype=int)
+        empty = dataclasses.replace(
+            shard, device_id=none, x_m=none.astype(float),
+            y_m=none.astype(float), first_wake_s=none.astype(float),
+            drift_ppm=none.astype(float), clock_seed=none,
+            owned=none.astype(bool), designated=none.reshape(0, 2),
+            uncovered=none)
         stats = KernelStats()
         _assert_identical(run_shard(empty),
                           run_shard_cohort(empty, stats=stats))

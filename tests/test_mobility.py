@@ -306,19 +306,18 @@ class TestFleetIntegration:
         plan = generate_fleet(MOBILE)
         assert plan.trajectories is not None
         assert len(plan.trajectories) == MOBILE.device_count
-        device = plan.devices[7]
-        trajectory = plan.trajectory_of(device)
-        assert trajectory.device_id == device.device_id
-        assert trajectory.knots[0] == (0.0, device.x_m, device.y_m)
+        trajectory = plan.trajectories[7]
+        assert trajectory.device_id == 0x10000 + 7
+        assert trajectory.knots[0] == (0.0, plan.x_m[7].item(),
+                                       plan.y_m[7].item())
         static = generate_fleet(dataclasses.replace(MOBILE, mobility=None))
         assert static.trajectories is None
-        assert static.trajectory_of(static.devices[0]) is None
 
     def test_validate_positions_rejects_out_of_area(self):
         plan = generate_fleet(dataclasses.replace(MOBILE, mobility=None))
-        bad_device = dataclasses.replace(plan.devices[0], x_m=-1.0)
-        broken = dataclasses.replace(
-            plan, devices=(bad_device,) + plan.devices[1:])
+        x_m = plan.x_m.copy()
+        x_m[0] = -1.0
+        broken = dataclasses.replace(plan, x_m=x_m)
         with pytest.raises(FleetError, match="outside"):
             plan_shards(broken, 2)
         bad_receiver = dataclasses.replace(
