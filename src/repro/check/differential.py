@@ -19,14 +19,13 @@ import random
 import numpy as np
 
 from ..energy.trace import CurrentTrace
+from ..experiments.fleet_scale import run_fleet_smoke
 from ..experiments.statistics import replicate
 from ..fleet.aggregate import counters_equal, moments_close
 from ..fleet.kernel import KernelStats, run_shard_cohort
-from ..fleet.population import (FLEET_DEVICE_ID_BASE, FleetConfig,
-                                FleetPlan, generate_fleet)
-from ..fleet.shards import (DEFAULT_INTERFERENCE_RANGE_M, DEFAULT_MAX_RANGE_M,
-                            ShardSpec, plan_shards, run_shard,
-                            run_sharded_fleet)
+from ..fleet.population import (DEFAULT_MAX_RANGE_M, FLEET_DEVICE_ID_BASE,
+                                FleetConfig, FleetPlan, generate_fleet)
+from ..fleet.shards import HALO_M, ShardSpec, plan_shards, run_shard
 from ..mobility import MobilityConfig
 from ..security.aes import Aes
 from ..security.ccm import CcmContext, ccm_decrypt, ccm_encrypt
@@ -166,17 +165,15 @@ _FULL_FLEET = FleetConfig(device_count=200, area_m=(160.0, 60.0),
 
 
 def _shard_differential(config: FleetConfig, shard_count: int) -> Deviation:
-    plan = generate_fleet(config)
-    single = run_sharded_fleet(plan, shard_count=1)
-    sharded = run_sharded_fleet(plan, shard_count=shard_count)
-    counter_diffs = counters_equal(single, sharded)
-    moment_diffs = moments_close(single, sharded)
-    mismatch = len(counter_diffs) + len(moment_diffs)
+    _, mismatches = run_fleet_smoke(
+        device_count=config.device_count, shard_count=shard_count,
+        area_m=config.area_m, interval_s=config.interval_s,
+        duration_s=config.duration_s, seed=config.seed)
     return Deviation(
-        max_deviation=float(mismatch), tolerance=0.0, unit="mismatches",
+        max_deviation=float(len(mismatches)), tolerance=0.0,
+        unit="mismatches",
         detail=(f"{config.device_count} devices, 1 vs {shard_count} shards"
-                + (f"; counters {counter_diffs} moments {moment_diffs}"
-                   if mismatch else "")))
+                + (f"; {mismatches}" if mismatches else "")))
 
 
 @oracle("fleet-shards-vs-single", "differential",
@@ -251,11 +248,8 @@ def check_cohort_kernel_full() -> Deviation:
     return _kernel_differential(_KERNEL_FULL_FLEET, shard_count=4)
 
 
-def shards_by_definition(
-        plan: FleetPlan, shard_count: int,
-        max_range_m: float = DEFAULT_MAX_RANGE_M,
-        interference_range_m: float = DEFAULT_INTERFERENCE_RANGE_M,
-) -> list[ShardSpec]:
+def shards_by_definition(plan: FleetPlan,
+                         shard_count: int) -> list[ShardSpec]:
     """What :func:`plan_shards` must return, straight from its
     definition, one device at a time: a device's owner strip is
     ``min(int(x // width), shards - 1)``, a shard's members are its
@@ -263,7 +257,6 @@ def shards_by_definition(
     halo of the strip, and a designated gateway is the ``(math.hypot,
     receiver_id)`` minimum over *every* receiver."""
     config = plan.config
-    halo = max(max_range_m, interference_range_m)
     width = config.area_m[0] / shard_count
     mobile = plan.trajectories is not None
 
@@ -283,18 +276,16 @@ def shards_by_definition(
     for index in range(shard_count):
         x_min, x_max = index * width, (index + 1) * width
         members = [device for device in devices if device[1] == index
-                   or x_min - halo <= device[2][1]
-                   and device[2][0] <= x_max + halo]
+                   or x_min - HALO_M <= device[2][1]
+                   and device[2][0] <= x_max + HALO_M]
         rows = [device[0] for device in members]
         owned = [device for device in members if device[1] == index]
         receivers = tuple(receiver for receiver in plan.receivers
                           if owner(receiver.x_m) == index)
         shards.append(ShardSpec(
-            index=index, shard_count=shard_count, x_min_m=x_min,
-            x_max_m=x_max, halo_m=halo, max_range_m=max_range_m,
-            interference_range_m=interference_range_m,
-            channel=config.channel, duration_s=config.duration_s,
-            interval_s=config.interval_s, jitter_std_s=config.jitter_std_s,
+            index=index, shard_count=shard_count, channel=config.channel,
+            duration_s=config.duration_s, interval_s=config.interval_s,
+            jitter_std_s=config.jitter_std_s,
             device_id=FLEET_DEVICE_ID_BASE + np.array(rows, dtype=int),
             x_m=plan.x_m[rows], y_m=plan.y_m[rows],
             first_wake_s=plan.first_wake_s[rows],
@@ -304,10 +295,11 @@ def shards_by_definition(
             designated=np.array([
                 (FLEET_DEVICE_ID_BASE + device[0], device[3].receiver_id)
                 for device in members if device[3] in receivers
-                and (mobile or device[4] <= max_range_m)]).reshape(-1, 2),
+                and (mobile or device[4] <= DEFAULT_MAX_RANGE_M)]
+            ).reshape(-1, 2),
             uncovered=np.array([FLEET_DEVICE_ID_BASE + device[0]
                                 for device in owned if not mobile
-                                and device[4] > max_range_m]),
+                                and device[4] > DEFAULT_MAX_RANGE_M]),
             epoch_s=config.mobility.epoch_s if mobile else 0.0,
             trajectories=tuple(plan.trajectories[row] for row in rows)
             if mobile else (),
@@ -346,7 +338,7 @@ def check_shards_by_definition() -> Deviation:
         _edge_plan([(14.0, 7.0), (56.0, 30.0), (112.0, 10.0), (0.0, 50.0),
                     (16.0, 0.0), (28.0, 56.0)], area_m=(112.0, 56.0)),
         # Gateways at (28, 28) and (84, 28): the first four devices are
-        # exactly max_range_m (20 m) from theirs, the fifth one float
+        # exactly DEFAULT_MAX_RANGE_M (20 m) from theirs, the fifth one float
         # beyond, the last 20.0 m by np.hypot but not by math.hypot.
         _edge_plan([(48.0, 28.0), (40.0, 44.0), (28.0, 8.0), (64.0, 28.0),
                     (math.nextafter(48.0, 60.0), 28.0),

@@ -41,21 +41,27 @@ def _stream(payloads: int = 6000, seed: int = 77):
                            seed=seed, corrupt_fraction=0.002)
 
 
-def _single_gateway_states(wires) -> dict[int, dict]:
-    """Reference fold: one pass, sequential observe, no service."""
+def _fold(wires) -> dict:
+    """Decode ``wires`` and observe every payload in stream order into
+    per-tenant aggregates: one pass, no service."""
     from ..service.ingest import decode_wires
-    from ..service.tenants import DEFAULT_TENANT_BITS, TenantAggregate
+    from ..service.tenants import TenantAggregate, tenant_of
     payloads, _ = decode_wires(wires)
     tenants: dict[int, TenantAggregate] = {}
     for payload in payloads:
-        tenant_id = payload.device_id >> DEFAULT_TENANT_BITS
+        tenant_id = tenant_of(payload.device_id)
         aggregate = tenants.get(tenant_id)
         if aggregate is None:
             aggregate = tenants[tenant_id] = TenantAggregate(
                 tenant_id=tenant_id)
         aggregate.observe(payload)
+    return tenants
+
+
+def _single_gateway_states(wires) -> dict[int, dict]:
+    """Reference fold: one pass, sequential observe, no service."""
     return {tenant_id: aggregate.to_state()
-            for tenant_id, aggregate in tenants.items()}
+            for tenant_id, aggregate in _fold(wires).items()}
 
 
 @oracle("federation-backoff-ladder", "analytic",
@@ -95,26 +101,13 @@ def _backoff_ladder() -> Deviation:
         "bit for bit")
 def _merge_split() -> Deviation:
     from ..service.federation import merge_federated, partition_stream
-    from ..service.tenants import DEFAULT_TENANT_BITS, TenantAggregate
-    from ..service.ingest import decode_wires
     wires = _stream()
     reference = _single_gateway_states(wires)
     mismatches = 0
     details = []
     for gateways in (1, 2, 3, 5):
-        parts = []
-        for part_wires in partition_stream(wires, gateways):
-            payloads, _ = decode_wires(part_wires)
-            tenants: dict[int, TenantAggregate] = {}
-            for payload in payloads:
-                tenant_id = payload.device_id >> DEFAULT_TENANT_BITS
-                aggregate = tenants.get(tenant_id)
-                if aggregate is None:
-                    aggregate = tenants[tenant_id] = TenantAggregate(
-                        tenant_id=tenant_id)
-                aggregate.observe(payload)
-            parts.append(tenants)
-        merged = merge_federated(parts)
+        merged = merge_federated([_fold(part_wires) for part_wires
+                                  in partition_stream(wires, gateways)])
         states = {tenant_id: aggregate.to_state()
                   for tenant_id, aggregate in merged.items()}
         if states != reference:

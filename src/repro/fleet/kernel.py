@@ -60,9 +60,12 @@ from ..energy import calibration as cal
 from ..energy.esp32 import Esp32PowerModel, Esp32State
 from ..obs.metrics import METRICS
 from ..phy.link import frame_delivered
-from ..phy.pathloss import noise_floor_dbm, received_power_dbm
-from ..sim import JitteryClock, Simulator, WirelessMedium
+from ..phy.pathloss import (BANDWIDTH_HZ, CAPTURE_THRESHOLD_DB, MIN_DISTANCE_M,
+                            PATH_LOSS_EXPONENT, noise_floor_dbm,
+                            received_power_dbm)
+from ..sim import JitteryClock
 from .aggregate import FleetAggregate
+from .population import DEFAULT_INTERFERENCE_RANGE_M, DEFAULT_MAX_RANGE_M
 from .shards import _BOOT_ENERGY_J, ShardSpec, _steady_reading, run_shard
 
 
@@ -159,19 +162,10 @@ def run_shard_cohort(shard: ShardSpec,
     if n_devices == 0:
         return aggregate
 
-    # -- constants, probed from the same objects the event engine uses ----
+    # -- constants: the propagation model the event engine's medium uses --
     duration = shard.duration_s
-    # A throwaway medium carries the propagation defaults (exponent,
-    # capture threshold, bandwidth, distance clamp) so the kernel can
-    # never drift from WirelessMedium's signature.
-    medium = WirelessMedium(Simulator(), max_range_m=shard.max_range_m,
-                            interference_range_m=shard.interference_range_m)
-    exponent = medium.path_loss_exponent
-    capture_db = medium.capture_threshold_db
-    min_distance = medium.min_distance_m
-    max_range = medium.max_range_m
-    interference_range = medium.interference_range_m
-    noise_mw = 10.0 ** (noise_floor_dbm(medium.bandwidth_hz) / 10.0)
+    max_range = DEFAULT_MAX_RANGE_M
+    noise_mw = 10.0 ** (noise_floor_dbm(BANDWIDTH_HZ) / 10.0)
     frequency_hz = channel_frequency_hz(shard.channel)
 
     rate = WILE_DEFAULT_RATE
@@ -260,9 +254,6 @@ def run_shard_cohort(shard: ShardSpec,
     gateway_x = [receiver.x_m for receiver in shard.receivers]
     gateway_y = [receiver.y_m for receiver in shard.receivers]
     gateway_id = [receiver.receiver_id for receiver in shard.receivers]
-    if max_range is None:
-        raise KernelError("the cohort kernel needs a delivery cutoff "
-                          "(ShardSpec always sets one)")
     cells: dict[tuple[int, int], list[int]] = {}
     for gi in range(len(shard.receivers)):
         key = (int(gateway_x[gi] // max_range),
@@ -290,13 +281,13 @@ def run_shard_cohort(shard: ShardSpec,
         for dc in (-1, 0, 1):
             for dr in (-1, 0, 1):
                 for gi in cells.get((column + dc, row + dr), ()):
-                    distance = max(min_distance,
+                    distance = max(MIN_DISTANCE_M,
                                    math.hypot(x - gateway_x[gi],
                                               y - gateway_y[gi]))
                     if distance > max_range:
                         continue
                     signal_dbm = received_power_dbm(
-                        power_dbm, distance, exponent=exponent,
+                        power_dbm, distance, exponent=PATH_LOSS_EXPONENT,
                         frequency_hz=frequency_hz)
                     pairs.append((gi, signal_dbm))
                     sinr_db = signal_dbm - 10.0 * math.log10(noise_mw)
@@ -352,16 +343,15 @@ def run_shard_cohort(shard: ShardSpec,
                     cached = interference_cache.get(key, -1.0)
                     if cached == -1.0:
                         other_distance = max(
-                            min_distance,
+                            MIN_DISTANCE_M,
                             math.hypot(device_x[other] - gateway_x[gi],
                                        device_y[other] - gateway_y[gi]))
-                        if (interference_range is not None
-                                and other_distance > interference_range):
+                        if other_distance > DEFAULT_INTERFERENCE_RANGE_M:
                             cached = None
                         else:
                             other_dbm = received_power_dbm(
                                 power_dbm, other_distance,
-                                exponent=exponent,
+                                exponent=PATH_LOSS_EXPONENT,
                                 frequency_hz=frequency_hz)
                             cached = 10.0 ** (other_dbm / 10.0)
                         interference_cache[key] = cached
@@ -369,7 +359,7 @@ def run_shard_cohort(shard: ShardSpec,
                         interference_mw += cached
                 sinr_db = signal_dbm - 10.0 * math.log10(
                     noise_mw + interference_mw)
-                if sinr_db < capture_db:
+                if sinr_db < CAPTURE_THRESHOLD_DB:
                     aggregate.pair_lost_collision += 1
                     outcome = "collision"
                 elif not frame_delivered(sinr_db, frame_len, rate):

@@ -27,6 +27,19 @@ from ..sim import JitteryClock, Position, crystal_draws
 #: experiments' 0x100-range ids in mixed traces.
 FLEET_DEVICE_ID_BASE = 0x10000
 
+#: Hard delivery cutoff. Wi-LE at 72.2 Mbps / 0 dBm decodes out to
+#: ~12 m under the log-distance model (the paper's "similar range as
+#: BLE"); 20 m leaves margin for every supported configuration while
+#: keeping the medium's receiver scan local.
+DEFAULT_MAX_RANGE_M = 20.0
+
+#: Hard interference cutoff. At 90 m a 0 dBm transmitter arrives ~5 dB
+#: below the 20 MHz noise floor; truncating it understates a borderline
+#: receiver's noise rise by at most ~1.3 dB, decaying with distance
+#: cubed. This is the fleet model's documented approximation — the
+#: invariance guarantee itself is exact at any cutoff.
+DEFAULT_INTERFERENCE_RANGE_M = 90.0
+
 _LAYOUTS = ("uniform", "grid", "clusters")
 _STARTS = ("staggered", "synchronised")
 
@@ -203,18 +216,17 @@ class FleetPlan:
                    for index in (r * columns + c,)
                    for receiver in (self.receivers[index],))
 
-    def nearest_receivers(self, cutoff_m: float,
-                          ) -> tuple[np.ndarray, np.ndarray]:
+    def nearest_receivers(self) -> tuple[np.ndarray, np.ndarray]:
         """Every device's designated uplink gateway — its index into
         ``receivers`` — and the distance to it.
 
         The 3x3 search runs over all devices at once with ``np.hypot``,
         which can differ from ``math.hypot`` in the last bit. Devices
         whose two nearest candidates, or whose distance and
-        ``cutoff_m``, lie within :data:`HYPOT_SLACK` of each other are
-        re-resolved by the scalar search, so every choice is the
-        ``(math.hypot, receiver_id)`` minimum and every distance
-        compares with ``cutoff_m`` as ``math.hypot``'s would.
+        :data:`DEFAULT_MAX_RANGE_M`, lie within :data:`HYPOT_SLACK` of
+        each other are re-resolved by the scalar search, so every
+        choice is the ``(math.hypot, receiver_id)`` minimum and every
+        distance compares with the cutoff as ``math.hypot``'s would.
         """
         width, height = self.config.area_m
         columns, rows = self.receiver_columns, self.receiver_rows
@@ -238,8 +250,9 @@ class FleetPlan:
                                      np.minimum(runner_up, d))
                 nearest = np.where(closer, candidate, nearest)
                 distance = np.where(closer, d, distance)
+        cutoff = DEFAULT_MAX_RANGE_M
         exact = ((runner_up - distance <= HYPOT_SLACK * distance)
-                 | (np.abs(distance - cutoff_m) <= HYPOT_SLACK * cutoff_m))
+                 | (np.abs(distance - cutoff) <= HYPOT_SLACK * cutoff))
         for index in np.nonzero(exact)[0].tolist():
             distance[index], _, nearest[index] = self._nearest_receiver(
                 x[index].item(), y[index].item())

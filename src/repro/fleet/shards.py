@@ -10,16 +10,18 @@ come back as mergeable :class:`~repro.fleet.aggregate.FleetAggregate`.
 
 Invariance guarantee
 --------------------
-With ``halo_m >= max(max_range_m, interference_range_m)`` the sharded
-run is *exactly* equivalent to the unsharded one:
+The halo is :data:`HALO_M`, the larger of the two propagation cutoffs
+(:data:`DEFAULT_MAX_RANGE_M`, :data:`DEFAULT_INTERFERENCE_RANGE_M`),
+so the sharded run is *exactly* equivalent to the unsharded one:
 
 * a beacon is counted ``sent`` once, in its sender's home shard;
 * its delivery outcome is decided once, in the shard owning its
   designated gateway (the nearest receiver — a deterministic, global
-  assignment). Any device within ``max_range_m`` of a gateway is within
-  the halo of that gateway's shard, so the transmission is simulated
-  there with the same clock stream, hence at the same instant;
-* every interferer within ``interference_range_m`` of that gateway is
+  assignment). Any device within the delivery cutoff of a gateway is
+  within the halo of that gateway's shard, so the transmission is
+  simulated there with the same clock stream, hence at the same
+  instant;
+* every interferer within the interference cutoff of that gateway is
   in the same halo, so the SINR computation sees the identical set of
   overlapping transmitters (beyond the cutoff the medium contributes
   exactly zero, sharded or not).
@@ -45,21 +47,13 @@ from ..experiments.runner import first_attempt, kill_once, run_grid
 from ..sim import Position, Radio, Simulator, WirelessMedium
 from ..store import ensure_manifest, read_or_quarantine, write_json_atomic
 from .aggregate import FleetAggregate
-from .population import (FLEET_DEVICE_ID_BASE, DeviceSpec, FleetPlan,
+from .population import (DEFAULT_INTERFERENCE_RANGE_M, DEFAULT_MAX_RANGE_M,
+                         FLEET_DEVICE_ID_BASE, DeviceSpec, FleetPlan,
                          ReceiverSpec, fields_equal, validate_positions)
 
-#: Default hard delivery cutoff. Wi-LE at 72.2 Mbps / 0 dBm decodes out
-#: to ~12 m under the log-distance model (the paper's "similar range as
-#: BLE"); 20 m leaves margin for every supported configuration while
-#: keeping the medium's receiver scan local.
-DEFAULT_MAX_RANGE_M = 20.0
-
-#: Default hard interference cutoff. At 90 m a 0 dBm transmitter arrives
-#: ~5 dB below the 20 MHz noise floor; truncating it understates a
-#: borderline receiver's noise rise by at most ~1.3 dB, decaying with
-#: distance cubed. This is the fleet model's documented approximation —
-#: the invariance guarantee itself is exact at any cutoff.
-DEFAULT_INTERFERENCE_RANGE_M = 90.0
+#: Width of the boundary halo: every radio effect that can cross a
+#: strip boundary reaches at most this far.
+HALO_M = max(DEFAULT_MAX_RANGE_M, DEFAULT_INTERFERENCE_RANGE_M)
 
 
 class ShardError(ValueError):
@@ -93,11 +87,6 @@ class ShardSpec:
 
     index: int
     shard_count: int
-    x_min_m: float
-    x_max_m: float
-    halo_m: float
-    max_range_m: float
-    interference_range_m: float
     channel: int
     duration_s: float
     #: The fleet-wide beacon interval and clock jitter.
@@ -117,7 +106,8 @@ class ShardSpec:
     #: delivery listener scores.
     designated: np.ndarray
     #: Owned device ids whose designated gateway is beyond
-    #: ``max_range_m`` — their beacons count as out-of-coverage.
+    #: :data:`DEFAULT_MAX_RANGE_M` — their beacons count as
+    #: out-of-coverage.
     uncovered: np.ndarray
     #: Mobility extension (empty/zero for static plans): position-
     #: sampling period; radios move at integer multiples.
@@ -152,38 +142,24 @@ def _owner_of(x_m: np.ndarray, strip_width_m: float,
     return np.minimum(x_m // strip_width_m, shard_count - 1).astype(int)
 
 
-def plan_shards(plan: FleetPlan, shard_count: int,
-                halo_m: float | None = None,
-                max_range_m: float = DEFAULT_MAX_RANGE_M,
-                interference_range_m: float = DEFAULT_INTERFERENCE_RANGE_M,
-                ) -> list[ShardSpec]:
-    """Partition ``plan`` into ``shard_count`` vertical strips.
-
-    ``halo_m`` defaults to (and must be at least) the larger of the two
-    propagation cutoffs; anything smaller would let a cross-boundary
-    effect go unsimulated and silently void the invariance guarantee.
-    """
+def plan_shards(plan: FleetPlan, shard_count: int) -> list[ShardSpec]:
+    """Partition ``plan`` into ``shard_count`` vertical strips, each
+    with a :data:`HALO_M` halo on both sides."""
     if shard_count < 1:
         raise ShardError(f"need at least one shard, got {shard_count}")
-    required_halo = max(max_range_m, interference_range_m)
-    halo = required_halo if halo_m is None else halo_m
-    if halo < required_halo:
-        raise ShardError(
-            f"halo {halo} m is narrower than the propagation cutoffs "
-            f"({required_halo} m); cross-shard effects would be lost")
     validate_positions(plan)
     config = plan.config
     width = config.area_m[0] / shard_count
     mobile = plan.trajectories is not None
     receivers = plan.receivers
 
-    gateway, distance = plan.nearest_receivers(max_range_m)
+    gateway, distance = plan.nearest_receivers()
     # Static plans pre-filter designated pairs to gateways in range and
     # pre-classify the rest as whole-run uncovered. A mobile device's
     # gateway distance varies per beacon, so its pairs stay unfiltered
     # and coverage is scored per completed record in run_shard against
     # ``designated_uplinks``.
-    scored = mobile | (distance <= max_range_m)
+    scored = mobile | (distance <= DEFAULT_MAX_RANGE_M)
     receiver_ids = np.array([receiver.receiver_id for receiver in receivers])
     receiver_owner = _owner_of(np.array([receiver.x_m for receiver
                                          in receivers]), width, shard_count)
@@ -205,17 +181,14 @@ def plan_shards(plan: FleetPlan, shard_count: int,
         x_min = index * width
         x_max = (index + 1) * width
         owned = owner == index
-        members = np.nonzero(owned | ((high >= x_min - halo)
-                                      & (low <= x_max + halo)))[0]
+        members = np.nonzero(owned | ((high >= x_min - HALO_M)
+                                      & (low <= x_max + HALO_M)))[0]
         pairs = members[(gateway_owner[members] == index) & scored[members]]
         owned_members = members[owned[members]]
         shards.append(ShardSpec(
-            index=index, shard_count=shard_count,
-            x_min_m=x_min, x_max_m=x_max, halo_m=halo,
-            max_range_m=max_range_m,
-            interference_range_m=interference_range_m,
-            channel=config.channel, duration_s=config.duration_s,
-            interval_s=config.interval_s, jitter_std_s=config.jitter_std_s,
+            index=index, shard_count=shard_count, channel=config.channel,
+            duration_s=config.duration_s, interval_s=config.interval_s,
+            jitter_std_s=config.jitter_std_s,
             device_id=FLEET_DEVICE_ID_BASE + members,
             x_m=plan.x_m[members], y_m=plan.y_m[members],
             first_wake_s=plan.first_wake_s[members],
@@ -278,8 +251,8 @@ def run_shard(shard: ShardSpec) -> FleetAggregate:
     over the experiment process pool unchanged.
     """
     sim = Simulator()
-    medium = WirelessMedium(sim, max_range_m=shard.max_range_m,
-                            interference_range_m=shard.interference_range_m)
+    medium = WirelessMedium(sim, max_range_m=DEFAULT_MAX_RANGE_M,
+                            interference_range_m=DEFAULT_INTERFERENCE_RANGE_M)
     stats = FleetAggregate(
         device_count=int(np.count_nonzero(shard.owned)),
         receiver_count=len(shard.receivers),
@@ -379,7 +352,7 @@ def run_shard(shard: ShardSpec) -> FleetAggregate:
                     # Per-beacon coverage: the medium suppressed this
                     # gateway's delivery report iff the sender's
                     # position *at completion* — the epoch it had been
-                    # moved to — was beyond max_range, so the same
+                    # moved to — was beyond the cutoff, so the same
                     # predicate here keeps the conservation identity
                     # (delivered + lost + out_of_range == sent) exact.
                     if trajectory is None:
@@ -388,7 +361,7 @@ def run_shard(shard: ShardSpec) -> FleetAggregate:
                         x_m, y_m = trajectory.epoch_position(
                             int(end_s // shard.epoch_s))
                     distance = Position(x_m, y_m).distance_to(gateway)
-                    if distance > shard.max_range_m:
+                    if distance > DEFAULT_MAX_RANGE_M:
                         out_of_range += 1
             else:
                 stats.beacons_in_flight += 1
@@ -435,15 +408,15 @@ class ShardTask:
     kernel: str = "cohort"
 
 
-def plan_fingerprint(plan: FleetPlan, shard_count: int, halo_m: float,
-                     max_range_m: float, interference_range_m: float,
-                     ) -> dict:
+def plan_fingerprint(plan: FleetPlan, shard_count: int) -> dict:
     """The identity of one sharded run, for the checkpoint manifest.
 
     ``plan_sha256`` digests the plan's device columns and receivers, so
     any config field that shapes the plan — or a hand edit to it —
     changes the identity; ``jitter_std_s`` shapes no column, only the
-    clocks built from them, so it is named on its own. ``kernel`` is
+    clocks built from them, so it is named on its own. The halo and
+    the two cutoffs are constants, recorded so a directory written
+    under other values is refused rather than merged. ``kernel`` is
     deliberately *not* part of it: checkpoints are kernel-agnostic (the
     cohort kernel produces the same exact state), so a resume may switch
     kernels — the manifest records the kernel informationally only.
@@ -468,9 +441,9 @@ def plan_fingerprint(plan: FleetPlan, shard_count: int, halo_m: float,
         "layout": config.layout,
         "start": config.start,
         "channel": config.channel,
-        "halo_m": halo_m,
-        "max_range_m": max_range_m,
-        "interference_range_m": interference_range_m,
+        "halo_m": HALO_M,
+        "max_range_m": DEFAULT_MAX_RANGE_M,
+        "interference_range_m": DEFAULT_INTERFERENCE_RANGE_M,
         # None for static plans — matching manifests written before the
         # key existed, whose .get("mobility") is also None.
         "mobility": repr(config.mobility) if config.mobility else None,
@@ -535,10 +508,7 @@ def _run_shard_task(task: ShardTask) -> tuple:
 
 
 def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
-                      workers: int = 1, halo_m: float | None = None,
-                      max_range_m: float = DEFAULT_MAX_RANGE_M,
-                      interference_range_m: float = DEFAULT_INTERFERENCE_RANGE_M,
-                      checkpoint_dir: str | None = None,
+                      workers: int = 1, checkpoint_dir: str | None = None,
                       chaos_kill_shard: int | None = None,
                       chaos_fail_shard: int | None = None,
                       kernel: str = "cohort",
@@ -574,21 +544,15 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
             raise ShardError(
                 "chaos_kill_shard needs checkpoint_dir for its "
                 "kill-once marker")
-    required_halo = max(max_range_m, interference_range_m)
-    effective_halo = required_halo if halo_m is None else halo_m
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         ensure_manifest(
-            checkpoint_dir,
-            plan_fingerprint(plan, shard_count, effective_halo,
-                             max_range_m, interference_range_m),
+            checkpoint_dir, plan_fingerprint(plan, shard_count),
             holds_checkpoints=any(
                 name.startswith("shard_") and name.endswith(".json")
                 for name in os.listdir(checkpoint_dir)),
             kernel=kernel)
-    shards = plan_shards(plan, shard_count, halo_m=halo_m,
-                         max_range_m=max_range_m,
-                         interference_range_m=interference_range_m)
+    shards = plan_shards(plan, shard_count)
     tasks = [ShardTask(shard=shard, checkpoint_dir=checkpoint_dir,
                        chaos_kill_shard=chaos_kill_shard,
                        chaos_fail_shard=chaos_fail_shard,

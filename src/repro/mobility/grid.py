@@ -13,10 +13,10 @@ nearest — so candidate lookup is O(1) with a brute-force-identical
 answer (pinned by ``tests/test_mobility.py``).
 
 RSSI uses the same log-distance model as the medium
-(:func:`repro.phy.pathloss.received_power_dbm`) with the same minimum
-distance clamp, so the coverage maps produced here and the delivery
-decisions made by a full medium simulation can never disagree about
-path loss.
+(:func:`repro.phy.pathloss.received_power_dbm`) with the same exponent
+and minimum distance clamp (the :mod:`repro.phy.pathloss` constants),
+so the coverage maps produced here and the delivery decisions made by
+a full medium simulation can never disagree about path loss.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..phy.pathloss import received_power_dbm
+from ..phy.pathloss import (MIN_DISTANCE_M, PATH_LOSS_EXPONENT,
+                            received_power_dbm)
 
 #: Default AP transmit power: a mains-powered AP at typical 2.4 GHz
 #: regulatory power, the downlink the station measures for selection.
@@ -35,9 +36,6 @@ DEFAULT_AP_TX_POWER_DBM = 17.0
 #: Default detection threshold: the weakest beacon a scanning station
 #: reliably reports (~802.11n 20 MHz sensitivity with margin).
 DEFAULT_SENSITIVITY_DBM = -82.0
-
-#: Same clamp as :class:`repro.sim.medium.WirelessMedium.min_distance_m`.
-MIN_DISTANCE_M = 0.1
 
 
 class GridError(ValueError):
@@ -63,12 +61,10 @@ class ApGrid:
     rows: int
     sites: tuple[ApSite, ...]
     tx_power_dbm: float = DEFAULT_AP_TX_POWER_DBM
-    path_loss_exponent: float = 3.0
 
     @classmethod
     def build(cls, area_m: tuple[float, float], spacing_m: float,
-              tx_power_dbm: float = DEFAULT_AP_TX_POWER_DBM,
-              path_loss_exponent: float = 3.0) -> "ApGrid":
+              tx_power_dbm: float = DEFAULT_AP_TX_POWER_DBM) -> "ApGrid":
         """One AP per ``spacing_m`` cell, centred — the same layout rule
         as the fleet's gateway grid, so AP density sweeps and receiver
         density sweeps are directly comparable."""
@@ -85,8 +81,7 @@ class ApGrid:
                    y_m=(row + 0.5) * height / rows)
             for row in range(rows) for column in range(columns))
         return cls(area_m=area_m, spacing_m=spacing_m, columns=columns,
-                   rows=rows, sites=sites, tx_power_dbm=tx_power_dbm,
-                   path_loss_exponent=path_loss_exponent)
+                   rows=rows, sites=sites, tx_power_dbm=tx_power_dbm)
 
     @property
     def density_per_km2(self) -> float:
@@ -116,7 +111,7 @@ class ApGrid:
         distance = max(MIN_DISTANCE_M,
                        math.hypot(x_m - site.x_m, y_m - site.y_m))
         return received_power_dbm(self.tx_power_dbm, distance,
-                                  exponent=self.path_loss_exponent)
+                                  exponent=PATH_LOSS_EXPONENT)
 
     def best(self, x_m: float, y_m: float,
              sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM,

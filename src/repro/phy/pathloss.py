@@ -18,6 +18,25 @@ DEFAULT_FREQUENCY_HZ = 2.437e9
 #: Thermal noise density at 290 K in dBm/Hz.
 THERMAL_NOISE_DBM_HZ = -174.0
 
+# The simulated medium's propagation constants. The event engine
+# (:class:`repro.sim.medium.WirelessMedium`), the fleet's cohort kernel
+# and the mobility AP grid all read these, so their path loss and
+# delivery decisions can never disagree.
+
+#: Log-distance exponent: 3.0 is typical indoors with light obstruction.
+PATH_LOSS_EXPONENT = 3.0
+
+#: SINR above which the stronger of two overlapping frames still decodes
+#: (physical-layer capture).
+CAPTURE_THRESHOLD_DB = 10.0
+
+#: Channel bandwidth whose thermal noise sets the receiver noise floor.
+BANDWIDTH_HZ = 20e6
+
+#: Radios closer than this are clamped apart, since the path-loss model
+#: diverges at zero distance.
+MIN_DISTANCE_M = 0.1
+
 
 class PropagationError(ValueError):
     """Raised for impossible geometry (non-positive distance etc.)."""

@@ -38,6 +38,10 @@ _SCHEMA = 1
 _CURRENT = "CURRENT"
 _GENERATION_RE = re.compile(r"^checkpoint_(\d{8})\.json$")
 
+#: Generations kept on disk: bounds disk use, and with at least 2 a
+#: corrupt newest generation always has a fallback.
+KEEP_GENERATIONS = 3
+
 
 def _restore(payload: dict) -> dict:
     """A generation's snapshot with ``tenants`` parsed into
@@ -53,29 +57,24 @@ def _restore(payload: dict) -> dict:
 class ServiceCheckpointer:
     """Rotating checkpoint writer/loader for one gateway's state.
 
-    ``keep_generations`` bounds disk use; at least 2 are kept so a
-    corrupt newest generation always has a fallback. The directory's
-    manifest records ``tenant_bits``: a directory written under a
-    different tenant split is *not* corruption — it is someone pointing
-    the service at the wrong directory — so construction raises
-    :class:`repro.store.CheckpointMismatchError` instead of silently
-    recomputing over it, and a directory holding generations but no
-    manifest raises :class:`repro.store.CheckpointError`.
+    The newest :data:`KEEP_GENERATIONS` generations stay on disk. The
+    directory's manifest records ``tenant_bits``
+    (:data:`~repro.service.tenants.DEFAULT_TENANT_BITS`): a directory
+    written under a different tenant split is *not* corruption — it is
+    someone pointing the service at the wrong directory — so
+    construction raises :class:`repro.store.CheckpointMismatchError`
+    instead of silently recomputing over it, and a directory holding
+    generations but no manifest raises
+    :class:`repro.store.CheckpointError`.
     """
 
-    def __init__(self, directory: str, keep_generations: int = 3,
-                 tenant_bits: int = DEFAULT_TENANT_BITS,
-                 durable: bool = True) -> None:
-        if keep_generations < 2:
-            raise ValueError("keep_generations must be >= 2 so a corrupt "
-                             "newest generation has a fallback")
+    def __init__(self, directory: str, durable: bool = True) -> None:
         self.directory = directory
-        self.keep_generations = keep_generations
         self.durable = durable
         self._lock = threading.Lock()
         os.makedirs(directory, exist_ok=True)
         existing = self.generations()
-        ensure_manifest(directory, {"tenant_bits": tenant_bits},
+        ensure_manifest(directory, {"tenant_bits": DEFAULT_TENANT_BITS},
                         holds_checkpoints=bool(existing))
         self._next_generation = (existing[-1] + 1) if existing else 0
 
@@ -109,7 +108,7 @@ class ServiceCheckpointer:
             return path
 
     def _prune(self, keep_from: int) -> None:
-        cutoff = keep_from - (self.keep_generations - 1)
+        cutoff = keep_from - (KEEP_GENERATIONS - 1)
         pruned = False
         for generation in self.generations():
             if generation < cutoff:

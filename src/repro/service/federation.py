@@ -14,14 +14,14 @@ device-stream and supervises them:
   processed the stream — the property the chaos suite asserts.
 * **Heartbeats.** A gateway is declared dead when its pump has failed,
   or when it has backlog but its ``frames_processed`` watermark has
-  not moved for ``heartbeat_timeout_s`` (a hung or crawling pump looks
-  exactly like this; a merely idle one has no backlog).
+  not moved for :data:`HEARTBEAT_TIMEOUT_S` (a hung or crawling pump
+  looks exactly like this; a merely idle one has no backlog).
 * **Failover.** The dead gateway is fenced (:meth:`GatewayService.
   kill` — cancels its tasks and flushes its checkpoint thread, so no
   stale save can land later), then its partition is adopted by the
   next alive slot: a fresh pipeline resumes from the partition's last
   durable checkpoint and the feeder rewinds to ``watermark -
-  replay_slack``. The deliberate overlap is deduped by the
+  REPLAY_SLACK``. The deliberate overlap is deduped by the
   offset-chain in :meth:`PartitionPipeline.deliver` — the uncommitted
   tail is replayed exactly once, never twice.
 * **Supervised restarts.** The dead slot is restarted after a
@@ -57,12 +57,39 @@ from .checkpoint import ServiceCheckpointer
 from .ingest import peek_device_id
 from .queues import BackpressurePolicy, QueueClosed
 from .server import GatewayService, ServiceConfig, ServiceError
-from .tenants import DEFAULT_TENANT_BITS, TenantAggregate, tenant_of
+from .tenants import TenantAggregate, tenant_of
 
 #: stable_uniform stream names (part of the on-disk/golden contract —
 #: changing either changes every seeded schedule).
 BACKOFF_STREAM = "service-federation-backoff"
 ROUTE_STREAM = "service-federation-route"
+
+# Supervision constants. The backoff ladder is part of the same golden
+# contract as BACKOFF_STREAM: changing a rung changes every seeded
+# restart schedule.
+
+#: How often the supervisor polls every gateway's watermark (and how
+#: long a feeder waits out a failover before retrying).
+HEARTBEAT_INTERVAL_S = 0.02
+#: A gateway with backlog whose watermark has not moved for this long
+#: is declared dead.
+HEARTBEAT_TIMEOUT_S = 0.5
+#: First restart delay, before jitter.
+BACKOFF_BASE_S = 0.05
+#: Delay multiplier per consecutive failure of the same slot.
+BACKOFF_FACTOR = 2.0
+#: Ceiling on any restart delay, after jitter.
+BACKOFF_MAX_S = 2.0
+#: How far before the resumed watermark the feeder rewinds — a
+#: deliberate superset replay proving the dedupe chain under load.
+REPLAY_SLACK = 512
+#: Frames handed to a gateway per feeder iteration.
+FEED_CHUNK = 256
+#: Batch size of every partition's gateway.
+GATEWAY_BATCH_SIZE = 512
+#: Queue capacity of every partition's gateway (a fault with its own
+#: ``queue_capacity`` shrinks it on that slot).
+GATEWAY_QUEUE_CAPACITY = 8192
 
 
 class FederationError(ServiceError):
@@ -80,14 +107,14 @@ class ServiceChaosKill(RuntimeError):
 # -- deterministic backoff ----------------------------------------------------
 
 
-def backoff_delay(seed: int, gateway_index: int, attempt: int,
-                  base_s: float = 0.05, factor: float = 2.0,
-                  max_s: float = 2.0) -> float:
+def backoff_delay(seed: int, gateway_index: int, attempt: int) -> float:
     """Restart delay for a gateway's ``attempt``-th consecutive failure.
 
-    Exponential with a ceiling — the same escalation-ladder shape as
-    :class:`repro.faults.AdaptiveRedundancyController` — jittered into
-    ``[0.5x, 1.5x)`` by :func:`~repro.faults.stable_uniform` keyed on
+    Exponential from :data:`BACKOFF_BASE_S` by :data:`BACKOFF_FACTOR`
+    with a :data:`BACKOFF_MAX_S` ceiling — the same escalation-ladder
+    shape as :class:`repro.faults.AdaptiveRedundancyController` —
+    jittered into ``[0.5x, 1.5x)`` by
+    :func:`~repro.faults.stable_uniform` keyed on
     ``(seed, stream, gateway, attempt)``. A pure function of its
     arguments: the whole fleet's restart schedule is decided the moment
     the seed is, which is what lets a test pin it exactly.
@@ -96,23 +123,21 @@ def backoff_delay(seed: int, gateway_index: int, attempt: int,
         raise FederationError("backoff attempts are 1-based")
     jitter = 0.5 + stable_uniform(seed, BACKOFF_STREAM, gateway_index,
                                   attempt)
-    return min(base_s * factor ** (attempt - 1) * jitter, max_s)
+    return min(BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1) * jitter,
+               BACKOFF_MAX_S)
 
 
-def backoff_schedule(seed: int, gateway_index: int, attempts: int,
-                     base_s: float = 0.05, factor: float = 2.0,
-                     max_s: float = 2.0) -> tuple[float, ...]:
+def backoff_schedule(seed: int, gateway_index: int,
+                     attempts: int) -> tuple[float, ...]:
     """The first ``attempts`` delays of one gateway's restart ladder."""
-    return tuple(backoff_delay(seed, gateway_index, attempt, base_s,
-                               factor, max_s)
+    return tuple(backoff_delay(seed, gateway_index, attempt)
                  for attempt in range(1, attempts + 1))
 
 
 # -- stream partitioning ------------------------------------------------------
 
 
-def route_wire(wire: bytes, gateway_count: int,
-               tenant_bits: int = DEFAULT_TENANT_BITS) -> int:
+def route_wire(wire: bytes, gateway_count: int) -> int:
     """The partition a raw frame belongs to.
 
     Routable frames go by tenant (``tenant_of(device_id) %
@@ -124,18 +149,17 @@ def route_wire(wire: bytes, gateway_count: int,
     device_id = peek_device_id(wire)
     if device_id is None:
         return int(stable_uniform(ROUTE_STREAM, wire) * gateway_count)
-    return tenant_of(device_id, tenant_bits) % gateway_count
+    return tenant_of(device_id) % gateway_count
 
 
-def partition_stream(wires: Sequence[bytes], gateway_count: int,
-                     tenant_bits: int = DEFAULT_TENANT_BITS,
-                     ) -> list[list[bytes]]:
+def partition_stream(wires: Sequence[bytes],
+                     gateway_count: int) -> list[list[bytes]]:
     """Split a stream into per-partition substreams, order preserved."""
     if gateway_count < 1:
         raise FederationError("gateway_count must be >= 1")
     parts: list[list[bytes]] = [[] for _ in range(gateway_count)]
     for wire in wires:
-        parts[route_wire(wire, gateway_count, tenant_bits)].append(wire)
+        parts[route_wire(wire, gateway_count)].append(wire)
     return parts
 
 
@@ -227,30 +251,17 @@ class ChaosGatewayService(GatewayService):
 
 @dataclass
 class FederationConfig:
-    """Tunables for one :class:`FederationCoordinator`."""
+    """Tunables for one :class:`FederationCoordinator`; supervision
+    timing is the module's constants."""
 
     gateways: int = 3
     #: Per-partition checkpoint dirs are created under here
     #: (``partition_<p>``). ``None`` disables durability: failover then
     #: replays the partition from offset zero (still exact).
     checkpoint_root: str | None = None
-    tenant_bits: int = DEFAULT_TENANT_BITS
-    batch_size: int = 512
-    queue_capacity: int = 8192
     workers: int = 0
     checkpoint_interval_s: float = 0.05
-    keep_generations: int = 3
     durable_checkpoints: bool = True
-    heartbeat_interval_s: float = 0.02
-    heartbeat_timeout_s: float = 0.5
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    #: How far before the resumed watermark the feeder rewinds — a
-    #: deliberate superset replay proving the dedupe chain under load.
-    replay_slack: int = 512
-    #: Frames handed to the gateway per feeder iteration.
-    feed_chunk: int = 256
     #: Optional pause between feeder chunks; gives the periodic
     #: checkpointer air time so kills land on a non-empty watermark.
     feed_pause_s: float = 0.0
@@ -261,10 +272,6 @@ class FederationConfig:
     def __post_init__(self) -> None:
         if self.gateways < 1:
             raise FederationError("gateways must be >= 1")
-        if self.replay_slack < 0:
-            raise FederationError("replay_slack must be >= 0")
-        if self.feed_chunk < 1:
-            raise FederationError("feed_chunk must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,9 +304,6 @@ class FederationReport:
     recovery_s: float | None
     seed: int
     gateways: int
-    backoff_base_s: float
-    backoff_factor: float
-    backoff_max_s: float
 
     @property
     def frames_processed(self) -> int:
@@ -311,8 +315,7 @@ class FederationReport:
     def expected_delay(self, slot: int, attempt: int) -> float:
         """What the seeded ladder says this restart should have waited
         — the audit recomputes every event against it."""
-        return backoff_delay(self.seed, slot, attempt, self.backoff_base_s,
-                             self.backoff_factor, self.backoff_max_s)
+        return backoff_delay(self.seed, slot, attempt)
 
 
 class _Pipeline:
@@ -404,8 +407,7 @@ class FederationCoordinator:
 
     async def run(self, wires: Sequence[bytes]) -> FederationReport:
         config = self.config
-        self._partitions = partition_stream(wires, config.gateways,
-                                            config.tenant_bits)
+        self._partitions = partition_stream(wires, config.gateways)
         self._slot_alive = [True] * config.gateways
         self._slot_attempts = [0] * config.gateways
         self._slot_faults = [
@@ -478,10 +480,7 @@ class FederationCoordinator:
             handbacks=self._handbacks, deduped=deduped,
             events=list(self._events), per_partition=per_partition,
             recovery_s=self._recovery_s, seed=self.config.seed,
-            gateways=self.config.gateways,
-            backoff_base_s=self.config.backoff_base_s,
-            backoff_factor=self.config.backoff_factor,
-            backoff_max_s=self.config.backoff_max_s)
+            gateways=self.config.gateways)
 
     # -- pipelines -----------------------------------------------------------
 
@@ -493,7 +492,7 @@ class FederationCoordinator:
 
     async def _start_pipeline(self, partition: int, slot: int) -> _Pipeline:
         config = self.config
-        queue_capacity = config.queue_capacity
+        queue_capacity = GATEWAY_QUEUE_CAPACITY
         faults = self._slot_faults[slot]
         for fault in faults:
             if fault.queue_capacity is not None:
@@ -502,12 +501,10 @@ class FederationCoordinator:
             checkpoint_dir=self._partition_dir(partition),
             queue_capacity=queue_capacity,
             policy=BackpressurePolicy.BLOCK,
-            batch_size=config.batch_size,
+            batch_size=GATEWAY_BATCH_SIZE,
             flush_after_s=0.005,
             workers=config.workers,
-            tenant_bits=config.tenant_bits,
             checkpoint_interval_s=config.checkpoint_interval_s,
-            keep_generations=config.keep_generations,
             durable_checkpoints=config.durable_checkpoints,
             metrics_interval_s=0.0,
             drain_deadline_s=config.drain_deadline_s)
@@ -532,27 +529,27 @@ class FederationCoordinator:
         while True:
             pipeline = self._pipelines[partition]
             if pipeline is None:      # mid-failover/handback
-                await asyncio.sleep(config.heartbeat_interval_s)
+                await asyncio.sleep(HEARTBEAT_INTERVAL_S)
                 continue
             if pipeline is not current:
                 # New owner: rewind behind its watermark. The slack
                 # deliberately re-offers committed frames; the dedupe
                 # chain in deliver() is what keeps that exact.
                 current = pipeline
-                sent = max(0, pipeline.cursor - config.replay_slack)
+                sent = max(0, pipeline.cursor - REPLAY_SLACK)
             if sent >= total:
                 if pipeline.service.frames_processed >= total:
                     return
                 # Everything offered but not yet processed — a hung
                 # tail is the supervisor's call, not ours.
-                await asyncio.sleep(config.heartbeat_interval_s)
+                await asyncio.sleep(HEARTBEAT_INTERVAL_S)
                 continue
-            chunk = wires[sent:sent + config.feed_chunk]
+            chunk = wires[sent:sent + FEED_CHUNK]
             try:
                 await pipeline.deliver(sent, chunk)
             except (QueueClosed, ServiceError):
                 # Owner died underneath us; wait out the failover.
-                await asyncio.sleep(config.heartbeat_interval_s)
+                await asyncio.sleep(HEARTBEAT_INTERVAL_S)
                 continue
             sent += len(chunk)
             if config.feed_pause_s > 0.0:
@@ -564,7 +561,7 @@ class FederationCoordinator:
         config = self.config
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(config.heartbeat_interval_s)
+            await asyncio.sleep(HEARTBEAT_INTERVAL_S)
             now = loop.time()
             for partition in range(config.gateways):
                 pipeline = self._pipelines[partition]
@@ -582,7 +579,7 @@ class FederationCoordinator:
                 backlog = (len(service.queue) > 0 or service.pending_batches
                            or pipeline.cursor > frames)
                 if backlog and now - pipeline.last_progress_t \
-                        >= config.heartbeat_timeout_s:
+                        >= HEARTBEAT_TIMEOUT_S:
                     await self._fail_over(pipeline, "stalled")
 
     async def _fail_over(self, pipeline: _Pipeline, reason: str) -> None:
@@ -597,10 +594,7 @@ class FederationCoordinator:
             self._slot_alive[slot] = False
             self._slot_attempts[slot] += 1
             attempt = self._slot_attempts[slot]
-            delay = backoff_delay(config.seed, slot, attempt,
-                                  config.backoff_base_s,
-                                  config.backoff_factor,
-                                  config.backoff_max_s)
+            delay = backoff_delay(config.seed, slot, attempt)
             self._events.append(FederationEvent(
                 "failover", slot=slot, partition=partition,
                 attempt=attempt, delay_s=delay, reason=reason))
@@ -635,9 +629,7 @@ class FederationCoordinator:
         directory = self._partition_dir(partition)
         if directory is None:
             return
-        newest = ServiceCheckpointer(
-            directory, tenant_bits=self.config.tenant_bits,
-            durable=False).newest_path()
+        newest = ServiceCheckpointer(directory, durable=False).newest_path()
         if newest is None:
             return
         self._corrupt_pending.discard(partition)

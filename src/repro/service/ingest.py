@@ -40,7 +40,6 @@ from ..core.payload import WILE_VENDOR_TYPE, WILE_VERSION, crc16_ccitt
 from ..dot11.fcs import check_fcs as fcs_valid
 from ..dot11.mac import WILE_OUI
 from ..experiments.runner import kill_once
-from .tenants import DEFAULT_TENANT_BITS
 
 
 class IngestError(ValueError):
@@ -94,7 +93,7 @@ _KIND_RAW = 0x7F
 _KIND_SIZES = {1: 2, 2: 2, 3: 2, 4: 4, 5: 4}
 
 
-def extract_payload(wire: bytes, check_fcs: bool = True) -> BeaconPayload:
+def extract_payload(wire: bytes) -> BeaconPayload:
     """Parse one over-the-air frame into a :class:`BeaconPayload`.
 
     Raises :class:`IngestError` unless ``wire`` is an intact (FCS-valid)
@@ -107,7 +106,7 @@ def extract_payload(wire: bytes, check_fcs: bool = True) -> BeaconPayload:
     # DS/order flags — exactly what an injected (or real) beacon sends.
     if wire[0] != 0x80 or wire[1] != 0x00:
         raise IngestError("not a plain beacon frame")
-    if check_fcs and not fcs_valid(wire):
+    if not fcs_valid(wire):
         raise IngestError("FCS mismatch")
     # Walk the information elements for the Wi-LE vendor IE.
     pos = _MGMT_HEADER + _FIXED_PARAMS
@@ -230,18 +229,14 @@ def peek_device_id(wire: bytes) -> int | None:
     return None
 
 
-def decode_wires(wires: Sequence[bytes],
-                 tenant_bits: int = DEFAULT_TENANT_BITS,
-                 ) -> tuple[list[BeaconPayload], int]:
+def decode_wires(wires: Sequence[bytes]) -> tuple[list[BeaconPayload], int]:
     """Decode one batch of raw frames into payloads, preserving order.
 
     Returns ``(payloads, errors)``: the decodable frames' payloads in
     stream order, plus the count of undecodable frames (dropped, never
     fatal — one mangled capture must not take the service down).
-    ``tenant_bits`` is unused: tenancy is derived where payloads are
-    observed.
+    Tenancy is resolved where payloads are observed, not here.
     """
-    del tenant_bits  # tenancy is resolved where payloads are observed
     payloads: list[BeaconPayload] = []
     errors = 0
     for wire in wires:
@@ -255,13 +250,13 @@ def decode_wires(wires: Sequence[bytes],
 def decode_batch_task(task: tuple) -> tuple[list[BeaconPayload], int]:
     """Worker-side unit of fan-out (module-level so it pickles).
 
-    ``task`` is ``(batch_id, wires, tenant_bits, chaos_dir,
-    chaos_kill_batch)``; the result is :func:`decode_wires`'s. The
-    chaos hook mirrors the fleet shard runner: the *first* attempt at
-    the named batch SIGKILLs its own worker, which is how the chaos
-    smoke proves a killed worker loses no aggregates.
+    ``task`` is ``(batch_id, wires, chaos_dir, chaos_kill_batch)``;
+    the result is :func:`decode_wires`'s. The chaos hook mirrors the
+    fleet shard runner: the *first* attempt at the named batch SIGKILLs
+    its own worker, which is how the chaos smoke proves a killed worker
+    loses no aggregates.
     """
-    batch_id, wires, tenant_bits, chaos_dir, chaos_kill_batch = task
+    batch_id, wires, chaos_dir, chaos_kill_batch = task
     if batch_id == chaos_kill_batch and chaos_dir is not None:
         kill_once(chaos_dir, f"kill_{batch_id}")
-    return decode_wires(wires, tenant_bits)
+    return decode_wires(wires)

@@ -38,14 +38,16 @@ _MAGIC = "wile-beacon-stream"
 _VERSION = 1
 _LENGTH = struct.Struct("<H")
 
+#: Frames :func:`replay` offers to the gateway per ``submit_many``.
+REPLAY_CHUNK = 512
+
 
 def generate_stream(payload_count: int, device_count: int = 64,
                     tenant_count: int = 4, seed: int = 0,
                     encrypted_fraction: float = 0.05,
                     duplicate_fraction: float = 0.01,
                     gap_fraction: float = 0.02,
-                    corrupt_fraction: float = 0.0,
-                    tenant_bits: int = DEFAULT_TENANT_BITS) -> list[bytes]:
+                    corrupt_fraction: float = 0.0) -> list[bytes]:
     """Build ``payload_count`` wire frames, deterministically from
     ``seed``.
 
@@ -58,7 +60,7 @@ def generate_stream(payload_count: int, device_count: int = 64,
     message CRC, the layer a real gateway must catch itself).
     """
     rng = random.Random(seed)
-    device_ids = [((index % tenant_count) << tenant_bits)
+    device_ids = [((index % tenant_count) << DEFAULT_TENANT_BITS)
                   | (index // tenant_count + 1)
                   for index in range(device_count)]
     sequences = {device_id: rng.randrange(0x10000)
@@ -155,7 +157,7 @@ def load_stream(path: str) -> list[bytes]:
     return wires
 
 
-async def replay(service, wires: list[bytes], chunk_size: int = 512,
+async def replay(service, wires: list[bytes],
                  rate_per_s: float | None = None) -> float:
     """Feed ``wires`` into a started :class:`GatewayService`.
 
@@ -168,8 +170,8 @@ async def replay(service, wires: list[bytes], chunk_size: int = 512,
     """
     started = time.perf_counter()
     sent = 0
-    for start in range(0, len(wires), chunk_size):
-        chunk = wires[start:start + chunk_size]
+    for start in range(0, len(wires), REPLAY_CHUNK):
+        chunk = wires[start:start + REPLAY_CHUNK]
         if rate_per_s is not None:
             due = started + sent / rate_per_s
             delay = due - time.perf_counter()

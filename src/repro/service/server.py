@@ -31,7 +31,13 @@ Correctness properties the tests lean on:
 * **Graceful drain.** ``stop()`` (wired to SIGTERM/SIGINT via
   :meth:`install_signal_handlers`) closes intake, drains the queue and
   every in-flight batch, writes a final checkpoint, then shuts the pool
-  down — nothing accepted is ever dropped on the way out.
+  down — nothing accepted is ever dropped on the way out. The
+  checkpoint thread and the pool are released even when that final
+  save fails; the failure then surfaces as :class:`ServiceError`.
+* **A failed periodic save is survivable.** An ``OSError`` from one
+  periodic checkpoint is counted in ``service.checkpoint_failures``
+  and the loop keeps its cadence, so one disk hiccup does not end
+  durability for the rest of the run.
 * **Checkpoint snapshots are consistent.** State is serialised
   synchronously on the event loop (between merges), then written from
   a dedicated single-thread executor so the fsync never stalls ingest
@@ -76,9 +82,7 @@ class ServiceConfig:
     #: 0 decodes inline on the event loop thread (the single-core fast
     #: path); >0 fans batches out over a persistent process pool.
     workers: int = 0
-    tenant_bits: int = DEFAULT_TENANT_BITS
     checkpoint_interval_s: float = 5.0
-    keep_generations: int = 3
     durable_checkpoints: bool = True
     metrics_interval_s: float = 1.0
     #: Hard ceiling on how long stop() waits for the drain. ``None``
@@ -136,8 +140,6 @@ class GatewayService:
         if self.config.checkpoint_dir is not None:
             self.checkpointer = ServiceCheckpointer(
                 self.config.checkpoint_dir,
-                keep_generations=self.config.keep_generations,
-                tenant_bits=self.config.tenant_bits,
                 durable=self.config.durable_checkpoints)
         self._started = False
         self._stopped = False
@@ -204,17 +206,27 @@ class GatewayService:
             pump_error = error
         for task in self._tasks[1:]:
             task.cancel()
-        for task in self._tasks[1:]:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        if self.checkpointer is not None:
-            await self._write_checkpoint()
-            self._checkpoint_executor.shutdown(wait=True)
-            self._checkpoint_executor = None
-        self._publish_metrics()
-        self._close_pool()
+        try:
+            for task in self._tasks[1:]:
+                try:
+                    await task
+                except asyncio.CancelledError:
+                    pass
+            if self.checkpointer is not None:
+                try:
+                    await self._write_checkpoint()
+                except OSError as error:
+                    METRICS.counter("service.checkpoint_failures").inc()
+                    raise ServiceError(
+                        "final checkpoint failed; state merged since the "
+                        "last durable generation is not on disk"
+                    ) from error
+        finally:
+            if self._checkpoint_executor is not None:
+                self._checkpoint_executor.shutdown(wait=True)
+                self._checkpoint_executor = None
+            self._publish_metrics()
+            self._close_pool()
         if pump_error is not None:
             raise ServiceError(
                 "gateway pump failed; state merged before the failure "
@@ -345,11 +357,10 @@ class GatewayService:
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         if self._pool is None:
-            self._merge(*decode_wires(batch, self.config.tenant_bits))
+            self._merge(*decode_wires(batch))
             return
         self._pool.submit(batch_id, decode_batch_task,
-                          (batch_id, batch, self.config.tenant_bits,
-                           self.config.chaos_dir,
+                          (batch_id, batch, self.config.chaos_dir,
                            self.config.chaos_kill_batch))
         # Bound in-flight work so the frames the pool retains (for
         # rescue) stay proportional to the pool, not the backlog.
@@ -373,10 +384,9 @@ class GatewayService:
         self._next_merge_id += 1
         self._decode_errors += errors
         METRICS.counter("service.decode_errors").inc(errors)
-        tenant_bits = self.config.tenant_bits
         tenants = self.tenants
         for payload in payloads:
-            tenant_id = payload.device_id >> tenant_bits
+            tenant_id = payload.device_id >> DEFAULT_TENANT_BITS
             aggregate = tenants.get(tenant_id)
             if aggregate is None:
                 aggregate = tenants[tenant_id] = TenantAggregate(
@@ -420,7 +430,12 @@ class GatewayService:
     async def _checkpoint_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.checkpoint_interval_s)
-            await self._write_checkpoint()
+            try:
+                await self._write_checkpoint()
+            except OSError:
+                # The previous generation stays current; the next tick
+                # retries with fresher state.
+                METRICS.counter("service.checkpoint_failures").inc()
 
     # -- observability -------------------------------------------------------
 

@@ -30,7 +30,8 @@ from ..fleet.aggregate import MergeableHistogram
 
 #: Device-id bits that stay device-local; the remaining high bits name
 #: the tenant. 16/16 splits the 32-bit id space into 64Ki tenants of
-#: 64Ki devices each.
+#: 64Ki devices each. Fixed: checkpoint manifests record it, so a
+#: directory written under another split is refused.
 DEFAULT_TENANT_BITS = 16
 
 #: Payload sizes are 0..249 bytes (the vendor-IE ceiling); 16-byte bins
@@ -42,9 +43,9 @@ class TenantError(ValueError):
     """Raised for malformed tenant aggregate state."""
 
 
-def tenant_of(device_id: int, tenant_bits: int = DEFAULT_TENANT_BITS) -> int:
+def tenant_of(device_id: int) -> int:
     """The tenant owning ``device_id`` (its high id bits)."""
-    return device_id >> tenant_bits
+    return device_id >> DEFAULT_TENANT_BITS
 
 
 def _sequence_gap(previous: int, current: int) -> int:

@@ -21,7 +21,9 @@ from ..dot11.airtime import frame_airtime_us
 from ..dot11.channels import channel_frequency_hz
 from ..dot11.rates import PhyRate
 from ..phy.link import frame_delivered
-from ..phy.pathloss import noise_floor_dbm, received_power_dbm
+from ..phy.pathloss import (BANDWIDTH_HZ, CAPTURE_THRESHOLD_DB, MIN_DISTANCE_M,
+                            PATH_LOSS_EXPONENT, noise_floor_dbm,
+                            received_power_dbm)
 from .engine import Simulator
 
 if TYPE_CHECKING:
@@ -75,13 +77,12 @@ class MediumError(RuntimeError):
 class WirelessMedium:
     """The 2.4 GHz channel shared by every attached radio.
 
+    Propagation follows the constants of :mod:`repro.phy.pathloss`
+    (log-distance exponent, capture threshold, noise bandwidth and
+    minimum-distance clamp).
+
     Args:
         sim: the event engine driving completion callbacks.
-        path_loss_exponent: log-distance exponent (3.0 ~ light indoor).
-        capture_threshold_db: SINR above which the stronger of two
-            overlapping frames still decodes (physical-layer capture).
-        min_distance_m: radios closer than this are clamped apart, since
-            the path-loss model diverges at zero distance.
         max_range_m: optional hard delivery cutoff. A receiver farther
             than this from the transmitter gets no delivery decision at
             all — no report, no counters — and, when set, listening
@@ -98,11 +99,7 @@ class WirelessMedium:
             at which a frame can still be decoded.
     """
 
-    def __init__(self, sim: Simulator, path_loss_exponent: float = 3.0,
-                 capture_threshold_db: float = 10.0,
-                 bandwidth_hz: float = 20e6,
-                 min_distance_m: float = 0.1,
-                 max_range_m: float | None = None,
+    def __init__(self, sim: Simulator, max_range_m: float | None = None,
                  interference_range_m: float | None = None) -> None:
         if max_range_m is not None and max_range_m <= 0:
             raise MediumError(f"max range must be positive, got {max_range_m}")
@@ -110,10 +107,6 @@ class WirelessMedium:
             raise MediumError(
                 f"interference range must be positive, got {interference_range_m}")
         self.sim = sim
-        self.path_loss_exponent = path_loss_exponent
-        self.capture_threshold_db = capture_threshold_db
-        self.bandwidth_hz = bandwidth_hz
-        self.min_distance_m = min_distance_m
         self.max_range_m = max_range_m
         self.interference_range_m = (interference_range_m
                                      if interference_range_m is not None
@@ -298,7 +291,7 @@ class WirelessMedium:
         # part of this frame's airtime cannot have received it.
         if any(other.sender is radio for other in transmission.overlapping):
             return None
-        distance = max(self.min_distance_m,
+        distance = max(MIN_DISTANCE_M,
                        transmission.sender.position.distance_to(radio.position))
         if self.max_range_m is not None and distance > self.max_range_m:
             return None
@@ -309,25 +302,25 @@ class WirelessMedium:
         frequency_hz = channel_frequency_hz(transmission.channel)
         signal_dbm = received_power_dbm(
             transmission.power_dbm, distance,
-            exponent=self.path_loss_exponent, frequency_hz=frequency_hz)
+            exponent=PATH_LOSS_EXPONENT, frequency_hz=frequency_hz)
         if self.link_impairment is not None:
             signal_dbm -= self.link_impairment(transmission, radio)
-        noise_dbm = noise_floor_dbm(self.bandwidth_hz)
+        noise_dbm = noise_floor_dbm(BANDWIDTH_HZ)
         interference_mw = 0.0
         for other in transmission.overlapping:
-            other_distance = max(self.min_distance_m,
+            other_distance = max(MIN_DISTANCE_M,
                                  other.sender.position.distance_to(radio.position))
             if (self.interference_range_m is not None
                     and other_distance > self.interference_range_m):
                 continue
             other_dbm = received_power_dbm(other.power_dbm, other_distance,
-                                           exponent=self.path_loss_exponent,
+                                           exponent=PATH_LOSS_EXPONENT,
                                            frequency_hz=frequency_hz)
             interference_mw += 10.0 ** (other_dbm / 10.0)
         noise_plus_interference_mw = 10.0 ** (noise_dbm / 10.0) + interference_mw
         sinr_db = signal_dbm - 10.0 * math.log10(noise_plus_interference_mw)
 
-        if transmission.overlapping and sinr_db < self.capture_threshold_db:
+        if transmission.overlapping and sinr_db < CAPTURE_THRESHOLD_DB:
             return DeliveryReport(radio, False, "collision", sinr_db)
         if not frame_delivered(sinr_db, len(transmission.frame_bytes),
                                transmission.rate):

@@ -40,6 +40,7 @@ from repro.fleet import (
     counters_equal,
     generate_fleet,
     moments_close,
+    plan_fingerprint,
     run_sharded_fleet,
 )
 from repro.obs import METRICS, audit_faults
@@ -515,6 +516,23 @@ class TestCheckpointHygiene:
                               shard_count=2, workers=1,
                               checkpoint_dir=str(tmp_path))
         assert exc_info.value.mismatched == ["plan_sha256"]
+
+    def test_fingerprint_is_stable(self):
+        # The identity is an on-disk contract: a directory written by
+        # any earlier build must still match it, so every key and value
+        # is pinned — the shard geometry included.
+        plan = generate_fleet(FleetConfig(device_count=2000,
+                                          area_m=(200.0, 200.0),
+                                          duration_s=600.0))
+        assert plan_fingerprint(plan, 4) == {
+            "seed": 0, "device_count": 2000, "receiver_count": 225,
+            "shard_count": 4, "duration_s": 600.0, "interval_s": 600.0,
+            "jitter_std_s": 0.002, "area_m": [200.0, 200.0],
+            "layout": "uniform", "start": "staggered", "channel": 6,
+            "halo_m": 90.0, "max_range_m": 20.0,
+            "interference_range_m": 90.0, "mobility": None,
+            "plan_sha256": "ca7b98ba3e3d6df5553772c7394abf82"
+                           "9d19be9566e4201f1421eeb8faa1a60b"}
 
     def test_different_shard_count_refused(self, tmp_path):
         plan, _ = self._checkpointed_run(tmp_path)

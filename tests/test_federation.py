@@ -45,6 +45,7 @@ from repro.service import (
     generate_stream,
 )
 from repro.service.federation import (
+    BACKOFF_MAX_S,
     ChaosGatewayService,
     FederationConfig,
     FederationCoordinator,
@@ -148,7 +149,7 @@ class TestBackoff:
 
     def test_ceiling_clamps_exactly(self):
         assert backoff_delay(42, 1, 8) == 2.0
-        assert backoff_delay(42, 1, 12, max_s=0.5) == 0.5
+        assert backoff_delay(42, 1, 12) == BACKOFF_MAX_S
 
     def test_jitter_bounded(self):
         for attempt in range(1, 7):
@@ -317,7 +318,7 @@ class TestMergeContract:
 class TestTailReplayDedupe:
     def test_resumed_pipeline_dedupes_replayed_tail(self, tmp_path):
         """A pipeline resumed from a checkpoint watermark, then offered
-        an overlapping window (the deliberate ``replay_slack``
+        an overlapping window (the deliberate ``REPLAY_SLACK``
         superset), must observe each frame exactly once and end
         bit-identical to the uninterrupted fold."""
         reference = tenant_state_digest(_observe_all(PAYLOADS))

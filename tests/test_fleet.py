@@ -32,7 +32,7 @@ from repro.fleet import (
 )
 from repro.fleet.aggregate import AggregateError, counters_equal, moments_close
 from repro.fleet.population import FLEET_DEVICE_ID_BASE
-from repro.fleet.shards import ShardError
+from repro.fleet.shards import HALO_M, ShardError
 from repro.mobility import MobilityConfig
 from repro.obs import audit_fleet
 from repro.sim import ClockError, Position, crystal_population
@@ -94,7 +94,7 @@ class TestPopulation:
     def test_nearest_receiver_matches_brute_force(self):
         plan = generate_fleet(FleetConfig(
             device_count=100, area_m=(73.0, 41.0), seed=5))
-        nearest, _ = plan.nearest_receivers(DEFAULT_MAX_RANGE_M)
+        nearest, _ = plan.nearest_receivers()
         for x_m, y_m, index in zip(plan.x_m.tolist(), plan.y_m.tolist(),
                                    nearest.tolist()):
             brute = min(plan.receivers, key=lambda receiver: (
@@ -103,8 +103,7 @@ class TestPopulation:
             assert plan.receivers[index] == brute
 
     def test_receiver_grid_covers_area(self):
-        _, distance = generate_fleet(SMALL).nearest_receivers(
-            DEFAULT_MAX_RANGE_M)
+        _, distance = generate_fleet(SMALL).nearest_receivers()
         assert (distance <= DEFAULT_MAX_RANGE_M).all()
 
     def test_vectorized_positions_match_reference(self):
@@ -198,12 +197,13 @@ class TestShardPlanning:
 
     def test_halo_contains_only_near_boundary_foreigners(self):
         plan = generate_fleet(SMALL)
+        width = SMALL.area_m[0] / 3
         for shard in plan_shards(plan, 3):
             ids = shard.device_id.tolist()
             assert len(set(ids)) == len(ids)
+            x_min, x_max = shard.index * width, (shard.index + 1) * width
             for x_m in shard.x_m[~shard.owned].tolist():
-                assert shard.x_min_m - shard.halo_m <= x_m \
-                    <= shard.x_max_m + shard.halo_m
+                assert x_min - HALO_M <= x_m <= x_max + HALO_M
 
     def test_designated_pairs_unique_fleet_wide(self):
         plan = generate_fleet(SMALL)
@@ -238,10 +238,8 @@ class TestShardPlanning:
         deviation = check_shards_by_definition()
         assert deviation.max_deviation == 0, deviation.detail
 
-    def test_narrow_halo_rejected(self):
+    def test_zero_shards_rejected(self):
         plan = generate_fleet(SMALL)
-        with pytest.raises(ShardError):
-            plan_shards(plan, 2, halo_m=10.0)
         with pytest.raises(ShardError):
             plan_shards(plan, 0)
 

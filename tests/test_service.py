@@ -59,9 +59,15 @@ from repro.service import (
     replay,
     tenant_of,
 )
+from repro.service.checkpoint import KEEP_GENERATIONS
 from repro.service.ingest import decode_message_blob
 from repro.service.server import ServiceError
-from repro.service.tenants import DeviceChain, TenantAggregate, TenantError
+from repro.service.tenants import (
+    DEFAULT_TENANT_BITS,
+    DeviceChain,
+    TenantAggregate,
+    TenantError,
+)
 from repro.store import CheckpointError, CheckpointMismatchError
 
 
@@ -346,7 +352,7 @@ class TestTenantAggregate:
 
     def test_tenant_of_uses_high_bits(self):
         assert tenant_of(0x00030007) == 3
-        assert tenant_of(0x00030007, tenant_bits=8) == 0x300
+        assert tenant_of((5 << DEFAULT_TENANT_BITS) | 0xFFFF) == 5
         assert tenant_of(42) == 0
 
     def test_sequence_gaps_duplicates_and_wraparound(self):
@@ -454,10 +460,11 @@ class TestServiceCheckpointer:
         assert loaded["tenants"][1].to_state() == snapshot["tenants"]["1"]
 
     def test_rotation_prunes_to_keep(self, tmp_path):
-        checkpointer = ServiceCheckpointer(str(tmp_path), keep_generations=3)
+        checkpointer = ServiceCheckpointer(str(tmp_path))
         for generation in range(6):
             checkpointer.save(_snapshot(generation + 1))
-        assert checkpointer.generations() == [3, 4, 5]
+        assert checkpointer.generations() == list(
+            range(6 - KEEP_GENERATIONS, 6))
         assert checkpointer.load()["ingested"] == 6
 
     def test_corrupt_newest_falls_back_to_previous(self, tmp_path):
@@ -495,10 +502,20 @@ class TestServiceCheckpointer:
         assert ServiceCheckpointer(str(tmp_path)).load() is None
 
     def test_foreign_tenant_split_refused_not_recomputed(self, tmp_path):
-        ServiceCheckpointer(str(tmp_path), tenant_bits=16).save(_snapshot())
+        ServiceCheckpointer(str(tmp_path)).save(_snapshot())
+        # The same directory as written under an 8-bit tenant split.
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"schema": 1, "identity": {"tenant_bits": 8}}))
         with pytest.raises(CheckpointMismatchError) as excinfo:
-            ServiceCheckpointer(str(tmp_path), tenant_bits=8).load()
+            ServiceCheckpointer(str(tmp_path)).load()
         assert "tenant_bits" in str(excinfo.value)
+
+    def test_manifest_identity_is_stable(self, tmp_path):
+        # An on-disk contract: directories written by any earlier build
+        # must keep resuming, so the manifest is pinned byte for byte.
+        ServiceCheckpointer(str(tmp_path))
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {
+            "schema": 1, "identity": {"tenant_bits": 16}}
 
     def test_unfingerprinted_generations_refused(self, tmp_path):
         # Same stance as a fleet directory holding shard checkpoints
@@ -509,7 +526,7 @@ class TestServiceCheckpointer:
             ServiceCheckpointer(str(tmp_path))
 
     def test_concurrent_rotation_is_safe(self, tmp_path):
-        checkpointer = ServiceCheckpointer(str(tmp_path), keep_generations=4)
+        checkpointer = ServiceCheckpointer(str(tmp_path))
         errors = []
 
         def writer(worker):
@@ -526,7 +543,7 @@ class TestServiceCheckpointer:
             thread.join()
         assert not errors
         generations = checkpointer.generations()
-        assert len(generations) == 4
+        assert len(generations) == KEEP_GENERATIONS
         assert generations[-1] == 31
         assert ServiceCheckpointer(str(tmp_path)).load() is not None
 
@@ -618,7 +635,7 @@ class TestGatewayService:
                                f"checkpoint_{newest:08d}.json"),
                   "w") as handle:
             handle.write("{ nope")
-        # keep_generations >= 2 means an older full snapshot survives…
+        # KEEP_GENERATIONS >= 2 means an older full snapshot survives…
         resumed = _run_stream(self.WIRES[2000:4000],
                               checkpoint_dir=directory)
         # …but only stop() wrote generations here (interval 0), so the
@@ -656,7 +673,7 @@ class TestGatewayService:
 
     def test_pump_failure_poisons_intake_and_surfaces_at_stop(
             self, monkeypatch):
-        def boom(batch, tenant_bits):
+        def boom(batch):
             raise RuntimeError("decoder exploded")
 
         monkeypatch.setattr("repro.service.server.decode_wires", boom)
@@ -712,6 +729,67 @@ class TestGatewayService:
             return peak
 
         assert asyncio.run(scenario()) == 1
+
+    def test_failed_periodic_checkpoint_keeps_the_cadence(self, tmp_path):
+        # One OSError from a periodic save must not end durability: the
+        # loop counts it and keeps saving, and stop() still writes the
+        # final checkpoint and releases the checkpoint thread.
+        directory = str(tmp_path / "ckpt")
+        METRICS.clear()
+
+        async def scenario():
+            service = GatewayService(ServiceConfig(
+                checkpoint_dir=directory, policy=BackpressurePolicy.BLOCK,
+                metrics_interval_s=0.0, checkpoint_interval_s=0.01))
+            real_save = service.checkpointer.save
+            failures = [OSError("injected: disk hiccup")]
+
+            def flaky_save(snapshot):
+                if failures:
+                    raise failures.pop()
+                return real_save(snapshot)
+
+            service.checkpointer.save = flaky_save
+            await service.start()
+            await replay(service, self.WIRES[:4000])
+            for _ in range(200):
+                if service.stats().checkpoints_written:
+                    break
+                await asyncio.sleep(0.01)
+            periodic = service.stats().checkpoints_written
+            await service.stop()
+            return service, periodic
+
+        service, periodic = asyncio.run(scenario())
+        assert METRICS.get("service.checkpoint_failures").value == 1
+        assert periodic >= 1
+        assert service.stats().checkpoints_written > periodic  # the final
+        assert service._checkpoint_executor is None
+        loaded = ServiceCheckpointer(directory).load()
+        assert loaded["ingested"] == service.stats().ingested
+        METRICS.clear()
+
+    def test_failed_final_checkpoint_raises_and_releases(self, tmp_path):
+        async def scenario():
+            service = GatewayService(ServiceConfig(
+                checkpoint_dir=str(tmp_path / "ckpt"), workers=1,
+                policy=BackpressurePolicy.BLOCK, metrics_interval_s=0.0,
+                checkpoint_interval_s=0.0))
+            await service.start()
+            await replay(service, self.WIRES[:1000])
+
+            def broken_save(snapshot):
+                raise OSError("injected: disk full")
+
+            service.checkpointer.save = broken_save
+            with pytest.raises(ServiceError) as excinfo:
+                await service.stop()
+            return service, excinfo.value
+
+        service, error = asyncio.run(scenario())
+        assert isinstance(error.__cause__, OSError)
+        assert service._checkpoint_executor is None
+        assert service._pool._executor is None
 
     def test_final_checkpoint_reflects_full_drain(self, tmp_path):
         directory = str(tmp_path / "ckpt")
