@@ -195,8 +195,8 @@ def oracles_for_mode(mode: str = "smoke",
     Each ``only`` token selects either the exactly-named oracle or —
     when the token is a family prefix — every oracle named
     ``<token>-...`` (so ``--only mobility`` runs the whole mobility
-    family while ``--only cohort-vs-event`` still means that one
-    oracle; no registered name is a ``-``-prefix of another's).
+    family, and in full mode ``--only cohort-vs-event`` also runs its
+    ``-large`` and ``-contended`` variants).
     """
     if mode not in ("smoke", "full"):
         raise CheckError(f"unknown mode {mode!r}; use 'smoke' or 'full'")

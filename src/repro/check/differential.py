@@ -198,6 +198,11 @@ _SYNC_FLEET = FleetConfig(device_count=64, area_m=(50.0, 50.0),
                           start="synchronised")
 _KERNEL_FULL_FLEET = FleetConfig(device_count=2000, area_m=(300.0, 120.0),
                                  interval_s=60.0, duration_s=300.0, seed=7)
+#: Dense enough that ~15% of transmissions demote, on both sides of
+#: the shard boundary: the demotion pass at the density where its
+#: gateway-major order and per-gateway interference caches do the work.
+_KERNEL_CONTENDED_FLEET = FleetConfig(device_count=800, area_m=(60.0, 50.0),
+                                      interval_s=0.5, duration_s=4.0, seed=5)
 
 
 def _kernel_differential(config: FleetConfig,
@@ -246,6 +251,13 @@ def check_cohort_kernel_smoke() -> Deviation:
         "the event engine shard by shard", smoke=False)
 def check_cohort_kernel_full() -> Deviation:
     return _kernel_differential(_KERNEL_FULL_FLEET, shard_count=4)
+
+
+@oracle("cohort-vs-event-contended", "differential",
+        "800 devices in 60x50 m, 2 shards: the cohort kernel's dense "
+        "demotion still exactly matches the event engine", smoke=False)
+def check_cohort_kernel_contended() -> Deviation:
+    return _kernel_differential(_KERNEL_CONTENDED_FLEET, shard_count=2)
 
 
 def shards_by_definition(plan: FleetPlan,

@@ -167,8 +167,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wall clock            {elapsed:.1f} s "
               f"({aggregate.duration_s / elapsed:.0f}x real time)")
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"peak memory           {peak_mb:.0f} MB (this process only, "
-              f"not its pool workers)")
+        line = f"peak memory           {peak_mb:.0f} MB (this process)"
+        if args.workers > 1:
+            # run_sharded_fleet joins its pool before returning, so the
+            # children's figure (the largest one's peak) is complete.
+            worker_mb = resource.getrusage(
+                resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+            line += f", {worker_mb:.0f} MB (largest pool worker)"
+        print(line)
 
     if args.json:
         with open(args.json, "w") as handle:

@@ -15,11 +15,13 @@ deterministic. So instead of simulating events we *replay* them:
    the event engine would produce, including the clock's gated gauss
    draws), giving a structure-of-arrays timeline for the whole cohort.
 2. **Slot-level medium arbitration** — transmissions are sorted once;
-   because every beacon has the same airtime, a transmission's overlap
-   set is a contiguous window found with two ``searchsorted`` calls.
-   Transmissions with an empty window (the overwhelming majority in a
-   jittered steady state) resolve in bulk: their delivery outcome at
-   every in-range gateway was precomputed per device.
+   because every beacon has the same airtime, a transmission overlaps
+   another iff it overlaps a neighbour in start order, and its overlap
+   set is a contiguous window. Transmissions that overlap nothing (the
+   overwhelming majority in a jittered steady state) resolve in bulk:
+   their delivery outcome at every in-range gateway was precomputed per
+   device. Only the others get their window, from two ``searchsorted``
+   calls.
 3. **Demotion** — a transmission that *does* overlap (a collision
    candidate), falls inside a fault window, or otherwise enters an
    "interesting" state is demoted to the exact per-event arithmetic:
@@ -27,11 +29,11 @@ deterministic. So instead of simulating events we *replay* them:
    :meth:`repro.sim.medium.WirelessMedium._deliver_to`. Once resolved
    the device is promoted back to the cohort. Demotion is per
    transmission, so a device pays the exact path only for the instants
-   that need it.
+   that need it. The demoted work runs one gateway at a time, so the
+   interferer powers it caches never outgrow the shard's devices.
 4. **Bulk charge integration** — per-wake energy is a single constant,
    and the event engine accumulates it with sequential float adds; the
-   kernel reproduces those exact partial sums with one
-   ``np.add.accumulate`` table shared by every device.
+   kernel reproduces those exact partial sums with ``np.add.accumulate``.
 
 Equivalence contract
 --------------------
@@ -48,6 +50,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -124,6 +127,64 @@ def _sequential_sum_table(addend: float, count: int) -> np.ndarray:
     if count <= 0:
         return np.zeros(0)
     return np.add.accumulate(np.full(count, addend))
+
+
+#: Additions per :func:`_sequential_sum` step: bounds its buffer to 512 KB.
+_SUM_CHUNK = 1 << 16
+
+
+def _sequential_sum(addend: float, count: int) -> float:
+    """``_sequential_sum_table(addend, count)[-1]`` (0.0 for no adds)
+    without the table: each step accumulates ``[carry, addend, …]``,
+    the same sequential adds in bounded chunks."""
+    total = 0.0
+    while count > 0:
+        step = min(count, _SUM_CHUNK)
+        buffer = np.full(step + 1, addend)
+        buffer[0] = total
+        total = float(np.add.accumulate(buffer, out=buffer)[-1])
+        count -= step
+    return total
+
+
+def _overlap_windows(starts: np.ndarray, airtime_s: float,
+                     horizon_s: float):
+    """Overlap flags and demoted windows of a sorted timeline of
+    constant-airtime transmissions.
+
+    Returns ``(completed, overlapped, demoted, lo, hi)``:
+
+    * transmissions ``[0, completed)`` end by ``horizon_s`` — ends are
+      sorted, so the completed ones are a prefix;
+    * ``overlapped[j]`` is True iff another transmission shares the air
+      with j;
+    * ``demoted`` holds the completed, overlapped transmissions in start
+      order, and ``[lo[i], hi[i])`` is the overlap window of
+      ``demoted[i]``, itself included.
+
+    Boundary instants are *inclusive* on both sides: at equal timestamps
+    the event engine fires a transmit before a completion (the
+    transmit's wake chain was scheduled a whole boot earlier, so it
+    holds the smaller insertion counter), meaning an exactly adjacent
+    frame still lands in the overlap set. With constant airtime both
+    starts and ends are sorted, so j's window is the contiguous
+    ``[searchsorted(ends, starts[j], "left"), searchsorted(starts,
+    ends[j], "right"))``, and it holds more than j iff a neighbour
+    touches j: ``ends[j - 1] >= starts[j]`` or ``starts[j + 1] <=
+    ends[j]``. So the flags need one comparison per adjacent pair, and
+    only demoted transmissions pay for the two searches.
+    """
+    ends = starts + airtime_s
+    completed = int(np.searchsorted(ends, horizon_s, side="right"))
+    touching = ends[:-1] >= starts[1:]
+    overlapped = np.zeros(starts.size, dtype=bool)
+    overlapped[1:] = touching
+    overlapped[:-1] |= touching
+    del touching
+    demoted = np.flatnonzero(overlapped[:completed])
+    lo = np.searchsorted(ends, starts[demoted], side="left")
+    hi = np.searchsorted(starts, ends[demoted], side="right")
+    return completed, overlapped, demoted, lo, hi
 
 
 def run_shard_cohort(shard: ShardSpec,
@@ -225,25 +286,32 @@ def run_shard_cohort(shard: ShardSpec,
     flat_starts = np.frombuffer(timeline)
     order = np.argsort(flat_starts, kind="stable")
     starts = flat_starts[order]
-    device_of = np.repeat(np.arange(n_devices), records)[order]
     # Only the sorted copies are read from here on; release the rest
-    # before the per-transmission arrays below are allocated.
-    del timeline, flat_starts, order
-    ends = starts + airtime_s
-    completed_mask = ends <= duration
-    completed = np.bincount(device_of[completed_mask], minlength=n_devices)
-
-    # Transmission k overlaps j iff both occupy the air simultaneously.
-    # Boundary instants are *inclusive* on both sides: at equal
-    # timestamps the event engine fires a transmit before a completion
-    # (the transmit's wake chain was scheduled a whole boot earlier, so
-    # it holds the smaller insertion counter), meaning an exactly
-    # adjacent frame still lands in the overlap set. With constant
-    # airtime both arrays are sorted, so the overlap window of j is
-    # [lo, hi) minus j itself.
-    lo = np.searchsorted(ends, starts, side="left")
-    hi = np.searchsorted(starts, ends, side="right")
-    overlapped = (hi - lo) > 1
+    # (``append`` holds the buffer too) before the sender column is
+    # allocated.
+    del timeline, append, flat_starts
+    device_of = np.repeat(np.arange(n_devices, dtype=np.int32),
+                          records)[order]
+    del order
+    completed_count, overlapped, demoted, lo, hi = _overlap_windows(
+        starts, airtime_s, duration)
+    del starts
+    completed = np.bincount(device_of[:completed_count],
+                            minlength=n_devices)
+    stats.demotions = int(demoted.size)
+    stats.still_demoted_at_horizon = int(
+        np.count_nonzero(overlapped[completed_count:]))
+    stats.demoted_devices = int(np.unique(device_of[overlapped]).size)
+    del overlapped
+    # Group the demoted transmissions by sender, start order within
+    # each: sender i's are entries [first_demoted[i], first_demoted[i+1]).
+    senders = device_of[demoted]
+    demoted_per_device = np.bincount(senders, minlength=n_devices)
+    by_sender = np.argsort(senders, kind="stable")
+    demoted, lo, hi = demoted[by_sender], lo[by_sender], hi[by_sender]
+    del senders, by_sender
+    first_demoted = np.concatenate(
+        ([0], np.cumsum(demoted_per_device))).tolist()
 
     # Per-(device, gateway) delivery precompute, scalar math only: the
     # delivery decision is a threshold comparison, so the kernel must
@@ -265,17 +333,17 @@ def run_shard_cohort(shard: ShardSpec,
     device_y = shard.y_m.tolist()
     # Only the senders of demoted transmissions (step 3b) need their
     # per-gateway signals again; everyone else is settled in bulk.
-    demoted_indices = np.nonzero(completed_mask & overlapped)[0]
-    demoted_senders = frozenset(device_of[demoted_indices].tolist())
-    pair_lists: dict[int, list[tuple[int, float]]] = {}
+    is_demoted_sender = (demoted_per_device > 0).tolist()
+    pair_sender = array("i")
+    pair_gateway = array("i")
+    pair_signal = array("d")
     clean_delivered = np.zeros(n_devices, dtype=np.int64)
     clean_lost_snr = np.zeros(n_devices, dtype=np.int64)
     uplink_ok = np.zeros(n_devices, dtype=np.int64)
     uplink_bad = np.zeros(n_devices, dtype=np.int64)
-    designated_gateway = np.full(n_devices, -1, dtype=np.int64)
+    designated_gateway = [-1] * n_devices
     for index, (device_id, x, y) in enumerate(zip(device_ids, device_x,
                                                   device_y)):
-        pairs: list[tuple[int, float]] = []
         column = int(x // max_range)
         row = int(y // max_range)
         for dc in (-1, 0, 1):
@@ -289,7 +357,10 @@ def run_shard_cohort(shard: ShardSpec,
                     signal_dbm = received_power_dbm(
                         power_dbm, distance, exponent=PATH_LOSS_EXPONENT,
                         frequency_hz=frequency_hz)
-                    pairs.append((gi, signal_dbm))
+                    if is_demoted_sender[index]:
+                        pair_sender.append(index)
+                        pair_gateway.append(gi)
+                        pair_signal.append(signal_dbm)
                     sinr_db = signal_dbm - 10.0 * math.log10(noise_mw)
                     ok = frame_delivered(sinr_db, frame_len, rate)
                     if ok:
@@ -302,79 +373,78 @@ def run_shard_cohort(shard: ShardSpec,
                             uplink_ok[index] = 1
                         else:
                             uplink_bad[index] = 1
-        if index in demoted_senders:
-            pair_lists[index] = pairs
 
     # -- 3a. bulk resolution of the unoverlapped majority -----------------
     # No overlap means no collision branch: every completed transmission
     # scores its precomputed per-gateway outcomes.
-    clean = completed_mask & ~overlapped
-    clean_per_device = np.bincount(device_of[clean], minlength=n_devices)
+    clean_per_device = completed - demoted_per_device
     aggregate.pair_delivered += int((clean_per_device * clean_delivered).sum())
     aggregate.pair_lost_snr += int((clean_per_device * clean_lost_snr).sum())
     aggregate.uplink_delivered += int((clean_per_device * uplink_ok).sum())
     aggregate.uplink_lost_snr += int((clean_per_device * uplink_bad).sum())
-    stats.cohort_resolved = int(clean.sum())
+    stats.cohort_resolved = completed_count - stats.demotions
 
     # -- 3b. demotion: exact per-event arithmetic for the interesting -----
-    # states. Interference contributions are summed in overlap-window
-    # order, which is the event engine's ``transmission.overlapping``
-    # order (sorted by start, ties in device order), so the float sum —
-    # and therefore every threshold decision — is reproduced exactly.
-    stats.demotions = int(demoted_indices.size)
-    stats.still_demoted_at_horizon = int(
-        np.count_nonzero(~completed_mask & overlapped))
-    stats.demoted_devices = int(np.unique(device_of[overlapped]).size)
-    if demoted_indices.size:
-        interference_cache: dict[tuple[int, int], float | None] = {}
-        for j in demoted_indices.tolist():
-            sender = int(device_of[j])
-            pairs = pair_lists[sender]
-            if not pairs:
-                continue
-            window = range(int(lo[j]), int(hi[j]))
-            for gi, signal_dbm in pairs:
-                interference_mw = 0.0
-                for k in window:
-                    if k == j:
-                        continue
-                    other = int(device_of[k])
-                    key = (other, gi)
-                    cached = interference_cache.get(key, -1.0)
-                    if cached == -1.0:
-                        other_distance = max(
-                            MIN_DISTANCE_M,
-                            math.hypot(device_x[other] - gateway_x[gi],
-                                       device_y[other] - gateway_y[gi]))
-                        if other_distance > DEFAULT_INTERFERENCE_RANGE_M:
-                            cached = None
-                        else:
-                            other_dbm = received_power_dbm(
-                                power_dbm, other_distance,
-                                exponent=PATH_LOSS_EXPONENT,
-                                frequency_hz=frequency_hz)
-                            cached = 10.0 ** (other_dbm / 10.0)
-                        interference_cache[key] = cached
-                    if cached is not None:
-                        interference_mw += cached
-                sinr_db = signal_dbm - 10.0 * math.log10(
-                    noise_mw + interference_mw)
-                if sinr_db < CAPTURE_THRESHOLD_DB:
-                    aggregate.pair_lost_collision += 1
-                    outcome = "collision"
-                elif not frame_delivered(sinr_db, frame_len, rate):
-                    aggregate.pair_lost_snr += 1
-                    outcome = "snr"
-                else:
-                    aggregate.pair_delivered += 1
-                    outcome = "ok"
-                if designated_gateway[sender] == gi:
-                    if outcome == "ok":
-                        aggregate.uplink_delivered += 1
-                    elif outcome == "collision":
-                        aggregate.uplink_lost_collision += 1
+    # states, one gateway at a time. Each (transmission, gateway) SINR
+    # sums its interference in overlap-window order, which is the event
+    # engine's ``transmission.overlapping`` order (sorted by start, ties
+    # in device order), so the float sum — and therefore every threshold
+    # decision — is reproduced exactly; only the order in which the
+    # integer counters grow differs from the event engine's. Each gateway
+    # caches its interferers' powers by device and drops them when done,
+    # so the cache never outgrows the shard's devices.
+    if stats.demotions:
+        by_gateway = np.argsort(np.frombuffer(pair_gateway, dtype=np.intc),
+                                kind="stable").tolist()
+        for gi, pairs in groupby(by_gateway, key=pair_gateway.__getitem__):
+            gx, gy = gateway_x[gi], gateway_y[gi]
+            powers: dict[int, float] = {}
+            for p in pairs:
+                sender = pair_sender[p]
+                signal_dbm = pair_signal[p]
+                uplink = designated_gateway[sender] == gi
+                first, last = first_demoted[sender], first_demoted[sender + 1]
+                for j, low, high in zip(demoted[first:last].tolist(),
+                                        lo[first:last].tolist(),
+                                        hi[first:last].tolist()):
+                    others = device_of[low:high].tolist()
+                    del others[j - low]
+                    interference_mw = 0.0
+                    for other in others:
+                        power = powers.get(other)
+                        if power is None:
+                            other_distance = max(
+                                MIN_DISTANCE_M,
+                                math.hypot(device_x[other] - gx,
+                                           device_y[other] - gy))
+                            # Out of range adds 0.0: the sum keeps its bits.
+                            power = 0.0
+                            if other_distance <= DEFAULT_INTERFERENCE_RANGE_M:
+                                other_dbm = received_power_dbm(
+                                    power_dbm, other_distance,
+                                    exponent=PATH_LOSS_EXPONENT,
+                                    frequency_hz=frequency_hz)
+                                power = 10.0 ** (other_dbm / 10.0)
+                            powers[other] = power
+                        interference_mw += power
+                    sinr_db = signal_dbm - 10.0 * math.log10(
+                        noise_mw + interference_mw)
+                    if sinr_db < CAPTURE_THRESHOLD_DB:
+                        aggregate.pair_lost_collision += 1
+                        outcome = "collision"
+                    elif not frame_delivered(sinr_db, frame_len, rate):
+                        aggregate.pair_lost_snr += 1
+                        outcome = "snr"
                     else:
-                        aggregate.uplink_lost_snr += 1
+                        aggregate.pair_delivered += 1
+                        outcome = "ok"
+                    if uplink:
+                        if outcome == "ok":
+                            aggregate.uplink_delivered += 1
+                        elif outcome == "collision":
+                            aggregate.uplink_lost_collision += 1
+                        else:
+                            aggregate.uplink_lost_snr += 1
         # Every resolved episode re-homogenizes its device: promotion.
         stats.promotions = stats.demotions
 
@@ -403,9 +473,7 @@ def run_shard_cohort(shard: ShardSpec,
         completed[owned_mask & uncovered].sum())
     # The event engine's airtime counter is a sequential sum of one
     # constant per completed owned beacon; same for per-device energy.
-    airtime_table = _sequential_sum_table(airtime_s, owned_completed)
-    if owned_completed:
-        aggregate.airtime_s += float(airtime_table[-1])
+    aggregate.airtime_s += _sequential_sum(airtime_s, owned_completed)
     energy_table = _sequential_sum_table(wake_energy_j, int(records.max())
                                          if n_devices else 0)
     for count, owned in zip(records.tolist(), owned_mask.tolist()):

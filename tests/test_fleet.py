@@ -459,3 +459,21 @@ class TestFleetScaleExperiment:
             interval_s=30.0, duration_s=300.0)
         assert mismatches == []
         assert aggregate.beacons_sent > 0
+
+
+class TestCli:
+    @pytest.mark.parametrize("workers, tail", [
+        (1, "MB (this process)"),
+        (2, "MB (largest pool worker)"),
+    ])
+    def test_peak_memory_line_counts_pool_workers(self, workers, tail,
+                                                  capsys):
+        # With a pool the shards, and so the kernel's memory, live in
+        # the workers, which the process's own peak does not count.
+        from repro.fleet.__main__ import main
+        assert main(["--devices", "40", "--area", "40", "20",
+                     "--interval", "30", "--duration", "120",
+                     "--shards", "2", "--workers", str(workers)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("peak memory")]
+        assert line.endswith(tail)

@@ -12,9 +12,12 @@ import dataclasses
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.check.bench import BenchGateError, load_baseline, run_gate
 from repro.check.bench import main as bench_gate_main
@@ -30,6 +33,8 @@ from repro.fleet import (
     run_sharded_fleet,
 )
 from repro.fleet.aggregate import counters_equal, moments_close
+from repro.fleet.kernel import (_SUM_CHUNK, _overlap_windows, _sequential_sum,
+                                _sequential_sum_table)
 from repro.obs.metrics import METRICS
 
 SMALL = FleetConfig(device_count=60, area_m=(60.0, 30.0), interval_s=30.0,
@@ -38,6 +43,9 @@ SMALL = FleetConfig(device_count=60, area_m=(60.0, 30.0), interval_s=30.0,
 # kernel must demote broadly and still match the event engine exactly.
 SYNC = FleetConfig(device_count=64, area_m=(50.0, 50.0), interval_s=20.0,
                    duration_s=200.0, seed=3, start="synchronised")
+# One dense shard: 13,200 transmissions, 796 of them demoted.
+DENSE = FleetConfig(device_count=600, area_m=(45.0, 45.0), interval_s=1.0,
+                    duration_s=30.0, seed=5)
 
 
 def _assert_identical(event, cohort, context=""):
@@ -165,6 +173,71 @@ class TestCohortEquivalence:
         assert event.beacons_in_flight == 64
         assert event.beacons_sent == 0
         assert stats.still_demoted_at_horizon == 64
+
+
+class TestWorkingSet:
+    def test_kernel_peak_per_transmission(self):
+        # The kernel keeps a few bytes per transmission plus per-device
+        # state (~41 B per transmission here). An overlap window per
+        # transmission, or an interference cache keyed by (device,
+        # gateway), takes this shard past the bound.
+        (shard,) = plan_shards(generate_fleet(DENSE), 1)
+        run_shard_cohort(plan_shards(generate_fleet(SMALL), 1)[0])
+        stats = KernelStats()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            run_shard_cohort(shard, stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (stats.transmissions, stats.demotions) == (13_200, 796)
+        assert (peak - before) / stats.transmissions < 100
+
+    @pytest.mark.parametrize("count", [0, 1, _SUM_CHUNK - 1, _SUM_CHUNK,
+                                       _SUM_CHUNK + 1, 3 * _SUM_CHUNK + 7])
+    def test_chunked_sum_equals_table(self, count):
+        # The airtime counter's sequential sum, in bounded chunks, lands
+        # on the same bits as the whole per-beacon table.
+        for addend in (52.8 / 1e6, 0.1):
+            table = _sequential_sum_table(addend, count)
+            expected = float(table[-1]) if count else 0.0
+            assert _sequential_sum(addend, count) == expected
+
+
+def _windows_by_definition(starts, airtime_s, horizon_s):
+    """Every transmission's overlap window from two ``searchsorted``
+    calls; it overlaps another iff its window holds more than itself."""
+    ends = starts + airtime_s
+    lo = np.searchsorted(ends, starts, side="left")
+    hi = np.searchsorted(starts, ends, side="right")
+    overlapped = (hi - lo) > 1
+    completed = ends <= horizon_s
+    demoted = np.flatnonzero(completed & overlapped)
+    return (int(completed.sum()), overlapped, demoted, lo[demoted],
+            hi[demoted])
+
+
+class TestOverlapRule:
+    # Starts and horizon on a grid of half airtimes, so ties, exact
+    # adjacency (start == previous end, exact for the dyadic airtimes)
+    # and partial overlaps all occur; the non-dyadic airtime is a fleet
+    # beacon's (52.8 us), where adjacency is decided by rounding. The
+    # example chains three back-to-back frames, the last ending exactly
+    # at the horizon.
+    @given(st.lists(st.integers(0, 40), max_size=60),
+           st.sampled_from([0.5, 2.0 ** -12, 52.8 / 1e6]),
+           st.integers(0, 44))
+    @example(slots=[0, 2, 4, 9], airtime_s=0.5, horizon_slot=6)
+    def test_neighbour_flags_equal_window_definition(
+            self, slots, airtime_s, horizon_slot):
+        starts = np.sort(np.array(slots, dtype=float)) * (airtime_s / 2)
+        horizon_s = horizon_slot * (airtime_s / 2)
+        kernel = _overlap_windows(starts, airtime_s, horizon_s)
+        definition = _windows_by_definition(starts, airtime_s, horizon_s)
+        assert kernel[0] == definition[0]
+        for got, want in zip(kernel[1:], definition[1:]):
+            np.testing.assert_array_equal(got, want)
 
 
 def _write_baseline(directory, suite, benches):
