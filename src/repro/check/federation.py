@@ -160,8 +160,8 @@ def _kill_failover() -> Deviation:
     with tempfile.TemporaryDirectory(prefix="check-federation-") as root:
         report = run_federated(wires, FederationConfig(
             gateways=3, checkpoint_root=root, seed=7,
-            durable_checkpoints=False, feed_pause_s=0.002,
-            checkpoint_interval_s=0.03), fault_plan=plan)
+            durable_checkpoints=False, checkpoint_interval_s=0.03),
+            fault_plan=plan)
     mismatches = 0
     details = []
     if report.digest() != reference_digest:

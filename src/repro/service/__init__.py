@@ -23,8 +23,8 @@ The moving parts, one module each:
   (:class:`~repro.experiments.statistics.StreamingSummary` moments,
   :class:`~repro.fleet.aggregate.MergeableHistogram` payload sizes,
   per-device sequence chains for loss/duplicate accounting).
-* :mod:`~repro.service.checkpoint` — periodic checkpoint generations
-  with a ``CURRENT`` pointer and keep-N pruning, stored through
+* :mod:`~repro.service.checkpoint` — periodic, atomically written
+  checkpoint generations with keep-N pruning, stored through
   :mod:`repro.store` like the fleet's shard checkpoints (exact JSON
   state, fsync'd atomic writes, a ``manifest.json`` fingerprint of the
   tenant split, corrupt files quarantined) with fallback past a

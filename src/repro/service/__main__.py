@@ -219,8 +219,7 @@ def _chaos_suite(args) -> int:
                 args, root, gateways=gateways,
                 # Fast cadence so kills land on a non-empty watermark
                 # and the suite still runs in seconds.
-                checkpoint_interval_s=0.03, feed_pause_s=0.002,
-                durable_checkpoints=False)
+                checkpoint_interval_s=0.03, durable_checkpoints=False)
             started = time.perf_counter()
             report = asyncio.run(
                 FederationCoordinator(config, plan).run(wires))
@@ -236,6 +235,9 @@ def _chaos_suite(args) -> int:
                             f"{reference_stats.decode_errors}")
         if report.failovers < 1:
             problems.append("fault never triggered a failover")
+        if report.restarts != report.failovers:
+            problems.append(f"restarts {report.restarts} != failovers "
+                            f"{report.failovers}")
         expected = [report.expected_delay(e.slot, e.attempt)
                     for e in report.events if e.kind == "failover"]
         actual = [e.delay_s for e in report.events if e.kind == "failover"]

@@ -7,11 +7,10 @@ split) and one corrupt-file policy. This module adds the one thing a
 *service* needs that a batch run does not:
 
 * **Generations.** A batch shard writes each checkpoint once; a service
-  rewrites its state forever. Rotating through
-  ``checkpoint_<generation>.json`` files plus a ``CURRENT`` pointer
-  means a crash mid-write (or a corrupt latest file) falls back to the
-  previous generation instead of losing everything; old generations are
-  pruned so disk use stays bounded.
+  rewrites its state forever, into numbered, atomically written
+  ``checkpoint_<generation>.json`` files. The newest valid one is the
+  state to resume, a corrupt one falls back a generation, and old
+  generations are pruned so disk use stays bounded.
 
 :meth:`ServiceCheckpointer.load` does not trust bytes on disk: every
 candidate generation is round-tripped through
@@ -35,7 +34,6 @@ from ..store import (ensure_manifest, fsync_dir, read_or_quarantine,
 from .tenants import DEFAULT_TENANT_BITS, TenantAggregate
 
 _SCHEMA = 1
-_CURRENT = "CURRENT"
 _GENERATION_RE = re.compile(r"^checkpoint_(\d{8})\.json$")
 
 #: Generations kept on disk: bounds disk use, and with at least 2 a
@@ -85,8 +83,7 @@ class ServiceCheckpointer:
     # -- writing -------------------------------------------------------------
 
     def save(self, snapshot: dict) -> str:
-        """Write ``snapshot`` as the next generation and point
-        ``CURRENT`` at it. Returns the checkpoint file path.
+        """Write ``snapshot`` as the next generation; returns its path.
 
         ``snapshot`` carries the server's counters plus
         ``{"tenants": {str(tenant_id): TenantAggregate.to_state()}}``;
@@ -100,10 +97,6 @@ class ServiceCheckpointer:
             payload["generation"] = generation
             path = self._path(generation)
             write_json_atomic(path, payload, durable=self.durable)
-            write_json_atomic(
-                os.path.join(self.directory, _CURRENT),
-                {"schema": _SCHEMA, "generation": generation},
-                durable=self.durable)
             self._prune(keep_from=generation)
             return path
 
@@ -134,27 +127,18 @@ class ServiceCheckpointer:
         return self._path(generations[-1]) if generations else None
 
     def load(self) -> dict | None:
-        """Best valid checkpoint, or ``None`` for a fresh start.
+        """Newest valid checkpoint, or ``None`` for a fresh start.
 
-        Tries the ``CURRENT`` generation first, then earlier ones in
-        descending order, skipping (and quarantining) corrupt or
-        schema-invalid candidates. A corrupt ``CURRENT`` pointer is
-        quarantined too, and the newest generation file is tried first;
-        the next save rewrites the pointer.
+        Tries generations newest first, skipping (and quarantining)
+        corrupt or schema-invalid ones; a ``CURRENT`` pointer file left
+        by an older build is ignored.
 
         The returned dict has ``tenants`` parsed into
         ``{tenant_id: TenantAggregate}``; other keys are the raw
         snapshot fields (``ingested``, ``decode_errors``, ...).
         """
         with self._lock:
-            candidates = self.generations()
-            current = read_or_quarantine(
-                os.path.join(self.directory, _CURRENT),
-                lambda pointer: int(pointer["generation"]), self.durable)
-            if current in candidates:
-                candidates.remove(current)
-                candidates.append(current)
-            for generation in reversed(candidates):
+            for generation in reversed(self.generations()):
                 payload = read_or_quarantine(self._path(generation),
                                              _restore, self.durable)
                 if payload is not None:

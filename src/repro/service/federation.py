@@ -17,7 +17,7 @@ device-stream and supervises them:
   not moved for :data:`HEARTBEAT_TIMEOUT_S` (a hung or crawling pump
   looks exactly like this; a merely idle one has no backlog).
 * **Failover.** The dead gateway is fenced (:meth:`GatewayService.
-  kill` — cancels its tasks and flushes its checkpoint thread, so no
+  kill` — cancels its pump and flushes its checkpoint thread, so no
   stale save can land later), then its partition is adopted by the
   next alive slot: a fresh pipeline resumes from the partition's last
   durable checkpoint and the feeder rewinds to ``watermark -
@@ -29,8 +29,9 @@ device-stream and supervises them:
   jittered via the same :func:`~repro.faults.stable_uniform` blake2b
   discipline as :mod:`repro.faults` and sharing the escalation-ladder
   semantics of :class:`~repro.faults.AdaptiveRedundancyController`),
-  and then *reclaims* its home partition via a graceful handback:
-  the adopter drains and checkpoints, the home slot resumes.
+  and then *reclaims* its home partition, while it is still being
+  fed, via a graceful handback: the adopter drains and checkpoints,
+  the home slot resumes.
 * **Federated merge.** :func:`merge_federated` folds per-partition
   tenant maps under an explicit deterministic ordering contract
   (ascending partition, ascending tenant, stream-order
@@ -262,9 +263,6 @@ class FederationConfig:
     workers: int = 0
     checkpoint_interval_s: float = 0.05
     durable_checkpoints: bool = True
-    #: Optional pause between feeder chunks; gives the periodic
-    #: checkpointer air time so kills land on a non-empty watermark.
-    feed_pause_s: float = 0.0
     seed: int = 0
     #: Hard per-gateway drain ceiling for graceful stops/handbacks.
     drain_deadline_s: float | None = 30.0
@@ -396,7 +394,8 @@ class FederationCoordinator:
         self._slot_attempts: list[int] = []
         self._restart_tasks: list[asyncio.Task] = []
         self._corrupt_pending: set[int] = set()
-        self._draining = False
+        #: Partitions whose feeder saw every frame processed.
+        self._fed: list[bool] = []
         self._events: list[FederationEvent] = []
         self._failovers = 0
         self._restarts = 0
@@ -409,6 +408,7 @@ class FederationCoordinator:
         config = self.config
         self._partitions = partition_stream(wires, config.gateways)
         self._slot_alive = [True] * config.gateways
+        self._fed = [False] * config.gateways
         self._slot_attempts = [0] * config.gateways
         self._slot_faults = [
             list(self.fault_plan.faults_for(slot))
@@ -428,11 +428,15 @@ class FederationCoordinator:
                    for partition in range(config.gateways)]
         try:
             await asyncio.gather(*feeders)
+        except BaseException:
+            for task in self._restart_tasks:
+                task.cancel()
+            raise
         finally:
-            self._draining = True
+            # Every partition is fed (or the run failed), so a pending
+            # restart only marks its slot alive.
             supervisor.cancel()
             for task in [supervisor, *self._restart_tasks]:
-                task.cancel()
                 try:
                     await task
                 except asyncio.CancelledError:
@@ -521,7 +525,6 @@ class FederationCoordinator:
     # -- feeding -------------------------------------------------------------
 
     async def _feed(self, partition: int) -> None:
-        config = self.config
         wires = self._partitions[partition]
         total = len(wires)
         current: _Pipeline | None = None
@@ -539,6 +542,7 @@ class FederationCoordinator:
                 sent = max(0, pipeline.cursor - REPLAY_SLACK)
             if sent >= total:
                 if pipeline.service.frames_processed >= total:
+                    self._fed[partition] = True
                     return
                 # Everything offered but not yet processed — a hung
                 # tail is the supervisor's call, not ours.
@@ -552,8 +556,6 @@ class FederationCoordinator:
                 await asyncio.sleep(HEARTBEAT_INTERVAL_S)
                 continue
             sent += len(chunk)
-            if config.feed_pause_s > 0.0:
-                await asyncio.sleep(config.feed_pause_s)
 
     # -- supervision ---------------------------------------------------------
 
@@ -641,7 +643,8 @@ class FederationCoordinator:
         """The supervised restart: wait out the seeded backoff, mark
         the slot alive, then reclaim its home partition with a graceful
         handback (drain + checkpoint on the adopter, resume on the
-        home slot)."""
+        home slot) while the partition is still being fed; nobody would
+        feed a pipeline resumed after that."""
         await asyncio.sleep(delay)
         self._slot_alive[slot] = True
         self._restarts += 1
@@ -649,7 +652,7 @@ class FederationCoordinator:
         self._events.append(FederationEvent(
             "restart", slot=slot, partition=slot, attempt=attempt,
             delay_s=delay))
-        if self._draining:
+        if self._fed[slot]:
             return
         home = self._pipelines[slot]
         if home is None or home.slot == slot:

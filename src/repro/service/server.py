@@ -9,7 +9,7 @@ queue in the middle::
               └─> _pump()           (batches; inline or process pool)
                     └─> _merge()         (strictly batch-ordered)
                           └─> per-tenant TenantAggregate
-                                └─> ServiceCheckpointer (periodic)
+                                └─> ServiceCheckpointer (when due)
 
 Correctness properties the tests lean on:
 
@@ -34,16 +34,12 @@ Correctness properties the tests lean on:
   down — nothing accepted is ever dropped on the way out. The
   checkpoint thread and the pool are released even when that final
   save fails; the failure then surfaces as :class:`ServiceError`.
-* **A failed periodic save is survivable.** An ``OSError`` from one
-  periodic checkpoint is counted in ``service.checkpoint_failures``
-  and the loop keeps its cadence, so one disk hiccup does not end
-  durability for the rest of the run.
-* **Checkpoint snapshots are consistent.** State is serialised
-  synchronously on the event loop (between merges), then written from
-  a dedicated single-thread executor so the fsync never stalls ingest
-  — and so writes are strictly ordered: a periodic save still in
-  flight when ``stop()`` cancels its loop cannot land *after* (and
-  thereby shadow) the final post-drain checkpoint.
+* **Checkpoints keep their interval and their order.** The pump, the
+  service's one task, snapshots state between merges once a checkpoint
+  is due, so a full queue cannot starve it. One checkpoint thread
+  writes every snapshot: the fsync never stalls ingest, and a periodic
+  save in flight at ``stop()`` lands *before* the final one. A
+  periodic ``OSError`` is counted in ``service.checkpoint_failures``.
 * **Pump failures are loud.** An unexpected exception in the decode/
   merge pump closes intake (so producers fail fast instead of feeding
   a dead pipeline), bumps ``service.pump_failures``, and is
@@ -53,8 +49,9 @@ Correctness properties the tests lean on:
 from __future__ import annotations
 
 import asyncio
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -143,13 +140,19 @@ class GatewayService:
                 durable=self.config.durable_checkpoints)
         self._started = False
         self._stopped = False
-        self._tasks: list[asyncio.Task] = []
+        self._pump_task: asyncio.Task | None = None
         self._pool: ProcessPool | None = None
         #: Set when the pump dies unexpectedly; poisons intake.
         self._pump_error: BaseException | None = None
         #: All checkpoint saves go through this one thread so they are
         #: strictly ordered (periodic saves never shadow the final one).
         self._checkpoint_executor: ThreadPoolExecutor | None = None
+        #: The periodic save in flight: a concurrent future, which the
+        #: checkpoint thread settles while the pump holds the loop.
+        self._periodic_save: Future | None = None
+        self._checkpoint_due = math.inf
+        #: (ingested, monotonic time) at the last gauge refresh.
+        self._rate_mark = (0, 0.0)
         # Batches merge in id order, so the ones in flight are exactly
         # _next_merge_id .. _next_batch_id - 1.
         self._next_batch_id = 0
@@ -163,22 +166,21 @@ class GatewayService:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Resume state, build the pool, start pump/checkpoint/metrics."""
+        """Resume state, build the pool, start the pump."""
         if self._started:
             raise ServiceError("service already started")
         self._started = True
         self._restore_checkpoint()
+        now = time.monotonic()
         if self.checkpointer is not None:
             self._checkpoint_executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="service-checkpoint")
+            if self.config.checkpoint_interval_s > 0:
+                self._checkpoint_due = now + self.config.checkpoint_interval_s
+        self._rate_mark = (self._ingested, now)
         if self.config.workers > 0:
             self._pool = ProcessPool(self.config.workers)
-        self._tasks.append(asyncio.ensure_future(self._pump()))
-        if self.checkpointer is not None \
-                and self.config.checkpoint_interval_s > 0:
-            self._tasks.append(asyncio.ensure_future(self._checkpoint_loop()))
-        if self.config.metrics_interval_s > 0:
-            self._tasks.append(asyncio.ensure_future(self._metrics_loop()))
+        self._pump_task = asyncio.ensure_future(self._pump())
 
     async def stop(self) -> None:
         """Graceful drain: close intake, finish every accepted payload,
@@ -189,14 +191,11 @@ class GatewayService:
             return
         self._stopped = True
         await self.queue.close()
-        pump = self._tasks[0]
         pump_error: BaseException | None = None
         drain_expired = False
         try:
-            if self.config.drain_deadline_s is not None:
-                await asyncio.wait_for(pump, self.config.drain_deadline_s)
-            else:
-                await pump
+            await asyncio.wait_for(self._pump_task,
+                                   self.config.drain_deadline_s)
         except asyncio.TimeoutError:
             # wait_for already cancelled the pump; the merged prefix is
             # still consistent and worth checkpointing below.
@@ -204,14 +203,7 @@ class GatewayService:
             METRICS.counter("service.drain_deadline").inc()
         except Exception as error:
             pump_error = error
-        for task in self._tasks[1:]:
-            task.cancel()
         try:
-            for task in self._tasks[1:]:
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
             if self.checkpointer is not None:
                 try:
                     await self._write_checkpoint()
@@ -225,8 +217,11 @@ class GatewayService:
             if self._checkpoint_executor is not None:
                 self._checkpoint_executor.shutdown(wait=True)
                 self._checkpoint_executor = None
+            self._settle_periodic_save()
             self._publish_metrics()
             self._close_pool()
+        if self._periodic_save is not None:
+            raise self._periodic_save.exception()
         if pump_error is not None:
             raise ServiceError(
                 "gateway pump failed; state merged before the failure "
@@ -249,17 +244,15 @@ class GatewayService:
             raise ServiceError("service never started")
         self._stopped = True
         await self.queue.close()
-        for task in self._tasks:
-            task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._tasks = []
+        self._pump_task.cancel()
+        try:
+            await self._pump_task
+        except (asyncio.CancelledError, Exception):
+            pass
         if self._checkpoint_executor is not None:
             self._checkpoint_executor.shutdown(wait=True)
             self._checkpoint_executor = None
+        self._settle_periodic_save()
         self._close_pool()
 
     @property
@@ -324,7 +317,16 @@ class GatewayService:
 
     async def _pump(self) -> None:
         try:
-            await self._pump_inner()
+            while True:
+                batch = await self.queue.get_batch(self.config.batch_size,
+                                                   self.config.flush_after_s)
+                if batch:
+                    await self._dispatch(batch)
+                elif self.queue.closed and not len(self.queue):
+                    break
+                self._run_due_duties()
+            while self.pending_batches:
+                await self._merge_oldest()
         except Exception as error:
             # A dead pump must not be silent while intake keeps
             # accepting: poison intake, count it, and re-raise so
@@ -333,18 +335,6 @@ class GatewayService:
             METRICS.counter("service.pump_failures").inc()
             await self.queue.close()
             raise
-
-    async def _pump_inner(self) -> None:
-        while True:
-            batch = await self.queue.get_batch(self.config.batch_size,
-                                               self.config.flush_after_s)
-            if not batch:
-                if self.queue.closed and not len(self.queue):
-                    break
-                continue
-            await self._dispatch(batch)
-        while self.pending_batches:
-            await self._merge_oldest()
 
     async def _before_dispatch(self, batch: list) -> None:
         """Subclass hook, awaited before each batch is dispatched. The
@@ -418,37 +408,56 @@ class GatewayService:
                         in sorted(self.tenants.items())},
         }
 
+    def _start_save(self) -> Future:
+        """Snapshot on the loop; the checkpoint thread writes it."""
+        return self._checkpoint_executor.submit(self.checkpointer.save,
+                                                self._snapshot_state())
+
     async def _write_checkpoint(self) -> None:
-        snapshot = self._snapshot_state()
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._checkpoint_executor,
-                                   self.checkpointer.save, snapshot)
+        await asyncio.wrap_future(self._start_save())
+        self._count_checkpoint()
+
+    def _count_checkpoint(self) -> None:
         self._checkpoints_written += 1
         METRICS.counter("service.checkpoints").inc()
         self._last_checkpoint_monotonic = time.monotonic()
 
-    async def _checkpoint_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.config.checkpoint_interval_s)
-            try:
-                await self._write_checkpoint()
-            except OSError:
-                # The previous generation stays current; the next tick
-                # retries with fresher state.
-                METRICS.counter("service.checkpoint_failures").inc()
+    def _settle_periodic_save(self) -> None:
+        """Count the periodic save once its thread is done with it. One
+        that raised anything but ``OSError`` stays in place: no periodic
+        save follows it, and :meth:`stop` raises it."""
+        saving = self._periodic_save
+        if saving is None or not saving.done():
+            return
+        error = saving.exception()
+        if error is None:
+            self._count_checkpoint()
+        elif isinstance(error, OSError):
+            METRICS.counter("service.checkpoint_failures").inc()
+        else:
+            return
+        self._periodic_save = None
 
-    # -- observability -------------------------------------------------------
+    # -- periodic duties -----------------------------------------------------
 
-    async def _metrics_loop(self) -> None:
-        last_ingested = self._ingested
-        last_time = time.monotonic()
-        while True:
-            await asyncio.sleep(self.config.metrics_interval_s)
-            now = time.monotonic()
-            rate = (self._ingested - last_ingested) / max(now - last_time,
-                                                          1e-9)
-            METRICS.gauge("service.ingest_rate_per_s").set(rate)
-            last_ingested, last_time = self._ingested, now
+    def _run_due_duties(self) -> None:
+        """Start a checkpoint and refresh the gauges once each is due.
+        The pump calls this between batches and on each flush-timer
+        wake; it does not wait for the save, it polls its future."""
+        now = time.monotonic()
+        self._settle_periodic_save()
+        if self._periodic_save is None and now >= self._checkpoint_due:
+            self._periodic_save = self._start_save()
+            # Whole intervals on from the last due time: a late save
+            # skips the slots it missed instead of drifting.
+            interval = self.config.checkpoint_interval_s
+            self._checkpoint_due += interval * (
+                math.floor((now - self._checkpoint_due) / interval) + 1)
+        last_ingested, last_time = self._rate_mark
+        if 0 < self.config.metrics_interval_s <= now - last_time:
+            METRICS.gauge("service.ingest_rate_per_s").set(
+                (self._ingested - last_ingested) / (now - last_time))
+            self._rate_mark = (self._ingested, now)
             self._publish_metrics()
 
     def _publish_metrics(self) -> None:

@@ -460,7 +460,7 @@ class TestFederationEndToEnd:
     def _run(self, root, scenario=None, **overrides):
         options = dict(gateways=3, checkpoint_root=str(root),
                        seed=self.SEED, durable_checkpoints=False,
-                       checkpoint_interval_s=0.03, feed_pause_s=0.002)
+                       checkpoint_interval_s=0.03)
         options.update(overrides)
         config = FederationConfig(**options)
         plan = None
@@ -473,7 +473,7 @@ class TestFederationEndToEnd:
 
     def test_unfaulted_federation_matches_single_gateway(self, tmp_path):
         digest, ingested, errors = _reference()
-        report = self._run(tmp_path, feed_pause_s=0.0)
+        report = self._run(tmp_path)
         assert report.digest() == digest
         assert (report.ingested, report.decode_errors) == (ingested, errors)
         assert report.failovers == 0
@@ -515,6 +515,25 @@ class TestFederationEndToEnd:
             os.path.join(str(tmp_path), "partition_*", "*.corrupt"))
         assert quarantined, "scribbled generation was not quarantined"
         audit = audit_federation(report, expected_frames=len(WIRES))
+        assert audit.ok, audit.render()
+
+    @pytest.mark.parametrize("scenario", ["gateway-kill", "gateway-hang"])
+    def test_failover_without_checkpoints_replays_exactly(self, scenario):
+        # No checkpoint root: a successor replays its partition from
+        # offset zero. A handback of a partition already fully fed must
+        # not leave a fresh, unfed pipeline behind (a lost partition).
+        wires = generate_stream(20_000, device_count=64, tenant_count=6,
+                                seed=0, corrupt_fraction=0.002)
+        payloads = decode_wires(wires)[0]
+        config = FederationConfig(gateways=3, checkpoint_root=None, seed=0,
+                                  checkpoint_interval_s=0.03)
+        plan = build_service_fault_plan(scenario, seed=0, gateway_count=3,
+                                        frames_hint=len(wires) // 3)
+        report = asyncio.run(FederationCoordinator(config, plan).run(wires))
+        assert report.digest() == tenant_state_digest(_observe_all(payloads))
+        assert report.frames_processed == len(wires)
+        assert report.failovers == report.restarts == 1
+        audit = audit_federation(report, expected_frames=len(wires))
         assert audit.ok, audit.render()
 
     def test_fault_plan_gateway_count_must_match(self, tmp_path):

@@ -484,6 +484,16 @@ class TestServiceCheckpointer:
         assert METRICS.get("store.checkpoint_corrupt").value == 1
         METRICS.clear()
 
+    def test_newest_generation_wins_over_a_stale_pointer(self, tmp_path):
+        # A crash between writing generation 1 and re-pointing an older
+        # build's CURRENT file must still resume from generation 1.
+        checkpointer = ServiceCheckpointer(str(tmp_path))
+        checkpointer.save(_snapshot(10))
+        checkpointer.save(_snapshot(20))
+        (tmp_path / "CURRENT").write_text(
+            json.dumps({"schema": 1, "generation": 0}))
+        assert ServiceCheckpointer(str(tmp_path)).load()["ingested"] == 20
+
     def test_corrupt_current_pointer_recovers(self, tmp_path):
         checkpointer = ServiceCheckpointer(str(tmp_path))
         checkpointer.save(_snapshot(30))
@@ -732,7 +742,7 @@ class TestGatewayService:
 
     def test_failed_periodic_checkpoint_keeps_the_cadence(self, tmp_path):
         # One OSError from a periodic save must not end durability: the
-        # loop counts it and keeps saving, and stop() still writes the
+        # pump counts it and keeps saving, and stop() still writes the
         # final checkpoint and releases the checkpoint thread.
         directory = str(tmp_path / "ckpt")
         METRICS.clear()
@@ -769,6 +779,63 @@ class TestGatewayService:
         assert loaded["ingested"] == service.stats().ingested
         METRICS.clear()
 
+    def test_checkpoint_interval_holds_under_an_unpaced_producer(
+            self, tmp_path):
+        # The pump does not yield while frames are queued, so it must
+        # start due saves itself: a producer that keeps the default
+        # queue full may not starve the cadence.
+        interval = 0.2
+        # 120,000 frames; tiled, because generating them takes longer
+        # than ingesting them.
+        wires = generate_stream(8_000, device_count=64, seed=0) * 15
+
+        async def scenario():
+            service = GatewayService(ServiceConfig(
+                checkpoint_dir=str(tmp_path / "ckpt"),
+                policy=BackpressurePolicy.BLOCK,
+                checkpoint_interval_s=interval, durable_checkpoints=False))
+            started = time.perf_counter()
+            await service.start()
+            await replay(service, wires)
+            await service.stop()
+            return service, time.perf_counter() - started
+
+        service, elapsed = asyncio.run(scenario())
+        periodic = service.stats().checkpoints_written - 1
+        assert periodic >= int(elapsed // interval) - 1, elapsed
+
+    def test_unexpected_periodic_save_error_surfaces_at_stop(self, tmp_path):
+        # Anything but OSError from a periodic save is a bug, not a disk
+        # hiccup: no periodic save follows it, and stop() re-raises it
+        # after the final checkpoint, with the checkpoint thread released.
+        async def scenario():
+            service = GatewayService(ServiceConfig(
+                checkpoint_dir=str(tmp_path / "ckpt"),
+                policy=BackpressurePolicy.BLOCK, metrics_interval_s=0.0,
+                checkpoint_interval_s=0.01, flush_after_s=0.005))
+            real_save = service.checkpointer.save
+            calls = []
+
+            def buggy_save(snapshot):
+                calls.append(snapshot)
+                if len(calls) == 1:
+                    raise RuntimeError("injected: serialiser bug")
+                return real_save(snapshot)
+
+            service.checkpointer.save = buggy_save
+            await service.start()
+            await replay(service, self.WIRES[:2000])
+            await asyncio.sleep(0.1)
+            with pytest.raises(RuntimeError, match="serialiser bug"):
+                await service.stop()
+            return service, calls
+
+        service, calls = asyncio.run(scenario())
+        assert len(calls) == 2              # the failed one and the final
+        assert service._checkpoint_executor is None
+        loaded = ServiceCheckpointer(str(tmp_path / "ckpt")).load()
+        assert loaded["ingested"] == service.stats().ingested
+
     def test_failed_final_checkpoint_raises_and_releases(self, tmp_path):
         async def scenario():
             service = GatewayService(ServiceConfig(
@@ -795,8 +862,8 @@ class TestGatewayService:
         directory = str(tmp_path / "ckpt")
         service = _run_stream(self.WIRES[:2000], checkpoint_dir=directory,
                               checkpoint_interval_s=0.001)
-        # CURRENT must point at the post-drain snapshot, not a stale
-        # periodic one that lost the race.
+        # The newest generation must be the post-drain snapshot, not a
+        # stale periodic one that lost the race.
         loaded = ServiceCheckpointer(directory).load()
         assert loaded["ingested"] == service.stats().ingested
 
