@@ -28,38 +28,35 @@ Quick start::
     phone.latest_reading(0x17, SensorKind.TEMPERATURE_C)  # -> 17.0
 """
 
-from . import ble, core, dot11, energy, experiments, faults, mac, netproto, obs, phy
-from . import scenarios, security, sim, testbed
-from .obs import METRICS, AuditReport, EventTracer, MetricsRegistry
-from .core import (
-    DeviceKeyring,
-    ReceivedMessage,
-    SensorKind,
-    SensorReading,
-    TwoWayResponder,
-    WiLEDevice,
-    WiLEReceiver,
-    WileFlags,
-    WileMessage,
-    WileMessageType,
-    decode_beacon,
-    encode_beacon,
-    is_wile_beacon,
-)
-from .dot11 import Beacon, MacAddress, PhyRate, VendorSpecific
-from .energy import CR2032, Battery, CurrentTrace, DutyCycleProfile
-from .mac import AccessPoint, MonitorSniffer, Station
-from .scenarios import (
-    ScenarioResult,
-    run_all_scenarios,
-    run_ble,
-    run_wifi_dc,
-    run_wifi_ps,
-    run_wile,
-)
-from .sim import JitteryClock, Position, Radio, Simulator, WirelessMedium
-from .testbed import BenchSupply, Esp32Module, ExperimentRig, Keysight34465A
+from ._lazy import lazy_exports
 
 __version__ = "1.4.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ble": (),
+    ".core": (
+        "DeviceKeyring", "ReceivedMessage", "SensorKind", "SensorReading",
+        "TwoWayResponder", "WiLEDevice", "WiLEReceiver", "WileFlags",
+        "WileMessage", "WileMessageType", "decode_beacon", "encode_beacon",
+        "is_wile_beacon",
+    ),
+    ".dot11": ("Beacon", "MacAddress", "PhyRate", "VendorSpecific"),
+    ".energy": ("CR2032", "Battery", "CurrentTrace", "DutyCycleProfile"),
+    ".experiments": (),
+    ".faults": (),
+    ".mac": ("AccessPoint", "MonitorSniffer", "Station"),
+    ".netproto": (),
+    ".obs": ("METRICS", "AuditReport", "EventTracer", "MetricsRegistry"),
+    ".phy": (),
+    ".scenarios": (
+        "ScenarioResult", "run_all_scenarios", "run_ble", "run_wifi_dc",
+        "run_wifi_ps", "run_wile",
+    ),
+    ".security": (),
+    ".sim": (
+        "JitteryClock", "Position", "Radio", "Simulator", "WirelessMedium",
+    ),
+    ".testbed": (
+        "BenchSupply", "Esp32Module", "ExperimentRig", "Keysight34465A",
+    ),
+})

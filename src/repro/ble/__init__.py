@@ -7,28 +7,26 @@ connection event machinery whose timing the CC2541 energy model
 (:mod:`repro.energy.cc2541`) integrates over.
 """
 
-from .advertiser import (
-    AdvertisingEvent,
-    BleAdvertiser,
-    BleConnection,
-    ConnectionEventRecord,
-)
-from .airtime import BLE_BIT_RATE_BPS, T_IFS_US, airtime_us, energy_per_bit_nj, pdu_airtime_us
-from .crc24 import ADVERTISING_CRC_INIT, Crc24Error, append_crc, check_crc, crc24
-from .packets import (
-    ADVERTISING_ACCESS_ADDRESS,
-    ADVERTISING_CHANNELS,
-    MAX_ADV_DATA_BYTES,
-    AdvertisingPdu,
-    AdvPduType,
-    BlePacketError,
-    DataLlid,
-    DataPdu,
-    decode_on_air,
-    encode_on_air,
-    on_air_bytes,
-    whitening_index_for_channel,
-)
-from .whitening import WhiteningError, whiten
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".advertiser": (
+        "AdvertisingEvent", "BleAdvertiser", "BleConnection",
+        "ConnectionEventRecord",
+    ),
+    ".airtime": (
+        "BLE_BIT_RATE_BPS", "T_IFS_US", "airtime_us", "energy_per_bit_nj",
+        "pdu_airtime_us",
+    ),
+    ".crc24": (
+        "ADVERTISING_CRC_INIT", "Crc24Error", "append_crc", "check_crc",
+        "crc24",
+    ),
+    ".packets": (
+        "ADVERTISING_ACCESS_ADDRESS", "ADVERTISING_CHANNELS",
+        "MAX_ADV_DATA_BYTES", "AdvertisingPdu", "AdvPduType", "BlePacketError",
+        "DataLlid", "DataPdu", "decode_on_air", "encode_on_air",
+        "on_air_bytes", "whitening_index_for_channel",
+    ),
+    ".whitening": ("WhiteningError", "whiten"),
+})

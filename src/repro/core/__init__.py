@@ -9,62 +9,37 @@ device, the receiving sink, and the §6 extensions (payload encryption,
 two-way windows, multi-device operation).
 """
 
-from .codec import (
-    BeaconTemplate,
-    CodecError,
-    decode_beacon,
-    device_mac,
-    encode_beacon,
-    is_wile_beacon,
-)
-from .crypto import (
-    WILE_MIC_BYTES,
-    DeviceKeyring,
-    WileCryptoError,
-    decrypt_body,
-    derive_device_key,
-    encrypt_body,
-)
-from .device import (
-    WILE_TX_POWER_DBM,
-    TransmissionRecord,
-    WiLEDevice,
-)
-from .payload import (
-    WILE_VENDOR_TYPE,
-    WILE_VERSION,
-    FragmentReassembler,
-    PayloadError,
-    SensorKind,
-    SensorReading,
-    WileFlags,
-    WileMessage,
-    WileMessageType,
-    crc16_ccitt,
-    fragment_message,
-)
-from .gateway import DeviceRecord, WiLEGateway
-from .policy import (
-    BatteryAwareInterval,
-    DeltaPolicyStats,
-    DeltaTriggeredReporter,
-    PolicyError,
-)
-from .receiver import ReceivedMessage, ReceiverStats, WiLEReceiver
-from .scanner import ChannelScanner, ScannerError, ScanResult
-from .sink import WileMessageSink, attach_to_access_point
-from .scheduler import (
-    RandomPhase,
-    SchedulerError,
-    SlottedPhase,
-    collision_probability,
-)
-from .twoway import (
-    RESPONSE_GUARD_S,
-    DownlinkRecord,
-    TwoWayResponder,
-    always_on_rx_energy_j,
-    rx_window_energy_j,
-)
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".codec": (
+        "BeaconTemplate", "CodecError", "decode_beacon", "device_mac",
+        "encode_beacon", "is_wile_beacon",
+    ),
+    ".crypto": (
+        "WILE_MIC_BYTES", "DeviceKeyring", "WileCryptoError", "decrypt_body",
+        "derive_device_key", "encrypt_body",
+    ),
+    ".device": ("WILE_TX_POWER_DBM", "TransmissionRecord", "WiLEDevice"),
+    ".payload": (
+        "WILE_VENDOR_TYPE", "WILE_VERSION", "FragmentReassembler",
+        "PayloadError", "SensorKind", "SensorReading", "WileFlags",
+        "WileMessage", "WileMessageType", "crc16_ccitt", "fragment_message",
+    ),
+    ".gateway": ("DeviceRecord", "WiLEGateway"),
+    ".policy": (
+        "BatteryAwareInterval", "DeltaPolicyStats", "DeltaTriggeredReporter",
+        "PolicyError",
+    ),
+    ".receiver": ("ReceivedMessage", "ReceiverStats", "WiLEReceiver"),
+    ".scanner": ("ChannelScanner", "ScannerError", "ScanResult"),
+    ".sink": ("WileMessageSink", "attach_to_access_point"),
+    ".scheduler": (
+        "RandomPhase", "SchedulerError", "SlottedPhase",
+        "collision_probability",
+    ),
+    ".twoway": (
+        "RESPONSE_GUARD_S", "DownlinkRecord", "TwoWayResponder",
+        "always_on_rx_energy_j", "rx_window_energy_j",
+    ),
+})

@@ -8,90 +8,41 @@ frames for the WPA2/DHCP/ARP association sequence, the frame check
 sequence, PHY rate tables, and per-rate airtime computation.
 """
 
-from .airtime import (
-    ACK_BYTES,
-    DIFS_US,
-    SIFS_US,
-    SLOT_US,
-    AirtimeError,
-    ExchangeTiming,
-    ack_airtime_us,
-    data_exchange_us,
-    duration_field_us,
-    exchange_timing,
-    frame_airtime_us,
-)
-from .channels import (
-    CHANNELS_2_4GHZ,
-    CHANNELS_5GHZ,
-    NON_OVERLAPPING_2_4GHZ,
-    Band,
-    ChannelError,
-    band_of,
-    channel_frequency_hz,
-    channels_in_band,
-    supports_dsss,
-)
-from .elements import (
-    VENDOR_IE_MAX_DATA,
-    Country,
-    DsssParameterSet,
-    Element,
-    ElementError,
-    ElementId,
-    Erp,
-    ExtendedSupportedRates,
-    HtCapabilities,
-    RawElement,
-    Rsn,
-    Ssid,
-    SupportedRates,
-    Tim,
-    VendorSpecific,
-    encode_elements,
-    find_element,
-    find_vendor_element,
-    parse_elements,
-)
-from .fcs import append_fcs, check_fcs, crc32, strip_fcs
-from .frames import (
-    Ack,
-    AssociationRequest,
-    AssociationResponse,
-    AuthAlgorithm,
-    Authentication,
-    Beacon,
-    CapabilityInfo,
-    ControlSubtype,
-    DataFrame,
-    DataSubtype,
-    Deauthentication,
-    Disassociation,
-    FrameControl,
-    FrameError,
-    FrameType,
-    ManagementFrame,
-    ManagementSubtype,
-    ProbeRequest,
-    PsPoll,
-    ReasonCode,
-    StatusCode,
-    null_frame,
-)
-from .mac import WILE_OUI, MacAddress, MacAddressError
-from .parser import ParsedFrame, ParseError, parse_frame
-from .show import show, summarize
-from .rates import (
-    ALL_RATES,
-    DSSS_RATES,
-    HT_RATES,
-    OFDM_RATES,
-    WILE_DEFAULT_RATE,
-    Modulation,
-    PhyFamily,
-    PhyRate,
-    rate_by_name,
-    supported_rates_ie_values,
-)
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".airtime": (
+        "ACK_BYTES", "DIFS_US", "SIFS_US", "SLOT_US", "AirtimeError",
+        "ExchangeTiming", "ack_airtime_us", "data_exchange_us",
+        "duration_field_us", "exchange_timing", "frame_airtime_us",
+    ),
+    ".channels": (
+        "CHANNELS_2_4GHZ", "CHANNELS_5GHZ", "NON_OVERLAPPING_2_4GHZ", "Band",
+        "ChannelError", "band_of", "channel_frequency_hz", "channels_in_band",
+        "supports_dsss",
+    ),
+    ".elements": (
+        "VENDOR_IE_MAX_DATA", "Country", "DsssParameterSet", "Element",
+        "ElementError", "ElementId", "Erp", "ExtendedSupportedRates",
+        "HtCapabilities", "RawElement", "Rsn", "Ssid", "SupportedRates", "Tim",
+        "VendorSpecific", "encode_elements", "find_element",
+        "find_vendor_element", "parse_elements",
+    ),
+    ".fcs": ("append_fcs", "check_fcs", "crc32", "strip_fcs"),
+    ".frames": (
+        "Ack", "AssociationRequest", "AssociationResponse", "AuthAlgorithm",
+        "Authentication", "Beacon", "CapabilityInfo", "ControlSubtype",
+        "DataFrame", "DataSubtype", "Deauthentication", "Disassociation",
+        "FrameControl", "FrameError", "FrameType", "ManagementFrame",
+        "ManagementSubtype", "ProbeRequest", "PsPoll", "ReasonCode",
+        "StatusCode", "null_frame",
+    ),
+    ".mac": ("WILE_OUI", "MacAddress", "MacAddressError"),
+    ".parser": ("ParsedFrame", "ParseError", "parse_frame"),
+    ".show": ("show", "summarize"),
+    ".rates": (
+        "ALL_RATES", "DSSS_RATES", "HT_RATES", "OFDM_RATES",
+        "WILE_DEFAULT_RATE", "Modulation", "PhyFamily", "PhyRate",
+        "rate_by_name", "supported_rates_ie_values",
+    ),
+})

@@ -1,23 +1,22 @@
 """Energy modelling: current traces, device power models, Eq. 1, batteries."""
 
-from . import calibration
-from .average import (
-    AveragePowerError,
-    DutyCycleProfile,
-    average_power_w,
-    crossover_interval_s,
-)
-from .battery import AA_LITHIUM, CR2032, TWO_AA_PACK, Battery, BatteryError
-from .cc2541 import Cc2541PowerModel
-from .esp32 import Esp32PowerModel, Esp32Recorder, Esp32State
-from .harvest import (
-    CapacitorBank,
-    EnergyIncomeTrace,
-    HarvestError,
-    HarvestRun,
-    run_harvest_policy,
-)
-from .trace import CurrentTrace, TraceError, TraceSegment
-from .wur import WurModelError, WurPowerModel
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".calibration": (),
+    ".average": (
+        "AveragePowerError", "DutyCycleProfile", "average_power_w",
+        "crossover_interval_s",
+    ),
+    ".battery": (
+        "AA_LITHIUM", "CR2032", "TWO_AA_PACK", "Battery", "BatteryError",
+    ),
+    ".cc2541": ("Cc2541PowerModel",),
+    ".esp32": ("Esp32PowerModel", "Esp32Recorder", "Esp32State"),
+    ".harvest": (
+        "CapacitorBank", "EnergyIncomeTrace", "HarvestError", "HarvestRun",
+        "run_harvest_policy",
+    ),
+    ".trace": ("CurrentTrace", "TraceError", "TraceSegment"),
+    ".wur": ("WurModelError", "WurPowerModel"),
+})

@@ -20,30 +20,21 @@ with the executors it hardens: :mod:`repro.experiments.runner` and
 :mod:`repro.fleet.shards`.
 """
 
-from .inject import FaultInjectionError, FaultInjector, FaultStats
-from .plan import (
-    DeviceFault,
-    FaultConfig,
-    FaultPlan,
-    FaultPlanError,
-    GatewayOutage,
-    InterfererBurst,
-    LossBurst,
-    SnrDegradation,
-    build_fault_plan,
-    stable_uniform,
-)
-from .recovery import (
-    AdaptiveRedundancyController,
-    RecoveryAction,
-    RecoveryError,
-    RecoveryStats,
-)
-from .service import (
-    SERVICE_FAULT_SCENARIOS,
-    ServiceFault,
-    ServiceFaultPlan,
-    build_service_fault_plan,
-)
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".inject": ("FaultInjectionError", "FaultInjector", "FaultStats"),
+    ".plan": (
+        "DeviceFault", "FaultConfig", "FaultPlan", "FaultPlanError",
+        "GatewayOutage", "InterfererBurst", "LossBurst", "SnrDegradation",
+        "build_fault_plan", "stable_uniform",
+    ),
+    ".recovery": (
+        "AdaptiveRedundancyController", "RecoveryAction", "RecoveryError",
+        "RecoveryStats",
+    ),
+    ".service": (
+        "SERVICE_FAULT_SCENARIOS", "ServiceFault", "ServiceFaultPlan",
+        "build_service_fault_plan",
+    ),
+})

@@ -22,34 +22,22 @@ shards produces identical aggregate collision/delivery/energy counters
 floating-point moments).
 """
 
-from .aggregate import (
-    AggregateError,
-    FleetAggregate,
-    MergeableHistogram,
-    counters_equal,
-    moments_close,
-)
-from .population import (
-    DeviceSpec,
-    FleetConfig,
-    FleetError,
-    FleetPlan,
-    ReceiverSpec,
-    generate_fleet,
-)
-from ..store import CheckpointError, CheckpointMismatchError
-from .shards import (
-    DEFAULT_INTERFERENCE_RANGE_M,
-    DEFAULT_MAX_RANGE_M,
-    ShardError,
-    ShardExecutionError,
-    ShardSpec,
-    ShardTask,
-    plan_fingerprint,
-    plan_shards,
-    run_shard,
-    run_sharded_fleet,
-)
-from .kernel import KernelError, KernelStats, run_shard_cohort
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".aggregate": (
+        "AggregateError", "FleetAggregate", "MergeableHistogram",
+        "counters_equal", "moments_close",
+    ),
+    ".population": (
+        "DeviceSpec", "FleetConfig", "FleetError", "FleetPlan", "ReceiverSpec",
+        "generate_fleet",
+    ),
+    "..store": ("CheckpointError", "CheckpointMismatchError"),
+    ".shards": (
+        "DEFAULT_INTERFERENCE_RANGE_M", "DEFAULT_MAX_RANGE_M", "ShardError",
+        "ShardExecutionError", "ShardSpec", "ShardTask", "plan_fingerprint",
+        "plan_shards", "run_shard", "run_sharded_fleet",
+    ),
+    ".kernel": ("KernelError", "KernelStats", "run_shard_cohort"),
+})

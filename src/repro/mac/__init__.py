@@ -5,15 +5,14 @@ maintaining an 802.11 connection — against which Wi-LE's connection-less
 beacon injection is compared.
 """
 
-from .access_point import (
-    BEACON_INTERVAL_S,
-    DTIM_PERIOD,
-    AccessPoint,
-    StationContext,
-)
-from .csma import CW_MAX, CW_MIN, CsmaError, CsmaStats, CsmaTransmitter
-from .log import FrameDirection, FrameLayer, FrameLog, FrameLogEntry
-from .monitor import Capture, MonitorSniffer
-from .station import Station, StationError, StationState
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".access_point": (
+        "BEACON_INTERVAL_S", "DTIM_PERIOD", "AccessPoint", "StationContext",
+    ),
+    ".csma": ("CW_MAX", "CW_MIN", "CsmaError", "CsmaStats", "CsmaTransmitter"),
+    ".log": ("FrameDirection", "FrameLayer", "FrameLog", "FrameLogEntry"),
+    ".monitor": ("Capture", "MonitorSniffer"),
+    ".station": ("Station", "StationError", "StationState"),
+})

@@ -16,50 +16,20 @@ frames) and BLE re-pairs on every move. Three layers:
 See ``docs/MOBILITY.md`` for the model and sweep usage.
 """
 
-from .grid import (
-    DEFAULT_AP_TX_POWER_DBM,
-    DEFAULT_SENSITIVITY_DBM,
-    ApGrid,
-    ApSite,
-    GridError,
-)
-from .handoff import (
-    HANDOFF_TECHNOLOGIES,
-    POLICY_KINDS,
-    DeviceMobilityStats,
-    HandoffCost,
-    HandoffError,
-    HandoffPolicy,
-    reassociation_cost,
-    walk_trajectory,
-)
-from .trajectories import (
-    MOBILITY_MODELS,
-    MobilityConfig,
-    MobilityError,
-    Trajectory,
-    build_trajectories,
-    build_trajectory,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ApGrid",
-    "ApSite",
-    "DEFAULT_AP_TX_POWER_DBM",
-    "DEFAULT_SENSITIVITY_DBM",
-    "DeviceMobilityStats",
-    "GridError",
-    "HANDOFF_TECHNOLOGIES",
-    "HandoffCost",
-    "HandoffError",
-    "HandoffPolicy",
-    "MOBILITY_MODELS",
-    "MobilityConfig",
-    "MobilityError",
-    "POLICY_KINDS",
-    "Trajectory",
-    "build_trajectories",
-    "build_trajectory",
-    "reassociation_cost",
-    "walk_trajectory",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".grid": (
+        "DEFAULT_AP_TX_POWER_DBM", "DEFAULT_SENSITIVITY_DBM", "ApGrid",
+        "ApSite", "GridError",
+    ),
+    ".handoff": (
+        "HANDOFF_TECHNOLOGIES", "POLICY_KINDS", "DeviceMobilityStats",
+        "HandoffCost", "HandoffError", "HandoffPolicy", "reassociation_cost",
+        "walk_trajectory",
+    ),
+    ".trajectories": (
+        "MOBILITY_MODELS", "MobilityConfig", "MobilityError", "Trajectory",
+        "build_trajectories", "build_trajectory",
+    ),
+}, submodules_in_all=False)

@@ -7,29 +7,20 @@ conventional WiFi client must complete after associating and before it
 can transmit a single byte of sensor data. Wi-LE skips every one of them.
 """
 
-from .arp import ArpError, ArpOperation, ArpPacket, ArpTable
-from .checksum import internet_checksum, verify_checksum
-from .dhcp import (
-    DHCP_CLIENT_PORT,
-    DHCP_SERVER_PORT,
-    DhcpClient,
-    DhcpClientState,
-    DhcpError,
-    DhcpMessage,
-    DhcpMessageType,
-    DhcpOption,
-    DhcpServer,
-    Lease,
-)
-from .ip import PROTO_UDP, IpError, Ipv4Address, Ipv4Packet
-from .llc import (
-    ETHERTYPE_ARP,
-    ETHERTYPE_EAPOL,
-    ETHERTYPE_IPV4,
-    LlcError,
-    llc_decapsulate,
-    llc_encapsulate,
-)
-from .udp import UdpDatagram, UdpError
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".arp": ("ArpError", "ArpOperation", "ArpPacket", "ArpTable"),
+    ".checksum": ("internet_checksum", "verify_checksum"),
+    ".dhcp": (
+        "DHCP_CLIENT_PORT", "DHCP_SERVER_PORT", "DhcpClient",
+        "DhcpClientState", "DhcpError", "DhcpMessage", "DhcpMessageType",
+        "DhcpOption", "DhcpServer", "Lease",
+    ),
+    ".ip": ("PROTO_UDP", "IpError", "Ipv4Address", "Ipv4Packet"),
+    ".llc": (
+        "ETHERTYPE_ARP", "ETHERTYPE_EAPOL", "ETHERTYPE_IPV4", "LlcError",
+        "llc_decapsulate", "llc_encapsulate",
+    ),
+    ".udp": ("UdpDatagram", "UdpError"),
+})

@@ -16,28 +16,17 @@ end: a metrics table plus JSONL artifact, and a hard failure if any
 invariant breaks.
 """
 
-from .audit import (
-    CHARGE_REL_TOL,
-    IDLE_LABELS,
-    AuditFinding,
-    AuditReport,
-    audit_all,
-    audit_faults,
-    audit_federation,
-    audit_fleet,
-    audit_harvest,
-    audit_mobility,
-    audit_scenario,
-    audit_trace,
-)
-from .metrics import (
-    METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-)
-from .tracing import EventTracer, TraceEvent, TracingError
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".audit": (
+        "CHARGE_REL_TOL", "IDLE_LABELS", "AuditFinding", "AuditReport",
+        "audit_all", "audit_faults", "audit_federation", "audit_fleet",
+        "audit_harvest", "audit_mobility", "audit_scenario", "audit_trace",
+    ),
+    ".metrics": (
+        "METRICS", "Counter", "Gauge", "Histogram", "MetricsError",
+        "MetricsRegistry",
+    ),
+    ".tracing": ("EventTracer", "TraceEvent", "TracingError"),
+})

@@ -1,21 +1,16 @@
 """Channel and link modelling: path loss, noise, BER/PER, range."""
 
-from .link import (
-    LinkModelError,
-    bit_error_rate,
-    frame_delivered,
-    packet_error_rate,
-)
-from .pathloss import (
-    DEFAULT_FREQUENCY_HZ,
-    THERMAL_NOISE_DBM_HZ,
-    PropagationError,
-    fspl_db,
-    log_distance_path_loss_db,
-    noise_floor_dbm,
-    received_power_dbm,
-    snr_db,
-)
-from .range_model import RangeEstimate, max_range_m, range_table
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".link": (
+        "LinkModelError", "bit_error_rate", "frame_delivered",
+        "packet_error_rate",
+    ),
+    ".pathloss": (
+        "DEFAULT_FREQUENCY_HZ", "THERMAL_NOISE_DBM_HZ", "PropagationError",
+        "fspl_db", "log_distance_path_loss_db", "noise_floor_dbm",
+        "received_power_dbm", "snr_db",
+    ),
+    ".range_model": ("RangeEstimate", "max_range_m", "range_table"),
+})

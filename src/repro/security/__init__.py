@@ -7,42 +7,25 @@ payload) are CCMP-protected. Wi-LE's §6 security extension reuses the
 same AES-CCM core to encrypt payloads before beacon injection.
 """
 
-from .aes import Aes, AesError
-from .ccm import (
-    AuthenticationError,
-    CcmContext,
-    CcmError,
-    ccm_context,
-    ccm_decrypt,
-    ccm_encrypt,
-)
-from .ccmp import (
-    CCMP_HEADER_BYTES,
-    CCMP_MIC_BYTES,
-    CCMP_OVERHEAD_BYTES,
-    CcmpError,
-    CcmpHeader,
-    CcmpSession,
-    ReplayError,
-)
-from .eapol import EAPOL_ETHERTYPE, EapolError, EapolKey
-from .handshake import (
-    Authenticator,
-    HandshakeError,
-    HandshakeResult,
-    HandshakeState,
-    Supplicant,
-    run_handshake,
-)
-from .keys import (
-    NonceGenerator,
-    Ptk,
-    derive_pmk,
-    derive_ptk,
-    eapol_mic,
-    pmk_cache_clear,
-    pmk_from_passphrase,
-    prf,
-)
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".aes": ("Aes", "AesError"),
+    ".ccm": (
+        "AuthenticationError", "CcmContext", "CcmError", "ccm_context",
+        "ccm_decrypt", "ccm_encrypt",
+    ),
+    ".ccmp": (
+        "CCMP_HEADER_BYTES", "CCMP_MIC_BYTES", "CCMP_OVERHEAD_BYTES",
+        "CcmpError", "CcmpHeader", "CcmpSession", "ReplayError",
+    ),
+    ".eapol": ("EAPOL_ETHERTYPE", "EapolError", "EapolKey"),
+    ".handshake": (
+        "Authenticator", "HandshakeError", "HandshakeResult", "HandshakeState",
+        "Supplicant", "run_handshake",
+    ),
+    ".keys": (
+        "NonceGenerator", "Ptk", "derive_pmk", "derive_ptk", "eapol_mic",
+        "pmk_cache_clear", "pmk_from_passphrase", "prf",
+    ),
+})

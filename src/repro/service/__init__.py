@@ -47,31 +47,24 @@ The moving parts, one module each:
 ``docs/SERVICE.md`` for the architecture discussion.
 """
 
-from .checkpoint import ServiceCheckpointer
-from .federation import (
-    FederationConfig,
-    FederationCoordinator,
-    FederationError,
-    FederationEvent,
-    FederationReport,
-    backoff_delay,
-    backoff_schedule,
-    merge_federated,
-    partition_stream,
-    route_wire,
-    run_federated,
-    tenant_state_digest,
-)
-from .ingest import (
-    BeaconPayload,
-    IngestError,
-    decode_wires,
-    extract_payload,
-    peek_device_id,
-)
-from .queues import BackpressurePolicy, BoundedPayloadQueue, QueueClosed
-from .replay import generate_stream, load_stream, record_stream, replay
-from .server import GatewayService, ServiceConfig, ServiceError, ServiceStats
-from .tenants import TenantAggregate, tenant_of
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".checkpoint": ("ServiceCheckpointer",),
+    ".federation": (
+        "FederationConfig", "FederationCoordinator", "FederationError",
+        "FederationEvent", "FederationReport", "backoff_delay",
+        "backoff_schedule", "merge_federated", "partition_stream",
+        "route_wire", "run_federated", "tenant_state_digest",
+    ),
+    ".ingest": (
+        "BeaconPayload", "IngestError", "decode_wires", "extract_payload",
+        "peek_device_id",
+    ),
+    ".queues": ("BackpressurePolicy", "BoundedPayloadQueue", "QueueClosed"),
+    ".replay": ("generate_stream", "load_stream", "record_stream", "replay"),
+    ".server": (
+        "GatewayService", "ServiceConfig", "ServiceError", "ServiceStats",
+    ),
+    ".tenants": ("TenantAggregate", "tenant_of"),
+})

@@ -1,14 +1,15 @@
 """Discrete-event simulation substrate: engine, clocks, medium, radios."""
 
-from .clock import ClockError, JitteryClock, crystal_draws, crystal_population
-from .engine import EventHandle, PeriodicTask, SimulationError, Simulator
-from .medium import (
-    DeliveryReport,
-    MediumError,
-    Position,
-    Transmission,
-    WirelessMedium,
-)
-from .radio import Radio, RadioState
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".clock": (
+        "ClockError", "JitteryClock", "crystal_draws", "crystal_population",
+    ),
+    ".engine": ("EventHandle", "PeriodicTask", "SimulationError", "Simulator"),
+    ".medium": (
+        "DeliveryReport", "MediumError", "Position", "Transmission",
+        "WirelessMedium",
+    ),
+    ".radio": ("Radio", "RadioState"),
+})

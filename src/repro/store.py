@@ -55,7 +55,9 @@ def write_json_atomic(path: str, payload: dict, durable: bool = True) -> None:
     """
     temporary = path + ".tmp"
     with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        # One write of the C-encoded text: json.dump would run the
+        # pure-Python chunked encoder, ~5x slower on a gateway snapshot.
+        handle.write(json.dumps(payload))
         if durable:
             handle.flush()
             os.fsync(handle.fileno())

@@ -1,23 +1,17 @@
 """Simulated lab equipment: the paper's Figure 2 measurement chain."""
 
-from .esp32_module import Esp32Module, FirmwareError
-from .multimeter import (
-    CURRENT_RANGES,
-    MAX_SAMPLE_RATE_HZ,
-    Keysight34465A,
-    MultimeterError,
-    Reading,
-)
-from .pcap import (
-    LINKTYPE_IEEE802_11,
-    PcapError,
-    PcapPacket,
-    parse_pcap,
-    pcap_bytes,
-    read_pcap,
-    write_pcap,
-)
-from .rig import ExperimentRig, Measurement
-from .supply import BenchSupply, SupplyError
+from .._lazy import lazy_exports
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".esp32_module": ("Esp32Module", "FirmwareError"),
+    ".multimeter": (
+        "CURRENT_RANGES", "MAX_SAMPLE_RATE_HZ", "Keysight34465A",
+        "MultimeterError", "Reading",
+    ),
+    ".pcap": (
+        "LINKTYPE_IEEE802_11", "PcapError", "PcapPacket", "parse_pcap",
+        "pcap_bytes", "read_pcap", "write_pcap",
+    ),
+    ".rig": ("ExperimentRig", "Measurement"),
+    ".supply": ("BenchSupply", "SupplyError"),
+})

@@ -480,7 +480,24 @@ class TestFederationEndToEnd:
         audit = audit_federation(report, expected_frames=len(WIRES))
         assert audit.ok, audit.render()
 
-    def test_gateway_kill_failover_bit_identical(self, tmp_path):
+    def test_gateway_kill_failover_bit_identical(self, tmp_path, monkeypatch):
+        # Arm the kill only once the victim has a generation to resume
+        # from. Its first batch waits out two checkpoint intervals
+        # (well inside the heartbeat timeout), so the pump starts its
+        # first periodic save right after that batch, before the kill's
+        # trigger (>= 30% of the partition) is reached; kill() flushes
+        # the save. The adopter then resumes past offset 0, and the
+        # feeder's rewind re-offers committed frames for the dedupe
+        # chain to drop.
+        fire = ChaosGatewayService._before_dispatch
+
+        async def after_first_generation(service, batch):
+            if service.frames_processed == 0:
+                await asyncio.sleep(2 * service.config.checkpoint_interval_s)
+            await fire(service, batch)
+
+        monkeypatch.setattr(ChaosGatewayService, "_before_dispatch",
+                            after_first_generation)
         digest, ingested, errors = _reference()
         report = self._run(tmp_path, scenario="gateway-kill")
         assert report.digest() == digest

@@ -2,9 +2,26 @@
 
 A rename in a submodule that silently drops a top-level re-export is an
 API break; this test pins the names the README and examples rely on.
+Package re-exports resolve on first access (``repro._lazy``), so the
+tests that depend on import state run in a fresh interpreter. Those
+also pin what laziness buys: a bare ``import repro`` loads no
+subpackage, and the gateway service loads no numpy and no simulation
+layer.
 """
 
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
 import repro
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+#: ``__all__`` of ``repro`` and of every subpackage, as the eager
+#: ``__init__``s built it before re-exports became lazy.
+GOLDEN_EXPORTS = os.path.join(HERE, "public_exports.json")
 
 
 EXPECTED_TOP_LEVEL = [
@@ -64,3 +81,111 @@ def test_every_public_module_documented():
             if not inspect.getdoc(obj):
                 undocumented.append(name)
     assert not undocumented, f"missing docstrings: {undocumented}"
+
+
+def in_fresh_interpreter(code: str, *argv: str):
+    """Run ``code`` in a new interpreter; returns the JSON it prints."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, os.pardir, "src"))
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def golden_exports() -> dict[str, list[str]]:
+    with open(GOLDEN_EXPORTS, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def test_every_package_all_unchanged():
+    packages = sorted(golden_exports())
+    found = in_fresh_interpreter(
+        "import importlib, json, sys\n"
+        "print(json.dumps({package: sorted(importlib.import_module("
+        "package).__all__) for package in json.loads(sys.argv[1])}))",
+        json.dumps(packages))
+    assert found == golden_exports()
+
+
+#: Resolves every declared export of every package and prints the names
+#: that are not the very object their defining module holds. With
+#: ``submodules-first`` every module is imported before any package
+#: attribute is read, the order that lets a submodule bind itself over
+#: a function of the same name (``repro.ble.crc24``, ``repro.dot11.show``,
+#: ``repro.service.replay``).
+RESOLVE_EXPORTS = """
+import ast, importlib, importlib.util, json, pkgutil, sys
+
+packages, order = json.loads(sys.argv[1]), sys.argv[2]
+if order == "submodules-first":
+    for package in packages:
+        locations = importlib.util.find_spec(package).submodule_search_locations
+        for info in pkgutil.iter_modules(locations):
+            if info.name != "__main__":
+                importlib.import_module(f"{package}.{info.name}")
+wrong = []
+for package in packages:
+    module = importlib.import_module(package)
+    with open(module.__file__, encoding="utf-8") as handle:
+        calls = [node for node in ast.walk(ast.parse(handle.read()))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "lazy_exports"]
+    for call in calls:
+        for source, names in ast.literal_eval(call.args[1]).items():
+            for entry in names:
+                attribute, _, alias = entry.partition(" as ")
+                value = getattr(module, alias or attribute)
+                if value is not getattr(importlib.import_module(
+                        source, package), attribute):
+                    wrong.append(f"{package}.{alias or attribute}")
+            if source.count(".") == 1 and source[1:] not in names:
+                if getattr(module, source[1:]) is not sys.modules[
+                        package + source]:
+                    wrong.append(f"{package}{source}")
+print(json.dumps(wrong))
+"""
+
+
+@pytest.mark.parametrize("order", ["package-first", "submodules-first"])
+def test_exports_are_their_defining_modules_objects(order):
+    packages = sorted(golden_exports())
+    assert in_fresh_interpreter(RESOLVE_EXPORTS, json.dumps(packages),
+                                order) == []
+
+
+#: What the gateway must never load: numpy and the simulation stack.
+#: ``repro.experiments`` is allowed only its two stdlib-only modules,
+#: ``runner`` (the process pool) and ``statistics`` (streaming moments).
+GATEWAY_FORBIDDEN = ("numpy", "repro.sim", "repro.mac", "repro.security",
+                     "repro.scenarios", "repro.testbed", "repro.ble")
+GATEWAY_EXPERIMENTS = {"repro.experiments", "repro.experiments.runner",
+                       "repro.experiments.statistics"}
+
+
+def modules_after(statement: str) -> set[str]:
+    """Every module loaded once ``statement`` ran in a fresh
+    interpreter."""
+    return set(in_fresh_interpreter(
+        f"{statement}\nimport json, sys\n"
+        "print(json.dumps(sorted(sys.modules)))"))
+
+
+def test_import_repro_loads_no_subpackage():
+    loaded = {name for name in modules_after("import repro")
+              if name.startswith("repro.")}
+    assert loaded == {"repro._lazy"}
+
+
+@pytest.mark.parametrize("statement", [
+    "import repro.service.server, repro.service.federation",
+    "import repro.service.__main__",
+])
+def test_gateway_loads_no_simulation_layer(statement):
+    loaded = modules_after(statement)
+    forbidden = sorted(
+        name for name in loaded
+        if any(name == prefix or name.startswith(prefix + ".")
+               for prefix in GATEWAY_FORBIDDEN)
+        or (name.startswith("repro.experiments")
+            and name not in GATEWAY_EXPERIMENTS))
+    assert not forbidden, f"{statement!r} loaded {forbidden}"
