@@ -392,7 +392,7 @@ def _deployment_counts(install_zero_plan: bool, duration_s: float = 30.0,
     sim = Simulator()
     medium = WirelessMedium(sim)
     receiver = WiLEReceiver(sim, medium, position=Position(0.0, 0.0))
-    gateway_radio = receiver.sniffer.radio
+    gateway_radio = receiver.radio
     devices: dict[int, WiLEDevice] = {}
     for index in range(device_count):
         angle = 2.0 * math.pi * index / device_count

@@ -8,8 +8,8 @@ its channel through its normal receive path. Both need the same
 pipeline: filter for Wi-LE beacons, pick the right key, decode,
 deduplicate, reassemble fragments, and fan out callbacks. This module
 is that pipeline; :class:`~repro.core.receiver.WiLEReceiver` feeds it
-from a sniffer, and :func:`attach_to_access_point` feeds it from an
-AP's beacon stream.
+from a monitor-mode radio, and :func:`attach_to_access_point` feeds it
+from an AP's beacon stream.
 """
 
 from __future__ import annotations

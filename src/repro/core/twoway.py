@@ -52,7 +52,7 @@ class TwoWayResponder:
     Args:
         sim / medium: simulation substrate.
         receiver: the Wi-LE receiver whose message stream announces
-            windows (the responder piggybacks on its sniffer).
+            windows (the responder piggybacks on its message stream).
         mac: source address for downlink beacons.
     """
 

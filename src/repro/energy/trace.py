@@ -195,10 +195,11 @@ class CurrentTrace:
         The grid is integer-indexed (``t0 + k / rate_hz``): a float-step
         ``np.arange`` accumulates one ulp of drift per step, which over a
         multi-minute window at 50 kS/s shifts samples off segment
-        boundaries and can even change the sample count. Segment lookup
-        is a vectorised ``searchsorted`` over the (ordered,
-        non-overlapping) segment starts instead of one boolean mask per
-        segment.
+        boundaries and can even change the sample count. Each segment
+        then fills one slice of the output: two ``searchsorted`` calls
+        of the (ordered) segment starts and ends into the sample grid
+        give every slice, so nothing per sample is allocated beyond the
+        two returned arrays.
         """
         if rate_hz <= 0:
             raise TraceError(f"sample rate must be positive, got {rate_hz}")
@@ -212,30 +213,30 @@ class CurrentTrace:
         # rounding up to an extra sample.
         span = (t1 - t0) * rate_hz
         count = max(0, int(np.ceil(span * (1.0 - 1e-12))))
-        times = t0 + np.arange(count) / rate_hz
+        times = np.arange(count, dtype=np.float64)
+        times /= rate_hz
+        times += t0
         currents = np.zeros(count)
         if self._segments and count:
-            segment_starts = np.array(
-                [segment.start_s for segment in self._segments])
-            segment_ends = np.array(
-                [segment.end_s for segment in self._segments])
-            segment_currents = np.array(
-                [segment.current_a for segment in self._segments])
-            # Last segment starting at or before each sample; samples
-            # before the first segment clip to index 0 and are rejected
-            # by the containment test below.
-            indices = np.searchsorted(segment_starts, times, side="right") - 1
-            clipped = np.clip(indices, 0, len(segment_starts) - 1)
-            inside = (indices >= 0) & (times < segment_ends[clipped])
-            currents[inside] = segment_currents[clipped[inside]]
+            starts = np.array(self._starts)
+            ends = np.array([segment.end_s for segment in self._segments])
+            # A sample belongs to the last segment starting at or before
+            # it (current_at's rule), so a segment's slice stops where
+            # the next one starts even if it overlaps it by the 1e-12
+            # that _push forgives.
+            np.minimum(ends[:-1], starts[1:], out=ends[:-1])
+            firsts = np.searchsorted(times, starts).tolist()
+            stops = np.searchsorted(times, ends).tolist()
+            for first, stop, segment in zip(firsts, stops, self._segments):
+                currents[first:stop] = segment.current_a
         return times, currents
 
     def current_at(self, time_s: float) -> float:
         """Instantaneous current at ``time_s`` (zero in gaps).
 
         O(log n) bisect over the ordered segment starts — the scalar
-        twin of :meth:`sample`'s vectorised ``searchsorted`` lookup
-        (the two must classify any instant identically; the
+        twin of :meth:`sample`'s per-segment slices (the two must
+        classify any instant identically; the
         ``trace-sample-vs-integral`` oracle in :mod:`repro.check`
         leans on that). See docs/PERFORMANCE.md for the benchmark.
         """

@@ -51,7 +51,12 @@ class BackgroundTraffic:
                          MacAddress.parse("02:bb:bb:bb:bb:01"),
                          position=position, channel=channel,
                          default_power_dbm=20.0)
-        self._peer = MacAddress.parse("02:bb:bb:bb:bb:02")
+        peer = MacAddress.parse("02:bb:bb:bb:bb:02")
+        #: Every frame is the same value, so one object goes out each
+        #: time and the medium encodes it once.
+        self._frame = DataFrame(destination=peer, source=self._tx.mac,
+                                bssid=peer, payload=bytes(frame_bytes - 34),
+                                to_ds=True)
         self._airtime_s = frame_airtime_us(frame_bytes, rate) / 1e6
         if offered_load > 0:
             self._tx.power_on()
@@ -65,10 +70,7 @@ class BackgroundTraffic:
         self.sim.schedule(self._airtime_s + max(gap, 1e-6), self._fire)
 
     def _fire(self) -> None:
-        frame = DataFrame(destination=self._peer, source=self._tx.mac,
-                          bssid=self._peer, payload=bytes(self.frame_bytes - 34),
-                          to_ds=True)
-        self._tx.transmit(frame, self.rate)
+        self._tx.transmit(self._frame, self.rate)
         self.frames_sent += 1
         self._schedule_next()
 

@@ -148,7 +148,7 @@ def run_cell(cell: ResilienceCell) -> ResiliencePoint:
     sim = Simulator()
     medium = WirelessMedium(sim)
     receiver = WiLEReceiver(sim, medium, position=Position(0.0, 0.0))
-    gateway_radio = receiver.sniffer.radio
+    gateway_radio = receiver.radio
 
     repeats = 3 if cell.policy == "redundant" else 1
     devices: dict[int, WiLEDevice] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 
@@ -21,13 +21,13 @@ class SimulationError(RuntimeError):
     """Raised for scheduling into the past or running a broken event loop."""
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class _ScheduledEvent:
     time_s: float
     order: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    popped: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
+    popped: bool = False
 
 
 class EventHandle:
@@ -70,7 +70,9 @@ class Simulator:
     COMPACT_MIN_SIZE = 64
 
     def __init__(self, tracer: Any | None = None) -> None:
-        self._heap: list[_ScheduledEvent] = []
+        #: ``(time_s, order, event)`` entries: tuples compare in C, and
+        #: ``order`` is unique, so the event itself is never compared.
+        self._heap: list[tuple[float, int, _ScheduledEvent]] = []
         self._order = itertools.count()
         self._now_s = 0.0
         self._running = False
@@ -101,8 +103,9 @@ class Simulator:
         if time_s < self._now_s:
             raise SimulationError(
                 f"cannot schedule at {time_s}s, now is {self._now_s}s")
-        event = _ScheduledEvent(time_s, next(self._order), callback)
-        heapq.heappush(self._heap, event)
+        order = next(self._order)
+        event = _ScheduledEvent(time_s, order, callback)
+        heapq.heappush(self._heap, (time_s, order, event))
         self.events_scheduled += 1
         if self.tracer is not None:
             self.tracer.emit("event_scheduled", self._now_s,
@@ -138,7 +141,7 @@ class Simulator:
         change the pop sequence of live events.
         """
         before = len(self._heap)
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.heap_compactions += 1
@@ -167,18 +170,20 @@ class Simulator:
         drained = True
         try:
             while self._heap:
-                event = self._heap[0]
+                time_s, _order, event = self._heap[0]
                 if event.cancelled:
-                    heapq.heappop(self._heap).popped = True
+                    heapq.heappop(self._heap)
+                    event.popped = True
                     self._cancelled_in_heap -= 1
                     continue
-                if until_s is not None and event.time_s > until_s:
+                if until_s is not None and time_s > until_s:
                     break
                 if max_events is not None and processed >= max_events:
                     drained = False
                     break
-                heapq.heappop(self._heap).popped = True
-                self._now_s = event.time_s
+                heapq.heappop(self._heap)
+                event.popped = True
+                self._now_s = time_s
                 if self.tracer is not None:
                     self.tracer.emit("event_fired", self._now_s,
                                      order=event.order)

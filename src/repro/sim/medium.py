@@ -129,6 +129,11 @@ class WirelessMedium:
         self._cells: dict[tuple[int, int], dict[Radio, int]] = {}
         self._radio_cell: dict[Radio, tuple[int, int]] = {}
         self._active: list[Transmission] = []
+        #: The last frame put on the air and its wire bytes. Frames are
+        #: immutable values, so a sender that repeats one frame object
+        #: (background traffic, a repeated beacon) is encoded once.
+        self._last_frame: object = object()
+        self._last_wire = b""
         self.frames_transmitted = 0
         self.frames_delivered = 0
         self.frames_lost_collision = 0
@@ -227,7 +232,10 @@ class WirelessMedium:
                  power_dbm: float) -> Transmission:
         """Put ``frame`` on the air from ``sender``; returns the in-flight
         record. Completion (delivery decisions) fires at end of airtime."""
-        frame_bytes = frame.to_bytes() if hasattr(frame, "to_bytes") else bytes(frame)
+        if frame is not self._last_frame:
+            wire = frame.to_bytes() if hasattr(frame, "to_bytes") else bytes(frame)
+            self._last_frame, self._last_wire = frame, wire
+        frame_bytes = self._last_wire
         airtime_s = frame_airtime_us(len(frame_bytes), rate) / 1e6
         now = self.sim.now_s
         transmission = Transmission(

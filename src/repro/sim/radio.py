@@ -11,11 +11,12 @@ integrate current draw over time.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Callable
 
 from ..dot11.frames import Beacon, DataFrame, ManagementFrame
 from ..dot11.mac import MacAddress
-from ..dot11.parser import ParseError, parse_frame
+from ..dot11.parser import ParsedFrame, ParseError, parse_frame
 from ..dot11.rates import PhyRate
 from .engine import Simulator
 from .medium import MediumError, Position, Transmission, WirelessMedium
@@ -31,6 +32,27 @@ class RadioState(enum.Enum):
 
 StateListener = Callable[[RadioState, RadioState, float], None]
 RxCallback = Callable[[object, Transmission], None]
+
+#: Distinct wires whose parsed frames stay shared between deliveries.
+#: Every receiver in range of one transmission asks for the same wire
+#: in a row, and background stations repeat identical frames, so a
+#: small memo catches nearly all repeats; where every wire is new (a
+#: fleet's beacons) each delivery misses once and evicts the oldest.
+PARSE_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse_wire(wire: bytes) -> ParsedFrame:
+    """``parse_frame`` once per distinct wire.
+
+    Parsed frames are deeply immutable (frozen dataclasses of bytes,
+    tuples and enums), so every receiver may hold the same object. A
+    wire that fails to parse raises, and ``lru_cache`` stores nothing
+    for it, so it fails again on its next delivery. ``parse_frame`` is
+    looked up at call time, so a wrapper installed on this module's
+    global sees every real parse.
+    """
+    return parse_frame(wire)
 
 
 class Radio:
@@ -129,13 +151,15 @@ class Radio:
     def deliver(self, transmission: Transmission) -> None:
         """Called by the medium when a frame is decodable here.
 
-        The frame is re-parsed from its wire bytes, exactly as a real NIC
-        decodes what the ADC hands it — so every delivery exercises the
-        full serialise/parse round trip, and a malformed frame is dropped
-        silently just like on real hardware.
+        The frame is parsed from its wire bytes, exactly as a real NIC
+        decodes what the ADC hands it, so serialisation bugs cannot
+        hide; each distinct wire is parsed once and its frame shared by
+        every delivery of it (see :data:`PARSE_MEMO_SIZE`). A malformed
+        frame is dropped silently on every delivery, just like on real
+        hardware.
         """
         try:
-            frame = parse_frame(transmission.frame_bytes)
+            frame = _parse_wire(transmission.frame_bytes)
         except ParseError:
             return
         if self.state is not RadioState.MONITOR and not self._passes_filter(frame):

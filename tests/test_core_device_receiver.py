@@ -1,5 +1,7 @@
 """End-to-end Wi-LE tests: device -> air -> monitor-mode receiver."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core import (
@@ -62,6 +64,25 @@ class TestOneWay:
         assert len(sniffer.captures) > 0
         assert all(isinstance(capture.frame, Beacon)
                    for capture in sniffer.captures)
+
+    def test_receiver_keeps_nothing_it_hears(self):
+        """Beside 80%-load background traffic the receiver hears
+        thousands of 1,200-byte frames; none of them stays allocated."""
+        from repro.experiments.contention import BackgroundTraffic
+        sim = Simulator()
+        medium = WirelessMedium(sim)
+        BackgroundTraffic(sim, medium, 0.8)
+        receiver = WiLEReceiver(sim, medium, position=Position(2.0, 0.0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim.run(until_s=1.0)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        heard = receiver.radio.frames_received
+        assert heard > 1000
+        assert kept / heard < 100
 
     def test_two_receivers_both_hear(self):
         sim, medium, device, first = build()

@@ -72,10 +72,10 @@ class TestRegistry:
         up as missed messages."""
         sim, medium, gateway, devices = build_fleet(count=1, interval_s=2.0)
         sim.run(until_s=10.0)
-        # Detune the gateway's sniffer for ~3 cycles.
-        gateway.receiver.sniffer.radio.set_channel(11)
+        # Detune the gateway's receiver for ~3 cycles.
+        gateway.receiver.set_channel(11)
         sim.run(until_s=17.0)
-        gateway.receiver.sniffer.radio.set_channel(6)
+        gateway.receiver.set_channel(6)
         sim.run(until_s=30.0)
         record = gateway.record(0x300)
         assert record.messages_missed >= 2

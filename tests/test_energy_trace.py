@@ -216,3 +216,53 @@ class TestSamplingGridRegression:
     def test_empty_window(self):
         times, currents = simple_trace().sample(1000.0, 1.0, 1.0)
         assert len(times) == 0 and len(currents) == 0
+
+
+#: (gap before, duration, current) of one segment. Quarter-second steps
+#: put segment edges exactly on the sample grids below, zero gaps make
+#: segments abut, and zero durations make empty segments.
+_SEGMENT = st.tuples(st.integers(0, 3), st.integers(0, 6),
+                     st.sampled_from([0.0, 1e-6, 0.010, 0.080, 0.250]))
+
+
+class TestSampleMatchesCurrentAt:
+    """``sample`` fills one slice per segment; ``current_at`` bisects
+    the segment starts. Every sample must read what ``current_at``
+    reads at its instant."""
+
+    @given(segments=st.lists(_SEGMENT, max_size=12),
+           start_s=st.sampled_from([0.0, 0.75, 262.97320595023706]),
+           lead_s=st.sampled_from([0.0, 0.25, 1.3]),
+           anchor=st.none() | st.integers(0, 11),
+           tail_s=st.sampled_from([0.0, 0.5, 2.0]),
+           rate_hz=st.sampled_from([2.0, 4.0, 8.0, 10.0, 1000.0]),
+           overlap=st.booleans())
+    def test_every_sample_reads_current_at(self, segments, start_s, lead_s,
+                                           anchor, tail_s, rate_hz, overlap):
+        trace = CurrentTrace(start_s=start_s)
+        for gap, duration, current in segments:
+            start = trace.cursor_s + 0.25 * gap
+            if (overlap and gap == 0 and len(trace)
+                    and trace.segments[-1].duration_s > 0):
+                start -= 1e-13  # the overlap _push forgives
+            trace.add_segment(start, 0.25 * duration, current, "s")
+        # Windows start before the first segment, or exactly on a
+        # segment start (inside the forgiven overlap, if any).
+        t0 = start_s - lead_s
+        if anchor is not None and len(trace):
+            t0 = trace.segments[anchor % len(trace)].start_s
+        times, currents = trace.sample(rate_hz, t0, trace.end_s + tail_s)
+        expected = [trace.current_at(t) for t in times.tolist()]
+        assert currents.tolist() == expected
+
+    def test_empty_segment_inside_a_forgiven_overlap(self):
+        """A sample in the 1e-12 overlap that ``_push`` forgives belongs
+        to the later segment, even an empty one (so it reads zero)."""
+        trace = CurrentTrace()
+        trace.append(1.0, 0.010, "a")
+        trace.add_segment(1.0 - 1e-13, 0.0, 0.020, "empty")
+        trace.add_segment(2.0, 1.0, 0.030, "b")
+        times, currents = trace.sample(4.0, 1.0 - 1e-13, 3.0)
+        assert trace.current_at(times[0]) == 0.0
+        assert currents.tolist() == [trace.current_at(t)
+                                     for t in times.tolist()]

@@ -431,3 +431,96 @@ class TestRangeCutoff:
             WirelessMedium(sim, max_range_m=0.0)
         with pytest.raises(MediumError):
             WirelessMedium(sim, interference_range_m=-1.0)
+
+
+class TestParseOncePerWire:
+    """``Radio.deliver`` parses each distinct wire once and shares the
+    frame between its deliveries; a wire that fails to parse fails on
+    every delivery. Parses are counted through the module global the
+    e2e tracer wraps."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        from repro.sim import radio as radio_module
+        radio_module._parse_wire.cache_clear()
+        calls = []
+        parse_frame = radio_module.parse_frame
+
+        def counting(wire):
+            calls.append(wire)
+            return parse_frame(wire)
+        monkeypatch.setattr(radio_module, "parse_frame", counting)
+        yield calls
+        radio_module._parse_wire.cache_clear()
+
+    def listen(self, radios):
+        heard = []
+        for radio in radios:
+            radio.rx_callback = lambda frame, t: heard.append(frame)
+            radio.power_on()
+        return heard
+
+    def test_receivers_of_one_transmission_share_one_frame(self, parses):
+        sim, _medium, (tx, *receivers) = setup(
+            positions=((0.0, 0.0), (2.0, 0.0), (0.0, 2.0)))
+        heard = self.listen(receivers)
+        tx.power_on()
+        tx.transmit(beacon(), OFDM_24)
+        sim.run()
+        assert len(heard) == 2
+        assert heard[0] is heard[1]
+        assert len(parses) == 1
+
+    def test_repeated_wire_is_parsed_once(self, parses):
+        sim, _medium, (tx, rx) = setup()
+        heard = self.listen([rx])
+        tx.power_on()
+        for _ in range(3):
+            tx.transmit(beacon(), OFDM_24)
+            sim.run()
+        assert len(heard) == 3
+        assert heard[0] is heard[1] is heard[2]
+        assert len(parses) == 1
+
+    def test_bad_fcs_is_dropped_on_every_delivery(self, parses):
+        sim, medium, (tx, rx) = setup()
+        heard = self.listen([rx])
+        wire = bytearray(beacon().to_bytes())
+        wire[-1] ^= 0xFF
+        tx.power_on()
+        for _ in range(3):
+            tx.transmit(bytes(wire), OFDM_24)
+            sim.run()
+        assert medium.frames_delivered == 3
+        assert heard == [] and rx.frames_received == 0
+        assert len(parses) == 3
+        tx.transmit(beacon(), OFDM_24)
+        sim.run()
+        assert len(heard) == 1 and rx.frames_received == 1
+
+
+class TestEncodeOnce:
+    def test_repeated_frame_object_is_encoded_once(self):
+        """Frames are immutable values: a sender that repeats one frame
+        object (background traffic, a repeated beacon) pays one encode."""
+        encodes = []
+
+        class CountingBeacon:
+            def __init__(self, beacon):
+                self.beacon = beacon
+
+            def to_bytes(self):
+                encodes.append(self)
+                return self.beacon.to_bytes()
+
+        sim, _medium, (tx, rx) = setup()
+        heard = []
+        rx.rx_callback = lambda frame, t: heard.append(frame)
+        tx.power_on()
+        rx.power_on()
+        first, second = CountingBeacon(beacon()), CountingBeacon(beacon(B))
+        for frame in (first, first, second, first):
+            tx.transmit(frame, OFDM_24)
+            sim.run()
+        assert encodes == [first, second, first]
+        assert [frame.source for frame in heard] == [A, A, B, A]
