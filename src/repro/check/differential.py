@@ -365,7 +365,7 @@ def check_shards_by_definition() -> Deviation:
                   for count in range(1, 8)
                   for shard, expected in zip(
                       plan_shards(plan, count),
-                      shards_by_definition(plan, count))
+                      shards_by_definition(plan, count), strict=True)
                   if shard != expected]
     return Deviation(max_deviation=float(len(mismatches)), tolerance=0.0,
                      unit="mismatches",

@@ -21,7 +21,7 @@ from typing import Callable
 
 from ..dot11 import Beacon, DataFrame, MacAddress
 from ..dot11.airtime import frame_airtime_us
-from ..dot11.rates import WILE_DEFAULT_RATE, PhyRate
+from ..dot11.rates import WILE_DEFAULT_RATE, WILE_TX_POWER_DBM, PhyRate
 from ..energy import calibration as cal
 from ..energy.esp32 import Esp32PowerModel, Esp32Recorder, Esp32State
 from ..sim import JitteryClock, Position, Radio, Simulator, Transmission, WirelessMedium
@@ -33,9 +33,6 @@ from .payload import (
     WileMessage,
     WileMessageType,
 )
-
-#: TX power for Wi-LE injections (paper §5.4: 0 dBm, BLE-like range).
-WILE_TX_POWER_DBM = 0.0
 
 
 @dataclass(frozen=True, slots=True)

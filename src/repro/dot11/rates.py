@@ -121,6 +121,9 @@ HT_MCS7_SGI = _ht("HT-MCS7-SGI", 72.2, Modulation.QAM64, 5 / 6, 260, 3.6, 23.0)
 #: The rate the paper uses for Wi-LE transmissions ("72 Mbps").
 WILE_DEFAULT_RATE = HT_MCS7_SGI
 
+#: TX power for Wi-LE injections (paper §5.4: 0 dBm, BLE-like range).
+WILE_TX_POWER_DBM = 0.0
+
 DSSS_RATES: tuple[PhyRate, ...] = (DSSS_1, DSSS_2, CCK_5_5, CCK_11)
 OFDM_RATES: tuple[PhyRate, ...] = (
     OFDM_6, OFDM_9, OFDM_12, OFDM_18, OFDM_24, OFDM_36, OFDM_48, OFDM_54,

@@ -344,8 +344,14 @@ class ParallelRunner:
         self.last_backend: str | None = None
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-        """Apply ``fn`` to every item; results in input order."""
-        work = list(items)
+        """Apply ``fn`` to every item; results in input order.
+
+        At ``workers=1`` each item is drawn only after ``fn`` has
+        returned for the one before, so a generator of large inputs
+        never has them all alive at once. A pool needs their count to
+        size its chunks, so it materialises ``items`` first.
+        """
+        work = items if self.workers == 1 else list(items)
         if self.workers == 1 or len(work) <= 1:
             self.last_backend = "serial"
             return [fn(item) for item in work]
@@ -388,11 +394,12 @@ class ParallelRunner:
         return results
 
 
-def run_grid(fn: Callable[[_T], _R], items: Sequence[_T], *,
+def run_grid(fn: Callable[[_T], _R], items: Iterable[_T], *,
              workers: int = 1) -> list[_R]:
     """Fan ``fn`` over ``items``; results in input order.
 
     The convenience wrapper the experiment harnesses share: one line per
-    sweep.
+    sweep. Items are consumed as :meth:`ParallelRunner.map` consumes
+    them: lazily at ``workers=1``, all up front for a pool.
     """
     return ParallelRunner(workers=workers).map(fn, items)

@@ -17,11 +17,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..mobility.trajectories import MobilityConfig, Trajectory, build_trajectories
-from ..sim import JitteryClock, Position, crystal_draws
+from ..sim import JitteryClock, crystal_draws
+
+if TYPE_CHECKING:
+    from ..sim.medium import Position
 
 #: Device ids start here so fleet devices never collide with the small
 #: experiments' 0x100-range ids in mixed traces.
@@ -134,6 +138,7 @@ class DeviceSpec:
 
     @property
     def position(self) -> Position:
+        from ..sim.medium import Position  # the event engine's type
         return Position(self.x_m, self.y_m)
 
     def make_clock(self) -> JitteryClock:
@@ -153,8 +158,13 @@ class ReceiverSpec:
 
     @property
     def position(self) -> Position:
+        from ..sim.medium import Position  # the event engine's type
         return Position(self.x_m, self.y_m)
 
+
+#: Devices per step of :meth:`FleetPlan.nearest_receivers`: bounds its
+#: temporaries to a few hundred KB whatever the fleet size.
+_NEAREST_CHUNK = 1 << 12
 
 #: Relative gap under which ``np.hypot`` and ``math.hypot`` may order
 #: two distances, or a distance and a cutoff, differently: each is
@@ -218,45 +228,53 @@ class FleetPlan:
 
     def nearest_receivers(self) -> tuple[np.ndarray, np.ndarray]:
         """Every device's designated uplink gateway — its index into
-        ``receivers`` — and the distance to it.
+        ``receivers``, as int32 — and the distance to it.
 
-        The 3x3 search runs over all devices at once with ``np.hypot``,
-        which can differ from ``math.hypot`` in the last bit. Devices
-        whose two nearest candidates, or whose distance and
-        :data:`DEFAULT_MAX_RANGE_M`, lie within :data:`HYPOT_SLACK` of
-        each other are re-resolved by the scalar search, so every
-        choice is the ``(math.hypot, receiver_id)`` minimum and every
-        distance compares with the cutoff as ``math.hypot``'s would.
+        The 3x3 search runs over :data:`_NEAREST_CHUNK` devices at a
+        time with ``np.hypot``, which can differ from ``math.hypot`` in
+        the last bit. Devices whose two nearest candidates, or whose
+        distance and :data:`DEFAULT_MAX_RANGE_M`, lie within
+        :data:`HYPOT_SLACK` of each other are re-resolved by the scalar
+        search, so every choice is the ``(math.hypot, receiver_id)``
+        minimum and every distance compares with the cutoff as
+        ``math.hypot``'s would.
         """
         width, height = self.config.area_m
         columns, rows = self.receiver_columns, self.receiver_rows
         receiver_x = np.array([receiver.x_m for receiver in self.receivers])
         receiver_y = np.array([receiver.y_m for receiver in self.receivers])
-        x, y = self.x_m, self.y_m
-        column = np.minimum(x // (width / columns), columns - 1).astype(int)
-        row = np.minimum(y // (height / rows), rows - 1).astype(int)
-        nearest = np.zeros(len(x), dtype=int)
-        distance = np.full(len(x), np.inf)
-        runner_up = np.full(len(x), np.inf)
-        for r in (row - 1, row, row + 1):
-            for c in (column - 1, column, column + 1):
-                valid = (r >= 0) & (r < rows) & (c >= 0) & (c < columns)
-                candidate = np.where(valid, r * columns + c, 0)
-                d = np.where(valid, np.hypot(x - receiver_x[candidate],
-                                             y - receiver_y[candidate]),
-                             np.inf)
-                closer = d < distance
-                runner_up = np.where(closer, distance,
-                                     np.minimum(runner_up, d))
-                nearest = np.where(closer, candidate, nearest)
-                distance = np.where(closer, d, distance)
         cutoff = DEFAULT_MAX_RANGE_M
-        exact = ((runner_up - distance <= HYPOT_SLACK * distance)
-                 | (np.abs(distance - cutoff) <= HYPOT_SLACK * cutoff))
-        for index in np.nonzero(exact)[0].tolist():
-            distance[index], _, nearest[index] = self._nearest_receiver(
-                x[index].item(), y[index].item())
-        return nearest, distance
+        count = len(self.x_m)
+        indices = np.empty(count, dtype=np.int32)
+        distances = np.empty(count)
+        for start in range(0, count, _NEAREST_CHUNK):
+            chunk = slice(start, start + _NEAREST_CHUNK)
+            x, y = self.x_m[chunk], self.y_m[chunk]
+            column = np.minimum(x // (width / columns), columns - 1).astype(int)
+            row = np.minimum(y // (height / rows), rows - 1).astype(int)
+            nearest = np.zeros(len(x), dtype=int)
+            distance = np.full(len(x), np.inf)
+            runner_up = np.full(len(x), np.inf)
+            for r in (row - 1, row, row + 1):
+                for c in (column - 1, column, column + 1):
+                    valid = (r >= 0) & (r < rows) & (c >= 0) & (c < columns)
+                    candidate = np.where(valid, r * columns + c, 0)
+                    d = np.where(valid, np.hypot(x - receiver_x[candidate],
+                                                 y - receiver_y[candidate]),
+                                 np.inf)
+                    closer = d < distance
+                    runner_up = np.where(closer, distance,
+                                         np.minimum(runner_up, d))
+                    nearest = np.where(closer, candidate, nearest)
+                    distance = np.where(closer, d, distance)
+            exact = ((runner_up - distance <= HYPOT_SLACK * distance)
+                     | (np.abs(distance - cutoff) <= HYPOT_SLACK * cutoff))
+            for index in np.nonzero(exact)[0].tolist():
+                distance[index], _, nearest[index] = self._nearest_receiver(
+                    x[index].item(), y[index].item())
+            indices[chunk] = nearest
+            distances[chunk] = distance
+        return indices, distances
 
 
 def validate_positions(plan: FleetPlan) -> None:
@@ -405,12 +423,12 @@ def generate_fleet(config: FleetConfig) -> FleetPlan:
     """
     count = config.device_count
     x_m, y_m = _positions(config)
-    crystals = crystal_draws(count, drift_std_ppm=config.drift_std_ppm,
-                             jitter_std_s=config.jitter_std_s,
-                             seed=config.seed)
-    drift_ppm = np.fromiter((drift for drift, _ in crystals), float, count)
-    clock_seed = np.fromiter((seed for _, seed in crystals), np.int64, count)
-    del crystals
+    drifts, seeds = crystal_draws(count, drift_std_ppm=config.drift_std_ppm,
+                                  jitter_std_s=config.jitter_std_s,
+                                  seed=config.seed)
+    # Views of the two stdlib arrays: the columns cost no copy.
+    drift_ppm = np.frombuffer(drifts, dtype=np.float64)
+    clock_seed = np.frombuffer(seeds, dtype=np.int64)
     if config.start == "synchronised":
         first_wake_s = np.full(count, config.interval_s)
     else:

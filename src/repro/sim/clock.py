@@ -12,6 +12,7 @@ reproducibility.
 from __future__ import annotations
 
 import random
+from array import array
 
 
 class ClockError(ValueError):
@@ -65,23 +66,27 @@ class JitteryClock:
 
 
 def crystal_draws(count: int, drift_std_ppm: float, jitter_std_s: float,
-                  seed: int) -> list[tuple[float, int]]:
-    """The ``(drift_ppm, clock_seed)`` of ``count`` manufactured crystals.
+                  seed: int) -> tuple[array, array]:
+    """The ``drift_ppm`` (``array('d')``) and ``clock_seed``
+    (``array('q')``) columns of ``count`` manufactured crystals.
 
     Each crystal draws its ppm error, then its jitter seed, from one
     ``random.Random(seed)`` stream, and is checked as
     :class:`JitteryClock` would check it, so callers that keep only the
     numbers (:func:`repro.fleet.generate_fleet`) need no live clock.
+    The columns hold 16 bytes per crystal, not a tuple of two objects.
     """
     if count < 0:
         raise ClockError("cannot build a negative number of clocks")
     rng = random.Random(seed)
-    draws = []
+    drifts = array("d")
+    seeds = array("q")
     for _ in range(count):
         drift_ppm = rng.gauss(0.0, drift_std_ppm)
         _check_clock(drift_ppm, jitter_std_s)
-        draws.append((drift_ppm, rng.randrange(2**31)))
-    return draws
+        drifts.append(drift_ppm)
+        seeds.append(rng.randrange(2**31))
+    return drifts, seeds
 
 
 def crystal_population(count: int, drift_std_ppm: float = 20.0,
@@ -94,5 +99,5 @@ def crystal_population(count: int, drift_std_ppm: float = 20.0,
     """
     return [JitteryClock(drift_ppm=drift_ppm, jitter_std_s=jitter_std_s,
                          seed=clock_seed)
-            for drift_ppm, clock_seed in crystal_draws(
-                count, drift_std_ppm, jitter_std_s, seed)]
+            for drift_ppm, clock_seed in zip(*crystal_draws(
+                count, drift_std_ppm, jitter_std_s, seed))]

@@ -176,6 +176,23 @@ def test_import_repro_loads_no_subpackage():
     assert loaded == {"repro._lazy"}
 
 
+#: The discrete-event stack: a fleet run on the cohort kernel, the
+#: default, must not load it; only the event reference ``run_shard``
+#: (and the cohort kernel's fallback for moving shards) needs it.
+EVENT_ENGINE = {"repro.core.device", "repro.sim.engine", "repro.sim.medium",
+                "repro.sim.radio"}
+FLEET_RUN = (
+    "from repro.fleet import FleetConfig, generate_fleet, run_sharded_fleet\n"
+    "run_sharded_fleet(generate_fleet(FleetConfig(device_count=200, "
+    "area_m=(60.0, 30.0), interval_s=30.0, duration_s=300.0)), "
+    "shard_count=2, kernel={kernel!r})")
+
+
+def test_cohort_fleet_run_loads_no_event_engine():
+    assert not modules_after(FLEET_RUN.format(kernel="cohort")) & EVENT_ENGINE
+    assert modules_after(FLEET_RUN.format(kernel="event")) >= EVENT_ENGINE
+
+
 @pytest.mark.parametrize("statement", [
     "import repro.service.server, repro.service.federation",
     "import repro.service.__main__",

@@ -184,6 +184,25 @@ class TestRunGrid:
         assert run_grid(square, [1, 2, 3]) == [1, 4, 9]
         assert run_grid(square, [3, 2, 1], workers=2) == [9, 4, 1]
 
+    def test_serial_draws_each_item_after_the_last_returns(self):
+        # What lets a serial fleet run hold one shard spec at a time.
+        events = []
+
+        def items():
+            for item in range(3):
+                events.append(("draw", item))
+                yield item
+
+        def record(item):
+            events.append(("call", item))
+            return square(item)
+
+        assert run_grid(record, items()) == [0, 1, 4]
+        assert events == [("draw", 0), ("call", 0), ("draw", 1),
+                          ("call", 1), ("draw", 2), ("call", 2)]
+        assert run_grid(square, (item for item in range(3)),
+                        workers=2) == [0, 1, 4]
+
 
 class TestStageTimings:
     def test_span_records_elapsed(self):
