@@ -31,7 +31,11 @@ def lazy_exports(package: str, exports: Mapping[str, tuple[str, ...]], *,
     A name spelled like the submodule that defines it (``repro.ble``'s
     ``crc24``) is bound at once: importing that submodule later would
     otherwise bind the module over the name, and ``__getattr__`` is
-    never asked for an attribute the package already has.
+    never asked for an attribute the package already has. Such a
+    submodule so loads with its package, on every import of anything
+    in it, and must keep its top-level imports light: it imports what
+    only some of its functions use (``repro.dot11.show``'s frame
+    classes, ``repro.service.replay``'s beacon encoder) inside them.
     """
     module = sys.modules[package]
     origin: dict[str, tuple[str, str]] = {}

@@ -3,34 +3,22 @@
 Used by examples and debugging sessions to see what is actually on the
 air. Every frame type the stack produces gets a one-line summary and a
 multi-line detail view with its elements decoded.
+
+``import repro.dot11`` binds :func:`show` and so imports this module;
+each function imports the frame and element classes it tests against,
+so that import loads neither :mod:`.frames` nor every element class.
 """
 
 from __future__ import annotations
 
-from .elements import (
-    DsssParameterSet,
-    Rsn,
-    Ssid,
-    SupportedRates,
-    Tim,
-    VendorSpecific,
-)
-from .frames import (
-    Ack,
-    AssociationRequest,
-    AssociationResponse,
-    Authentication,
-    Beacon,
-    DataFrame,
-    Deauthentication,
-    Disassociation,
-    ProbeRequest,
-    PsPoll,
-)
-
 
 def summarize(frame: object) -> str:
     """One line: type, addressing, and the interesting fields."""
+    from .elements import Ssid, VendorSpecific
+    from .frames import (Ack, AssociationRequest, AssociationResponse,
+                         Authentication, Beacon, DataFrame,
+                         Deauthentication, Disassociation, ProbeRequest,
+                         PsPoll)
     if isinstance(frame, Beacon):
         ssid = next((element for element in frame.elements
                      if isinstance(element, Ssid)), None)
@@ -68,6 +56,8 @@ def summarize(frame: object) -> str:
 
 
 def _element_lines(elements) -> list[str]:
+    from .elements import (DsssParameterSet, Rsn, Ssid, SupportedRates, Tim,
+                           VendorSpecific)
     lines = []
     for element in elements:
         if isinstance(element, Ssid):
@@ -96,6 +86,8 @@ def _element_lines(elements) -> list[str]:
 
 def show(frame: object) -> str:
     """Multi-line detail view; returns the text (and never prints)."""
+    from .frames import (AssociationRequest, AssociationResponse, Beacon,
+                         DataFrame, ProbeRequest)
     lines = [summarize(frame)]
     if isinstance(frame, Beacon):
         lines.append(f"  interval: {frame.beacon_interval_tu} TU, "

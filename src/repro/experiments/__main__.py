@@ -22,46 +22,21 @@ import os
 import sys
 import textwrap
 from dataclasses import dataclass
-from typing import Any, Callable
+from importlib import import_module
+from types import ModuleType
+from typing import TYPE_CHECKING, Any, Callable
 
-from ..obs import METRICS, audit_all
-from ..obs.audit import AuditReport
+from ..obs import METRICS
 from ..scenarios import run_all_scenarios
-from . import (
-    ablations,
-    adaptive,
-    band_5ghz,
-    battery_life,
-    contention,
-    fleet_scale,
-    mobility,
-    new_devices,
-    reliability,
-    resilience,
-    scheduling,
-)
-from .artifacts import (
-    WrittenArtifact,
-    export_all,
-    write_figure4_csv,
-    write_metrics_jsonl,
-    write_multi_device_csv,
-    write_rows_csv,
-    write_table1_csv,
-    write_trace_csv,
-    write_trace_segments_csv,
-)
-from .contention import run_contention
 from .figure3 import Figure3Report, run_figure3
 from .figure4 import Figure4Report, run_figure4
-from .fleet_scale import run_fleet_scale
 from .frame_counts import FrameCountReport, run_frame_counts
-from .multi_device import MultiDeviceReport, run_multi_device
-from .new_devices import NewDevicesReport
-from .reliability import run_reliability
 from .runner import StageTimings
 from .table1 import Table1Report, run_table1
-from .two_way import TwoWayReport, run_two_way
+
+if TYPE_CHECKING:
+    from ..obs.audit import AuditReport
+    from .artifacts import WrittenArtifact
 
 
 @dataclass(frozen=True)
@@ -85,108 +60,133 @@ class Experiment:
     audit: Callable[[Any], AuditReport] | None = None
 
 
-# Entries call the run functions through this module's globals at call
-# time, so a wrapper patched over e.g. ``run_table1`` here takes effect.
+def _module(name: str) -> ModuleType:
+    """This package's module ``name``, imported on first use: a run
+    loads only the modules of the entries it runs, and ``--out`` and
+    ``--audit`` only what they write and check with."""
+    return import_module(f".{name}", __package__)
+
+
+def _write_rows(path: str, rows: Any) -> WrittenArtifact:
+    return _module("artifacts").write_rows_csv(path, rows)
+
+
+# Entries call the run functions through this module's globals, or
+# through their module's, at call time, so a wrapper patched over e.g.
+# ``run_table1`` here takes effect.
 EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "table1", "Table 1", quick=True,
         run=lambda results, workers: run_table1(results),
         render=Table1Report.render,
         artifacts=(("table1.csv", lambda path, report:
-                    write_table1_csv(path, report.results)),)),
+                    _module("artifacts").write_table1_csv(
+                        path, report.results)),)),
     Experiment(
         "figure3", "Figure 3", quick=True,
         run=lambda results, workers: run_figure3(),
         render=Figure3Report.render,
         artifacts=(
             ("figure3a_wifi.csv", lambda path, report:
-             write_trace_csv(path, report.wifi_trace)),
+             _module("artifacts").write_trace_csv(path, report.wifi_trace)),
             ("figure3b_wile.csv", lambda path, report:
-             write_trace_csv(path, report.wile_trace)),
+             _module("artifacts").write_trace_csv(path, report.wile_trace)),
             ("figure3a_wifi_segments.csv", lambda path, report:
-             write_trace_segments_csv(path, report.wifi_trace)),
+             _module("artifacts").write_trace_segments_csv(
+                 path, report.wifi_trace)),
             ("figure3b_wile_segments.csv", lambda path, report:
-             write_trace_segments_csv(path, report.wile_trace)))),
+             _module("artifacts").write_trace_segments_csv(
+                 path, report.wile_trace)))),
     Experiment(
         "figure4", "Figure 4", quick=True,
         run=lambda results, workers: run_figure4(results),
         render=Figure4Report.render,
         artifacts=(("figure4.csv", lambda path, report:
-                    write_figure4_csv(path, report.results)),)),
+                    _module("artifacts").write_figure4_csv(
+                        path, report.results)),)),
     Experiment(
         "frame_counts", "Section 3.1 frame counts", quick=True,
         run=lambda results, workers: run_frame_counts(),
         render=FrameCountReport.render),
     Experiment(
         "multi_device", "Section 6: multi-device jitter",
-        run=lambda results, workers: run_multi_device(),
-        render=MultiDeviceReport.render,
-        artifacts=(("multi_device_rounds.csv", write_multi_device_csv),)),
+        run=lambda results, workers:
+            _module("multi_device").run_multi_device(),
+        render=lambda report: report.render(),
+        artifacts=(("multi_device_rounds.csv", lambda path, report:
+                    _module("artifacts").write_multi_device_csv(
+                        path, report)),)),
     Experiment(
         "two_way", "Section 6: two-way communication",
-        run=lambda results, workers: run_two_way(),
-        render=TwoWayReport.render),
+        run=lambda results, workers: _module("two_way").run_two_way(),
+        render=lambda report: report.render()),
     # The ablation and 5 GHz reports compute their sweeps while
     # rendering, so their result is the printed text itself.
     Experiment(
         "ablations", "Ablations",
-        run=lambda results, workers: ablations.render_all(),
+        run=lambda results, workers: _module("ablations").render_all(),
         render=str),
     Experiment(
         "band_5ghz", "Section 1: 5 GHz",
-        run=lambda results, workers: band_5ghz.render(),
+        run=lambda results, workers: _module("band_5ghz").render(),
         render=str),
     Experiment(
         "contention", "Contention",
-        run=lambda results, workers: run_contention(workers=workers),
-        render=contention.render),
+        run=lambda results, workers:
+            _module("contention").run_contention(workers=workers),
+        render=lambda points: _module("contention").render(points)),
     Experiment(
         "scheduling", "Fleet scheduling",
-        run=lambda results, workers: scheduling.run_scheduling(
-            workers=workers),
-        render=scheduling.render),
+        run=lambda results, workers:
+            _module("scheduling").run_scheduling(workers=workers),
+        render=lambda points: _module("scheduling").render(points)),
     Experiment(
         "reliability", "Beacon repetition reliability",
-        run=lambda results, workers: run_reliability(workers=workers),
-        render=reliability.render),
+        run=lambda results, workers:
+            _module("reliability").run_reliability(workers=workers),
+        render=lambda points: _module("reliability").render(points)),
     Experiment(
         "adaptive", "Adaptive reporting",
-        run=lambda results, workers: adaptive.run_adaptive(workers=workers),
-        render=adaptive.render),
+        run=lambda results, workers:
+            _module("adaptive").run_adaptive(workers=workers),
+        render=lambda points: _module("adaptive").render(points)),
     Experiment(
         "battery_life", "Battery life",
-        run=lambda results, workers: battery_life.battery_life(results),
-        render=battery_life.render),
+        run=lambda results, workers:
+            _module("battery_life").battery_life(results),
+        render=lambda rows: _module("battery_life").render(rows)),
     Experiment(
         "fleet_scale", "Fleet scale",
-        run=lambda results, workers: run_fleet_scale(workers=workers),
-        render=fleet_scale.render,
-        artifacts=(("fleet_scale.csv", write_rows_csv),),
-        audit=fleet_scale.audit_points),
+        run=lambda results, workers:
+            _module("fleet_scale").run_fleet_scale(workers=workers),
+        render=lambda points: _module("fleet_scale").render(points),
+        artifacts=(("fleet_scale.csv", _write_rows),),
+        audit=lambda points: _module("fleet_scale").audit_points(points)),
     Experiment(
         "resilience", "Resilience under injected faults",
-        run=lambda results, workers: resilience.run_resilience(
-            workers=workers),
-        render=resilience.render,
-        artifacts=(("resilience.csv", write_rows_csv),),
-        audit=resilience.audit_points),
+        run=lambda results, workers:
+            _module("resilience").run_resilience(workers=workers),
+        render=lambda points: _module("resilience").render(points),
+        artifacts=(("resilience.csv", _write_rows),),
+        audit=lambda points: _module("resilience").audit_points(points)),
     Experiment(
         "mobility", "Mobility: handoff tax",
-        run=lambda results, workers: mobility.run_mobility(workers=workers),
-        render=mobility.render,
-        artifacts=(("mobility.csv", write_rows_csv),),
-        audit=mobility.audit_points),
+        run=lambda results, workers:
+            _module("mobility").run_mobility(workers=workers),
+        render=lambda points: _module("mobility").render(points),
+        artifacts=(("mobility.csv", _write_rows),),
+        audit=lambda points: _module("mobility").audit_points(points)),
     Experiment(
         "new_devices", "New device classes: WUR + batteryless harvesting",
-        run=lambda results, workers: new_devices.run_new_devices(
+        run=lambda results, workers: _module("new_devices").run_new_devices(
             results, workers=workers),
-        render=NewDevicesReport.render,
+        render=lambda report: report.render(),
         artifacts=(
             ("harvester_resilience.csv", lambda path, report:
-             write_rows_csv(path, report.resilience)),
+             _module("artifacts").write_rows_csv(path, report.resilience)),
             ("harvester_fleet.csv", lambda path, report:
-             write_rows_csv(path, report.fleet))),
-        audit=lambda report: new_devices.audit_points(
+             _module("artifacts").write_rows_csv(path, report.fleet))),
+        audit=lambda report: _module("new_devices").audit_points(
             report.resilience + report.fleet)),
 )
 
@@ -254,6 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         kept.append((experiment, result))
 
     if args.out is not None:
+        from .artifacts import export_all
         _banner(f"Artifacts -> {args.out}")
         for artifact in export_all(args.out, kept):
             print(f"  wrote {artifact.path} ({artifact.rows} rows)")
@@ -264,6 +265,7 @@ def main(argv: list[str] | None = None) -> int:
 
     audit_failed = False
     if args.audit:
+        from ..obs.audit import audit_all
         _banner("Invariant audit")
         report = audit_all(results)
         print(_render_subjects("scenarios", report))
@@ -276,6 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         audit_failed = not report.ok
 
     if args.metrics:
+        from .artifacts import write_metrics_jsonl
         from .report import render_metrics
         _banner("Metrics")
         print(render_metrics(METRICS))

@@ -22,8 +22,7 @@ from typing import Sequence
 
 from ..fleet import FleetConfig, generate_fleet, run_sharded_fleet
 from ..fleet.aggregate import FleetAggregate, counters_equal, moments_close
-from ..obs import METRICS, audit_fleet
-from ..obs.audit import AuditReport
+from ..obs import METRICS
 from .report import format_si, render_table
 
 #: The default sweep: device density rises ~20x across the grid while
@@ -140,8 +139,9 @@ def run_fleet_scale(device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
     return points
 
 
-def audit_points(points: Sequence[FleetScalePoint]) -> AuditReport:
+def audit_points(points: Sequence[FleetScalePoint]):
     """Fold :func:`repro.obs.audit.audit_fleet` over every sweep point."""
+    from ..obs.audit import AuditReport, audit_fleet
     report = AuditReport()
     for point in points:
         report.merge(audit_fleet(

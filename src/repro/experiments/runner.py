@@ -22,25 +22,27 @@ and seeds its own RNGs). That independence is the whole contract here:
   fan-out actually paid off.
 
 Nothing here imports the simulation layers, so worker processes only
-materialise what the mapped function itself pulls in.
+materialise what the mapped function itself pulls in; nor, until a pool
+is built, the process-pool stack (``multiprocessing``,
+``concurrent.futures.process``, ``pickle``), so a serial run and the
+gateway's import never load it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
 import signal
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import (Any, Callable, Hashable, Iterable, Iterator, Sequence,
-                    TypeVar)
+from typing import (TYPE_CHECKING, Any, Callable, Hashable, Iterable,
+                    Iterator, Sequence, TypeVar)
 
 from ..obs.metrics import METRICS
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -196,11 +198,13 @@ class ProcessPool:
         self._executor: ProcessPoolExecutor | None = self._new_executor()
 
     def _new_executor(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor(max_workers=self.workers)
 
     def submit(self, key: Hashable, fn: Callable[..., Any],
                *args: Any) -> None:
         """Start ``fn(*args)`` on a worker, retained under ``key``."""
+        from concurrent.futures.process import BrokenProcessPool
         job = _Job(fn, args)
         try:
             self._start(job)
@@ -219,6 +223,8 @@ class ProcessPool:
 
     def take(self, key: Hashable) -> Any:
         """Block until ``key``'s result is ready; release its input."""
+        from concurrent.futures import TimeoutError as FuturesTimeout
+        from concurrent.futures.process import BrokenProcessPool
         job = self._jobs[key]
         while job.future is not None:
             try:
@@ -237,6 +243,7 @@ class ProcessPool:
         """:meth:`take` for an event loop (no timeout: a waiting loop
         keeps serving its other tasks)."""
         import asyncio  # here, not at import: the sweeps never need it
+        from concurrent.futures.process import BrokenProcessPool
         job = self._jobs[key]
         while job.future is not None:
             try:
@@ -355,6 +362,7 @@ class ParallelRunner:
         if self.workers == 1 or len(work) <= 1:
             self.last_backend = "serial"
             return [fn(item) for item in work]
+        import pickle
         try:
             # An unpicklable fn (a lambda, a closure) must never reach a
             # pool: submit() succeeds and the pickling error only fires

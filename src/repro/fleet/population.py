@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..mobility.trajectories import MobilityConfig, Trajectory, build_trajectories
 from ..sim import JitteryClock, crystal_draws
 
 if TYPE_CHECKING:
+    from ..mobility.trajectories import MobilityConfig, Trajectory
     from ..sim.medium import Position
 
 #: Device ids start here so fleet devices never collide with the small
@@ -118,9 +118,11 @@ class FleetConfig:
             raise FleetError("need at least one cluster")
         if self.receiver_spacing_m <= 0:
             raise FleetError("receiver spacing must be positive")
-        if self.mobility is not None and not isinstance(self.mobility,
-                                                        MobilityConfig):
-            raise FleetError("mobility must be a MobilityConfig or None")
+        if self.mobility is not None:
+            # Only a mobile fleet loads the mobility package.
+            from ..mobility.trajectories import MobilityConfig
+            if not isinstance(self.mobility, MobilityConfig):
+                raise FleetError("mobility must be a MobilityConfig or None")
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,6 +442,7 @@ def generate_fleet(config: FleetConfig) -> FleetPlan:
     receivers, columns, rows = _receiver_grid(config)
     trajectories = None
     if config.mobility is not None:
+        from ..mobility.trajectories import build_trajectories
         trajectories = build_trajectories(
             config.mobility,
             [(FLEET_DEVICE_ID_BASE + index, x, y) for index, (x, y)

@@ -24,7 +24,6 @@ import random
 import struct
 import time
 
-from ..core.codec import encode_beacon
 from ..core.payload import (
     SensorKind,
     SensorReading,
@@ -59,6 +58,9 @@ def generate_stream(payload_count: int, device_count: int = 64,
     decode-error path; the FCS is re-sealed so corruption reaches the
     message CRC, the layer a real gateway must catch itself).
     """
+    # Here, not at import: ``import repro.service`` binds this module,
+    # and the gateway never encodes a beacon.
+    from ..core.codec import encode_beacon
     rng = random.Random(seed)
     device_ids = [((index % tenant_count) << DEFAULT_TENANT_BITS)
                   | (index // tenant_count + 1)
@@ -134,18 +136,23 @@ def record_stream(path: str, wires: list[bytes],
 
 
 def load_stream(path: str) -> list[bytes]:
-    """Read a stream file back; raises ``ValueError`` on a bad header
-    or truncated record."""
+    """Read a stream file back; raises ``ValueError`` naming ``path`` on
+    a malformed header, a truncated record, or bytes past the last
+    frame the header declares."""
     with open(path, "rb") as handle:
-        header_line = handle.readline()
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as error:
+            header = json.loads(handle.readline())
+        except ValueError as error:  # not JSON, or not UTF-8
             raise ValueError(f"{path}: not a beacon stream file") from error
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: not a beacon stream file")
         if header.get("magic") != _MAGIC or header.get("version") != _VERSION:
             raise ValueError(f"{path}: unknown stream format {header!r}")
+        frames = header.get("frames")
+        if type(frames) is not int or frames < 0:
+            raise ValueError(f"{path}: bad frame count {frames!r}")
         wires = []
-        for index in range(int(header["frames"])):
+        for index in range(frames):
             prefix = handle.read(_LENGTH.size)
             if len(prefix) < _LENGTH.size:
                 raise ValueError(f"{path}: truncated at frame {index}")
@@ -154,6 +161,8 @@ def load_stream(path: str) -> list[bytes]:
             if len(wire) < length:
                 raise ValueError(f"{path}: truncated at frame {index}")
             wires.append(wire)
+        if handle.read(1):
+            raise ValueError(f"{path}: bytes after its {frames} frames")
     return wires
 
 

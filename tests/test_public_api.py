@@ -5,8 +5,10 @@ API break; this test pins the names the README and examples rely on.
 Package re-exports resolve on first access (``repro._lazy``), so the
 tests that depend on import state run in a fresh interpreter. Those
 also pin what laziness buys: a bare ``import repro`` loads no
-subpackage, and the gateway service loads no numpy and no simulation
-layer.
+subpackage, the gateway service loads no numpy, no simulation layer,
+no beacon encoder and no process pool, the experiments driver loads no
+experiment it does not run, and a cohort fleet run loads no process
+pool, mobility or fault injection.
 """
 
 import json
@@ -17,6 +19,7 @@ import sys
 import pytest
 
 import repro
+from repro.experiments.__main__ import EXPERIMENTS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 #: ``__all__`` of ``repro`` and of every subpackage, as the eager
@@ -153,11 +156,16 @@ def test_exports_are_their_defining_modules_objects(order):
                                 order) == []
 
 
-#: What the gateway must never load: numpy and the simulation stack.
-#: ``repro.experiments`` is allowed only its two stdlib-only modules,
-#: ``runner`` (the process pool) and ``statistics`` (streaming moments).
+#: What the gateway must never load: numpy and the simulation stack;
+#: the beacon encoder and the frame classes, since it decodes with its
+#: own fast path; and the process-pool stack, which it builds only when
+#: configured with workers. ``repro.experiments`` is allowed only its
+#: two stdlib-only modules, ``runner`` (the process pool) and
+#: ``statistics`` (streaming moments).
 GATEWAY_FORBIDDEN = ("numpy", "repro.sim", "repro.mac", "repro.security",
-                     "repro.scenarios", "repro.testbed", "repro.ble")
+                     "repro.scenarios", "repro.testbed", "repro.ble",
+                     "repro.core.codec", "repro.dot11.frames",
+                     "multiprocessing")
 GATEWAY_EXPERIMENTS = {"repro.experiments", "repro.experiments.runner",
                        "repro.experiments.statistics"}
 
@@ -188,9 +196,41 @@ FLEET_RUN = (
     "shard_count=2, kernel={kernel!r})")
 
 
+def under(prefixes, loaded: set[str]) -> list[str]:
+    """The modules of ``loaded`` that are, or sit under, one of
+    ``prefixes``."""
+    return sorted(name for name in loaded
+                  if any(name == prefix or name.startswith(prefix + ".")
+                         for prefix in prefixes))
+
+
 def test_cohort_fleet_run_loads_no_event_engine():
     assert not modules_after(FLEET_RUN.format(kernel="cohort")) & EVENT_ENGINE
     assert modules_after(FLEET_RUN.format(kernel="event")) >= EVENT_ENGINE
+
+
+def test_cohort_fleet_run_loads_no_pool_mobility_or_faults():
+    # A serial run builds no process pool, and a static fleet neither
+    # moves nor injects faults.
+    assert under(("multiprocessing", "concurrent.futures.process",
+                  "repro.mobility", "repro.faults"),
+                 modules_after(FLEET_RUN.format(kernel="cohort"))) == []
+
+
+#: What the driver imports only for the entry, or the flag, that uses
+#: it: every experiment ``--quick`` does not run, the artifact writers
+#: (``--out``), the audits (``--audit``), and the mobility and fault
+#: injection layers those experiments build on.
+DRIVER_DEFERRED = (
+    *(f"repro.experiments.{experiment.name}" for experiment in EXPERIMENTS
+      if not experiment.quick),
+    "repro.experiments.artifacts", "repro.obs.audit", "repro.mobility",
+    "repro.faults.inject")
+
+
+def test_driver_imports_only_what_quick_runs():
+    assert under(DRIVER_DEFERRED,
+                 modules_after("import repro.experiments.__main__")) == []
 
 
 @pytest.mark.parametrize("statement", [
@@ -199,10 +239,8 @@ def test_cohort_fleet_run_loads_no_event_engine():
 ])
 def test_gateway_loads_no_simulation_layer(statement):
     loaded = modules_after(statement)
-    forbidden = sorted(
+    forbidden = under(GATEWAY_FORBIDDEN, loaded) + sorted(
         name for name in loaded
-        if any(name == prefix or name.startswith(prefix + ".")
-               for prefix in GATEWAY_FORBIDDEN)
-        or (name.startswith("repro.experiments")
-            and name not in GATEWAY_EXPERIMENTS))
+        if name.startswith("repro.experiments")
+        and name not in GATEWAY_EXPERIMENTS)
     assert not forbidden, f"{statement!r} loaded {forbidden}"

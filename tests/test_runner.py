@@ -5,6 +5,11 @@ byte-identical to the serial loop it replaces. Everything else (timing
 spans, fallbacks, chunking) exists to make that fan-out usable.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments.contention import run_contention_point
@@ -177,6 +182,50 @@ class TestPoolMetrics:
         assert results[:2] == [0, 1]
         assert [result() for result in results[2:]] == [2, 3]
         assert metrics.get("test.pool.inputs").value == 4
+
+
+#: A pool run in an interpreter that has imported nothing but the
+#: runner, which loads the process-pool stack only when it builds a
+#: pool: every name the pool path uses must then import itself. The
+#: tests above cannot show that, since earlier tests have already
+#: loaded ``multiprocessing`` into this process.
+FRESH_POOL = """
+import json, sys
+from repro.experiments.runner import ParallelRunner, ProcessPool, kill_once
+
+preloaded = [name for name in ("multiprocessing", "pickle",
+                               "concurrent.futures.process")
+             if name in sys.modules]
+runner = ParallelRunner(workers=2)
+mapped = runner.map(abs, range(-4, 0))
+pool = ProcessPool(2)
+try:
+    pool.submit("take", kill_once, sys.argv[1], "take")
+    taken = pool.take("take")
+    import asyncio
+    pool.submit("async", kill_once, sys.argv[1], "async")
+    awaited = asyncio.run(pool.take_async("async"))
+finally:
+    pool.close()
+print(json.dumps({"preloaded": preloaded, "mapped": mapped,
+                  "backend": runner.last_backend, "taken": taken,
+                  "awaited": awaited, "rescued": pool.rescued}))
+"""
+
+
+def test_pool_in_a_fresh_interpreter(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_POOL, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "preloaded": [], "mapped": [4, 3, 2, 1], "backend": "process-pool",
+        "taken": None, "awaited": None, "rescued": 2}
+    assert sorted(os.listdir(tmp_path)) == ["chaos_async.marker",
+                                            "chaos_take.marker"]
 
 
 class TestRunGrid:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import struct
 import threading
 import time
@@ -918,8 +919,34 @@ class TestReplayFiles:
             load_stream(path)
 
     def test_not_a_stream_rejected(self, tmp_path):
-        path = str(tmp_path / "junk.bin")
+        """Every malformed file raises ``ValueError`` naming the file,
+        never a bare ``KeyError``/``AttributeError``/``int()`` error."""
+        one_frame = struct.pack("<H", 3) + b"abc"
+
+        def header(**fields):
+            return json.dumps({"magic": "wile-beacon-stream", "version": 1,
+                               **fields}).encode() + b"\n"
+
+        cases = {
+            "binary junk": b"\x00\x01\x02",
+            "not UTF-8": b"\xff\xfe\n",
+            "JSON list": b"[1, 2]\n",
+            "JSON number": b"42\n",
+            "wrong magic": b'{"magic": "pcap", "version": 1, "frames": 0}\n',
+            "no frames": header(),
+            "string frames": header(frames="1") + one_frame,
+            "float frames": header(frames=1.0) + one_frame,
+            "bool frames": header(frames=True) + one_frame,
+            "negative frames": header(frames=-1),
+            "truncated": header(frames=2) + one_frame,
+            "trailing bytes": header(frames=1) + one_frame + b"\x00",
+        }
+        for name, blob in cases.items():
+            path = str(tmp_path / f"{name}.bin")
+            with open(path, "wb") as handle:
+                handle.write(blob)
+            with pytest.raises(ValueError, match=re.escape(path)):
+                load_stream(path)
         with open(path, "wb") as handle:
-            handle.write(b"\x00\x01\x02")
-        with pytest.raises(ValueError):
-            load_stream(path)
+            handle.write(header(frames=1) + one_frame)
+        assert load_stream(path) == [b"abc"]
