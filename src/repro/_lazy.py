@@ -12,8 +12,17 @@ entry point loads only the code it runs.
 from __future__ import annotations
 
 import sys
-from importlib import import_module
+from types import ModuleType
 from typing import Any, Callable, Mapping
+
+
+def import_module(name: str, package: str) -> ModuleType:
+    """``importlib.import_module(name, package)`` for a one-component
+    relative ``name`` (``".codec"``, ``"..store"``), through the builtin
+    ``__import__``, the C import path ``python -X importtime`` logs."""
+    bare = name.lstrip(".")
+    return __import__(bare, {"__package__": package},
+                      level=len(name) - len(bare))
 
 
 def lazy_exports(package: str, exports: Mapping[str, tuple[str, ...]], *,

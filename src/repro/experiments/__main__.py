@@ -22,10 +22,10 @@ import os
 import sys
 import textwrap
 from dataclasses import dataclass
-from importlib import import_module
 from types import ModuleType
 from typing import TYPE_CHECKING, Any, Callable
 
+from .._lazy import import_module
 from ..obs import METRICS
 from ..scenarios import run_all_scenarios
 from .figure3 import Figure3Report, run_figure3

@@ -10,6 +10,9 @@ and seeds its own RNGs). That independence is the whole contract here:
   it. It keeps every input until its result is taken, so a worker that
   dies or hangs costs a resubmission, never a result (nor the metrics
   the input recorded: taking a result merges them into this process).
+* :func:`injected` and :func:`fault_point` are the fault seam that
+  proves it: a kill plan armed in the caller rides with each input's
+  first attempt, and the worker reaching an armed point SIGKILLs itself.
 * :class:`ParallelRunner` fans a function over a work list through that
   pool, **returning results in input order** regardless of completion
   order, so a parallel sweep is byte-identical to the serial loop it
@@ -121,12 +124,44 @@ class StageTimings:
 RETRIES = 2
 
 
-def _pooled(fn: Callable[..., _R], args: tuple) -> tuple[_R, list[dict]]:
-    """Worker side of :class:`ProcessPool`: ``fn(*args)`` and the
-    metrics it recorded. A worker serves many inputs (and a forked one
-    starts with the parent's registry), so the registry is emptied
-    first."""
+#: The kill plan, as ``(point, key)`` pairs, that :func:`injected` arms
+#: in this process; and the plan of the input this pool worker runs,
+#: which is ``None`` outside a pool worker, so no point fires there.
+_armed: frozenset[tuple[str, Hashable]] | None = None
+_running: frozenset[tuple[str, Hashable]] | None = None
+
+
+@contextmanager
+def injected(plan: dict[str, Hashable]) -> Iterator[None]:
+    """Arm ``plan`` (``{point: key}``) for the :class:`ProcessPool`
+    inputs submitted inside the block: the worker running an input's
+    first attempt SIGKILLs itself at ``fault_point(point, key)``. A
+    resubmission carries no plan, so it proceeds."""
+    global _armed
+    previous, _armed = _armed, frozenset(plan.items())
+    try:
+        yield
+    finally:
+        _armed = previous
+
+
+def fault_point(point: str, key: Hashable) -> None:
+    """SIGKILL this pool worker if its input's plan arms ``point`` at
+    ``key``; a no-op everywhere else."""
+    if _running is not None and (point, key) in _running:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _pooled(fn: Callable[..., _R], args: tuple,
+            plan: frozenset[tuple[str, Hashable]] | None,
+            ) -> tuple[_R, list[dict]]:
+    """Worker side of :class:`ProcessPool`: ``fn(*args)`` under the
+    input's kill plan, and the metrics it recorded. A worker serves
+    many inputs (and a forked one starts with the parent's registry),
+    so the registry is emptied first."""
+    global _running
     METRICS.clear()
+    _running = plan
     return fn(*args), METRICS.snapshot()
 
 
@@ -138,27 +173,6 @@ def _merged(outcome: tuple[_R, list[dict]]) -> _R:
     return result
 
 
-def first_attempt(directory: str, name: str) -> bool:
-    """Claim the marker ``chaos_<name>.marker`` in ``directory``; true
-    only for the call that created it.
-
-    The chaos hooks fire on an input's first attempt only, so its
-    resubmission after the fault proceeds.
-    """
-    try:
-        with open(os.path.join(directory, f"chaos_{name}.marker"), "x"):
-            return True
-    except FileExistsError:
-        return False
-
-
-def kill_once(directory: str, name: str) -> None:
-    """Chaos hook: SIGKILL the calling pool worker the first time
-    ``name`` is seen in ``directory``."""
-    if first_attempt(directory, name):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
 @dataclass(slots=True)
 class _Job:
     """One retained input; ``future`` is ``None`` once it is due to run
@@ -166,6 +180,7 @@ class _Job:
 
     fn: Callable[..., Any]
     args: tuple
+    plan: frozenset[tuple[str, Hashable]] | None
     future: Future | None = None
     losses: int = 0
 
@@ -205,7 +220,7 @@ class ProcessPool:
                *args: Any) -> None:
         """Start ``fn(*args)`` on a worker, retained under ``key``."""
         from concurrent.futures.process import BrokenProcessPool
-        job = _Job(fn, args)
+        job = _Job(fn, args, _armed)
         try:
             self._start(job)
         except BrokenProcessPool:
@@ -217,7 +232,9 @@ class ProcessPool:
 
     def _start(self, job: _Job) -> None:
         if self._executor is not None and job.losses <= RETRIES:
-            job.future = self._executor.submit(_pooled, job.fn, job.args)
+            job.future = self._executor.submit(
+                _pooled, job.fn, job.args,
+                None if job.losses else job.plan)
         else:
             job.future = None
 

@@ -15,9 +15,11 @@ Three layers:
   fault schedules (:class:`ServiceFaultPlan`) for the federation
   chaos suite; mechanics live in :mod:`repro.service.federation`.
 
-Host-level chaos (killed pool workers, shard checkpoint/resume) lives
-with the executors it hardens: :mod:`repro.experiments.runner` and
-:mod:`repro.fleet.shards`.
+Host-level chaos lives with the executors it hardens: a killed pool
+worker is the fault seam of :mod:`repro.experiments.runner`
+(``injected`` arms a kill plan, ``fault_point`` fires it), which the
+fleet's shards and the gateway's decode batches each reach once, and
+shard checkpoint/resume is :mod:`repro.fleet.shards`.
 """
 
 from .._lazy import lazy_exports

@@ -12,7 +12,8 @@ shard-count-invariance guarantee documented in ``docs/FLEET.md``.
 ``--chaos-smoke`` runs the same small fleet twice — once clean, once
 with one pool worker SIGKILLed mid-run and shard checkpoints enabled —
 and fails (exit 1) unless the recovered aggregates match the clean run
-(the robustness guarantee documented in ``docs/ROBUSTNESS.md``).
+(the robustness guarantee documented in ``docs/ROBUSTNESS.md``), or
+when no worker died (a one-shard run never reaches the pool).
 ``--audit`` cross-checks the accounting invariants
 (:func:`repro.obs.audit.audit_fleet`) and also fails hard on violation.
 """
@@ -28,7 +29,8 @@ import time
 
 from ..experiments.fleet_scale import run_fleet_smoke
 from ..experiments.report import format_si
-from ..obs import audit_fleet
+from ..experiments.runner import injected
+from ..obs import METRICS, audit_fleet
 from .population import FleetConfig, generate_fleet
 from .shards import run_sharded_fleet
 
@@ -69,12 +71,17 @@ def _chaos_smoke(args) -> int:
     clean = run_sharded_fleet(plan, shard_count=args.shards,
                               workers=workers)
     kill_shard = args.shards // 2
-    with tempfile.TemporaryDirectory(prefix="fleet-chaos-") as directory:
+    breaks = METRICS.counter("runner.pool_breaks").value
+    with tempfile.TemporaryDirectory(prefix="fleet-chaos-") as directory, \
+            injected({"fleet.shard": kill_shard}):
         recovered = run_sharded_fleet(plan, shard_count=args.shards,
                                       workers=workers,
-                                      checkpoint_dir=directory,
-                                      chaos_kill_shard=kill_shard)
+                                      checkpoint_dir=directory)
     print(_render(recovered))
+    if METRICS.counter("runner.pool_breaks").value == breaks:
+        print(f"\nCHAOS SMOKE INVALID: no worker was killed (shard "
+              f"{kill_shard} never ran in a pool worker?)")
+        return 1
     mismatches = (counters_equal(clean, recovered)
                   + moments_close(clean, recovered, rel_tol=1e-9))
     if mismatches:
@@ -132,11 +139,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="shard checkpoint directory: finished shards "
                              "persist and a rerun resumes instead of "
                              "resimulating")
-    parser.add_argument("--chaos-kill-shard", type=int, default=None,
-                        metavar="K",
-                        help="chaos hook: SIGKILL the worker running "
-                             "shard K on first attempt (needs --workers "
-                             ">= 2 and --checkpoint)")
     args = parser.parse_args(argv)
 
     if args.chaos_smoke:
@@ -160,7 +162,6 @@ def main(argv: list[str] | None = None) -> int:
         aggregate = run_sharded_fleet(plan, shard_count=args.shards,
                                       workers=args.workers,
                                       checkpoint_dir=args.checkpoint,
-                                      chaos_kill_shard=args.chaos_kill_shard,
                                       kernel=args.kernel)
         elapsed = time.perf_counter() - started
         print(_render(aggregate))

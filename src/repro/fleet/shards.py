@@ -45,7 +45,7 @@ import numpy as np
 from ..core.payload import SensorKind, SensorReading
 from ..dot11.mac import MacAddress
 from ..energy import calibration as cal
-from ..experiments.runner import first_attempt, kill_once, run_grid
+from ..experiments.runner import fault_point, run_grid
 from ..store import ensure_manifest, read_or_quarantine, write_json_atomic
 from .aggregate import FleetAggregate
 from .population import (DEFAULT_INTERFERENCE_RANGE_M, DEFAULT_MAX_RANGE_M,
@@ -450,16 +450,11 @@ class ShardTask:
     ``shard_NNNN.json`` and a rerun loads it instead of resimulating —
     so a killed worker costs only its in-flight shards. Checkpoints are
     kernel-agnostic: the cohort kernel produces the same exact state,
-    so a resume may switch kernels freely. The ``chaos_*`` fields are
-    the built-in fault hooks the chaos tests and the ``--chaos-smoke``
-    CLI use: the *first* attempt at the named shard SIGKILLs its own
-    worker (or raises), later attempts find the marker file and proceed.
+    so a resume may switch kernels freely.
     """
 
     shard: ShardSpec
     checkpoint_dir: str | None = None
-    chaos_kill_shard: int | None = None
-    chaos_fail_shard: int | None = None
     kernel: str = "cohort"
 
 
@@ -522,8 +517,9 @@ def _shard_engine(kernel: str):
 
 
 def _run_shard_task(task: ShardTask) -> tuple:
-    """Worker-side wrapper: checkpoint lookup, chaos hooks, and failure
-    capture with shard context.
+    """Worker-side wrapper: checkpoint lookup, the ``"fleet.shard"``
+    fault point (keyed by shard index), and failure capture with shard
+    context.
 
     Returns ``("ok", index, aggregate_state)`` or ``("failed", index,
     device_range, traceback_text)`` — exceptions never cross the pool
@@ -540,16 +536,7 @@ def _run_shard_task(task: ShardTask) -> tuple:
             FleetAggregate.from_state)
         if aggregate is not None:
             return ("ok", index, aggregate.to_state())
-        if task.chaos_kill_shard == index:
-            kill_once(task.checkpoint_dir, f"kill_{index}")
-    if task.chaos_fail_shard == index and (
-            task.checkpoint_dir is None
-            or first_attempt(task.checkpoint_dir, f"fail_{index}")):
-        try:
-            raise RuntimeError(f"chaos: injected failure in shard {index}")
-        except RuntimeError:
-            return ("failed", index, _device_range(shard),
-                    traceback.format_exc())
+    fault_point("fleet.shard", index)
     try:
         aggregate = _shard_engine(task.kernel)(shard)
     except Exception:
@@ -564,8 +551,6 @@ def _run_shard_task(task: ShardTask) -> tuple:
 
 def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
                       workers: int = 1, checkpoint_dir: str | None = None,
-                      chaos_kill_shard: int | None = None,
-                      chaos_fail_shard: int | None = None,
                       kernel: str = "cohort",
                       ) -> FleetAggregate:
     """Shard ``plan``, fan the shards over the pool, merge the results.
@@ -590,15 +575,6 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
     METRICS`.
     """
     _shard_engine(kernel)  # fail fast on a bad name, before fan-out
-    if chaos_kill_shard is not None:
-        if workers < 2:
-            raise ShardError(
-                "chaos_kill_shard SIGKILLs a pool worker; it needs "
-                "workers >= 2 so the pool (not this process) dies")
-        if checkpoint_dir is None:
-            raise ShardError(
-                "chaos_kill_shard needs checkpoint_dir for its "
-                "kill-once marker")
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         ensure_manifest(
@@ -610,8 +586,6 @@ def run_sharded_fleet(plan: FleetPlan, shard_count: int = 1,
     # A generator: the serial run builds each spec as its turn comes and
     # drops it once the shard's state is back; a pool takes them all.
     tasks = (ShardTask(shard=shard, checkpoint_dir=checkpoint_dir,
-                       chaos_kill_shard=chaos_kill_shard,
-                       chaos_fail_shard=chaos_fail_shard,
                        kernel=kernel)
              for shard in plan_shards(plan, shard_count))
     outcomes = run_grid(_run_shard_task, tasks, workers=workers)

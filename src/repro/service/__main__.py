@@ -39,6 +39,7 @@ import sys
 import tempfile
 import time
 
+from ..experiments.runner import injected
 from ..faults.service import SERVICE_FAULT_SCENARIOS, build_service_fault_plan
 from .federation import (
     FederationConfig,
@@ -126,19 +127,15 @@ def _chaos_smoke(args) -> int:
     payloads = min(args.payloads, 40_000)
     wires = generate_stream(payloads, device_count=args.devices,
                             seed=args.seed, corrupt_fraction=0.002)
-    clean_config = _config_from_args(
+    config = _config_from_args(
         args, policy=BackpressurePolicy.BLOCK, checkpoint_dir=None,
         workers=max(args.workers, 1), metrics_interval_s=0.0)
-    service, _ = asyncio.run(_run_replay(wires, clean_config))
+    service, _ = asyncio.run(_run_replay(wires, config))
     clean = _tenant_digest(service)
     clean_stats = service.stats()
     kill_batch = max(clean_stats.batches_merged // 2, 1)
-    with tempfile.TemporaryDirectory(prefix="service-chaos-") as directory:
-        chaos_config = _config_from_args(
-            args, policy=BackpressurePolicy.BLOCK, checkpoint_dir=None,
-            workers=max(args.workers, 1), metrics_interval_s=0.0,
-            chaos_kill_batch=kill_batch, chaos_dir=directory)
-        service, _ = asyncio.run(_run_replay(wires, chaos_config))
+    with injected({"service.batch": kill_batch}):
+        service, _ = asyncio.run(_run_replay(wires, config))
     chaos = _tenant_digest(service)
     stats = service.stats()
     print(_render(stats))

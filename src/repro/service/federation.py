@@ -48,13 +48,12 @@ import asyncio
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..faults.plan import stable_uniform
 from ..faults.service import ServiceFault, ServiceFaultPlan
 from ..obs.metrics import METRICS
-from .checkpoint import ServiceCheckpointer
 from .ingest import peek_device_id
 from .queues import BackpressurePolicy, QueueClosed
 from .server import GatewayService, ServiceConfig, ServiceError
@@ -221,14 +220,19 @@ class ChaosGatewayService(GatewayService):
     pipeline spawned on the same slot, so a restarted gateway does not
     re-die on the same schedule entry. Triggers are frame counts
     (``frames_processed``), checked before each batch dispatch —
-    deterministic in stream offset, not wall-clock.
+    deterministic in stream offset, not wall-clock. A pending fault's
+    ``queue_capacity`` clamps the intake queue from the start.
     """
 
     def __init__(self, config: ServiceConfig,
                  faults: list[ServiceFault]) -> None:
-        super().__init__(config)
+        capacity = min([config.queue_capacity] + [
+            fault.queue_capacity for fault in faults
+            if fault.queue_capacity is not None])
+        super().__init__(replace(config, queue_capacity=capacity))
         self._chaos_faults = faults
         self._chaos_slow_s = 0.0
+        self._corrupt_on_kill = False
 
     async def _before_dispatch(self, batch: list) -> None:
         if self._chaos_slow_s > 0.0:
@@ -244,7 +248,23 @@ class ChaosGatewayService(GatewayService):
                 # (followed by kill-fencing) gets the stream moving.
                 await asyncio.Event().wait()
             else:  # "kill", "checkpoint-corrupt"
+                self._corrupt_on_kill = fault.kind == "checkpoint-corrupt"
                 raise ServiceChaosKill(fault.kind)
+
+    async def kill(self) -> None:
+        """:meth:`GatewayService.kill`; then, for the checkpoint-corrupt
+        fault, mangle the newest generation file once the fence holds
+        (so no write races the scribble). The successor's loader must
+        quarantine it and fall back a generation, replaying a longer
+        tail."""
+        await super().kill()
+        if not self._corrupt_on_kill or self.checkpointer is None:
+            return
+        self._corrupt_on_kill = False
+        newest = self.checkpointer.newest_path()
+        if newest is not None:
+            with open(newest, "w", encoding="utf-8") as handle:
+                handle.write('{"schema": 1, "tenants": "scribbled mid-write')
 
 
 # -- the coordinator ----------------------------------------------------------
@@ -393,7 +413,6 @@ class FederationCoordinator:
         self._slot_faults: list[list[ServiceFault]] = []
         self._slot_attempts: list[int] = []
         self._restart_tasks: list[asyncio.Task] = []
-        self._corrupt_pending: set[int] = set()
         #: Partitions whose feeder saw every frame processed.
         self._fed: list[bool] = []
         self._events: list[FederationEvent] = []
@@ -414,10 +433,6 @@ class FederationCoordinator:
             list(self.fault_plan.faults_for(slot))
             if self.fault_plan is not None else []
             for slot in range(config.gateways)]
-        self._corrupt_pending = {
-            fault.gateway_index for fault in
-            (self.fault_plan.faults if self.fault_plan is not None else ())
-            if fault.kind == "checkpoint-corrupt"}
         self._pipelines = [None] * config.gateways
         for partition in range(config.gateways):
             self._pipelines[partition] = await self._start_pipeline(
@@ -496,14 +511,10 @@ class FederationCoordinator:
 
     async def _start_pipeline(self, partition: int, slot: int) -> _Pipeline:
         config = self.config
-        queue_capacity = GATEWAY_QUEUE_CAPACITY
         faults = self._slot_faults[slot]
-        for fault in faults:
-            if fault.queue_capacity is not None:
-                queue_capacity = min(queue_capacity, fault.queue_capacity)
         service_config = ServiceConfig(
             checkpoint_dir=self._partition_dir(partition),
-            queue_capacity=queue_capacity,
+            queue_capacity=GATEWAY_QUEUE_CAPACITY,
             policy=BackpressurePolicy.BLOCK,
             batch_size=GATEWAY_BATCH_SIZE,
             flush_after_s=0.005,
@@ -605,7 +616,6 @@ class FederationCoordinator:
             self._restart_tasks.append(asyncio.ensure_future(
                 self._restart_slot(slot, attempt, delay)))
         await pipeline.service.kill()
-        self._maybe_corrupt_checkpoint(partition)
         target = self._next_alive_slot(slot)
         successor = await self._start_pipeline(partition, target)
         self._pipelines[partition] = successor
@@ -620,23 +630,6 @@ class FederationCoordinator:
             if self._slot_alive[slot]:
                 return slot
         raise FederationError("no alive gateway left to fail over to")
-
-    def _maybe_corrupt_checkpoint(self, partition: int) -> None:
-        """The checkpoint-corrupt scenario: after the kill fence (so no
-        write races the scribble), mangle the newest generation file.
-        The successor's loader must quarantine it and fall back a
-        generation, replaying a longer tail."""
-        if partition not in self._corrupt_pending:
-            return
-        directory = self._partition_dir(partition)
-        if directory is None:
-            return
-        newest = ServiceCheckpointer(directory, durable=False).newest_path()
-        if newest is None:
-            return
-        self._corrupt_pending.discard(partition)
-        with open(newest, "w", encoding="utf-8") as handle:
-            handle.write('{"schema": 1, "tenants": "scribbled mid-write')
 
     async def _restart_slot(self, slot: int, attempt: int,
                             delay: float) -> None:

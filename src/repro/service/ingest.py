@@ -39,7 +39,7 @@ from typing import Sequence
 from ..core.payload import WILE_VENDOR_TYPE, WILE_VERSION, crc16_ccitt
 from ..dot11.fcs import check_fcs as fcs_valid
 from ..dot11.mac import WILE_OUI
-from ..experiments.runner import kill_once
+from ..experiments.runner import fault_point
 
 
 class IngestError(ValueError):
@@ -250,13 +250,11 @@ def decode_wires(wires: Sequence[bytes]) -> tuple[list[BeaconPayload], int]:
 def decode_batch_task(task: tuple) -> tuple[list[BeaconPayload], int]:
     """Worker-side unit of fan-out (module-level so it pickles).
 
-    ``task`` is ``(batch_id, wires, chaos_dir, chaos_kill_batch)``;
-    the result is :func:`decode_wires`'s. The chaos hook mirrors the
-    fleet shard runner: the *first* attempt at the named batch SIGKILLs
-    its own worker, which is how the chaos smoke proves a killed worker
-    loses no aggregates.
+    ``task`` is ``(batch_id, wires)``; the result is
+    :func:`decode_wires`'s. The ``"service.batch"`` fault point (keyed
+    by batch id) is where the chaos smoke kills a worker to prove that
+    a killed worker loses no aggregates.
     """
-    batch_id, wires, chaos_dir, chaos_kill_batch = task
-    if batch_id == chaos_kill_batch and chaos_dir is not None:
-        kill_once(chaos_dir, f"kill_{batch_id}")
+    batch_id, wires = task
+    fault_point("service.batch", batch_id)
     return decode_wires(wires)

@@ -86,18 +86,12 @@ class ServiceConfig:
     #: waits forever (the pre-federation behaviour); a finite deadline
     #: makes a hung drain fail loudly instead of stalling CI.
     drain_deadline_s: float | None = None
-    #: Chaos hook (pool mode only): the first worker to pick up this
-    #: batch id SIGKILLs itself once — see ingest.decode_batch_task.
-    chaos_kill_batch: int | None = None
-    chaos_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.chaos_kill_batch is not None and self.workers < 1:
-            raise ValueError("chaos kills need a process pool (workers >= 1)")
 
 
 @dataclass(frozen=True)
@@ -349,9 +343,7 @@ class GatewayService:
         if self._pool is None:
             self._merge(*decode_wires(batch))
             return
-        self._pool.submit(batch_id, decode_batch_task,
-                          (batch_id, batch, self.config.chaos_dir,
-                           self.config.chaos_kill_batch))
+        self._pool.submit(batch_id, decode_batch_task, (batch_id, batch))
         # Bound in-flight work so the frames the pool retains (for
         # rescue) stay proportional to the pool, not the backlog.
         while self.pending_batches >= 2 * self.config.workers:

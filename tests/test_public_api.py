@@ -233,6 +233,24 @@ def test_driver_imports_only_what_quick_runs():
                  modules_after("import repro.experiments.__main__")) == []
 
 
+def test_importtime_lists_every_loaded_module():
+    # ``-X importtime`` profiles the C import path; a lazy import routed
+    # around it (``importlib.import_module``) drops what it loads from
+    # the log, and so from any import-time breakdown taken with it.
+    env = dict(os.environ, PYTHONPATH=os.path.join(HERE, os.pardir, "src"))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import json, sys, repro.experiments.__main__\n"
+         "print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    logged = {line.rsplit("|", 1)[-1].strip()
+              for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    loaded = set(json.loads(result.stdout))
+    assert under(("repro",), logged) == under(("repro",), loaded)
+
+
 @pytest.mark.parametrize("statement", [
     "import repro.service.server, repro.service.federation",
     "import repro.service.__main__",

@@ -19,7 +19,8 @@ from repro.experiments.runner import (
     ProcessPool,
     RunnerError,
     StageTimings,
-    kill_once,
+    fault_point,
+    injected,
     run_grid,
 )
 from repro.experiments.statistics import replicate, replicate_many
@@ -60,10 +61,10 @@ def record(value):
     return value
 
 
-def record_then_die_once(directory, value):
-    """:func:`record`, then SIGKILL the worker on the first attempt."""
+def record_then_die(value):
+    """:func:`record`, then reach the ``"test.record"`` fault point."""
     record(value)
-    kill_once(directory, "record")
+    fault_point("test.record", value)
     return value
 
 
@@ -160,12 +161,13 @@ class TestPoolMetrics:
 
     @pytest.mark.parametrize("retries", [2, 0],
                              ids=["resubmitted", "in-process"])
-    def test_rescued_input_counted_once(self, retries, metrics, tmp_path,
+    def test_rescued_input_counted_once(self, retries, metrics,
                                         monkeypatch):
         monkeypatch.setattr("repro.experiments.runner.RETRIES", retries)
         pool = ProcessPool(2)
         try:
-            pool.submit(0, record_then_die_once, str(tmp_path), 7.0)
+            with injected({"test.record": 7.0}):
+                pool.submit(0, record_then_die, 7.0)
             assert pool.take(0) == 7.0
             assert pool.rescued == 1
         finally:
@@ -191,7 +193,8 @@ class TestPoolMetrics:
 #: loaded ``multiprocessing`` into this process.
 FRESH_POOL = """
 import json, sys
-from repro.experiments.runner import ParallelRunner, ProcessPool, kill_once
+from repro.experiments.runner import (ParallelRunner, ProcessPool,
+                                     fault_point, injected)
 
 preloaded = [name for name in ("multiprocessing", "pickle",
                                "concurrent.futures.process")
@@ -200,11 +203,12 @@ runner = ParallelRunner(workers=2)
 mapped = runner.map(abs, range(-4, 0))
 pool = ProcessPool(2)
 try:
-    pool.submit("take", kill_once, sys.argv[1], "take")
-    taken = pool.take("take")
-    import asyncio
-    pool.submit("async", kill_once, sys.argv[1], "async")
-    awaited = asyncio.run(pool.take_async("async"))
+    with injected({"fresh": 0}):
+        pool.submit("take", fault_point, "fresh", 0)
+        taken = pool.take("take")
+        import asyncio
+        pool.submit("async", fault_point, "fresh", 0)
+        awaited = asyncio.run(pool.take_async("async"))
 finally:
     pool.close()
 print(json.dumps({"preloaded": preloaded, "mapped": mapped,
@@ -213,19 +217,17 @@ print(json.dumps({"preloaded": preloaded, "mapped": mapped,
 """
 
 
-def test_pool_in_a_fresh_interpreter(tmp_path):
+def test_pool_in_a_fresh_interpreter():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        os.pardir, "src")
     result = subprocess.run(
-        [sys.executable, "-c", FRESH_POOL, str(tmp_path)],
+        [sys.executable, "-c", FRESH_POOL],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {
         "preloaded": [], "mapped": [4, 3, 2, 1], "backend": "process-pool",
         "taken": None, "awaited": None, "rescued": 2}
-    assert sorted(os.listdir(tmp_path)) == ["chaos_async.marker",
-                                            "chaos_take.marker"]
 
 
 class TestRunGrid:

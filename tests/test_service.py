@@ -42,6 +42,7 @@ from repro.dot11 import Beacon, Ssid
 from repro.dot11.elements import VendorSpecific
 from repro.dot11.mac import WILE_OUI
 from repro.dot11.parser import ParseError, parse_frame
+from repro.experiments.runner import injected
 from repro.obs.metrics import METRICS
 from repro.service import (
     BackpressurePolicy,
@@ -606,20 +607,20 @@ class TestGatewayService:
         pooled = _run_stream(self.WIRES, batch_size=512, workers=1)
         assert _digest(pooled) == _digest(inline)
 
-    def test_chaos_kill_bit_identical_to_clean_run(self, tmp_path):
+    def test_chaos_kill_bit_identical_to_clean_run(self):
         clean = _run_stream(self.WIRES, batch_size=512, workers=1)
-        chaos = _run_stream(self.WIRES, batch_size=512, workers=1,
-                            chaos_kill_batch=4, chaos_dir=str(tmp_path))
+        with injected({"service.batch": 4}):
+            chaos = _run_stream(self.WIRES, batch_size=512, workers=1)
         assert chaos.stats().rescued_batches > 0
         assert _digest(chaos) == _digest(clean)
 
-    def test_poison_batch_falls_back_to_serial_rescue(self, tmp_path,
-                                                      monkeypatch):
+    def test_poison_batch_falls_back_to_serial_rescue(self, monkeypatch):
         # RETRIES=0: the killed batch immediately decodes in-process.
         monkeypatch.setattr("repro.experiments.runner.RETRIES", 0)
         clean = _run_stream(self.WIRES, batch_size=512, workers=1)
-        chaos = _run_stream(self.WIRES, batch_size=512, workers=1,
-                            chaos_kill_batch=2, chaos_dir=str(tmp_path))
+        with injected({"service.batch": 2}):
+            chaos = _run_stream(self.WIRES, batch_size=512, workers=1)
+        assert chaos.stats().rescued_batches > 0
         assert _digest(chaos) == _digest(clean)
 
     def test_checkpoint_resume_matches_clean_counters(self, tmp_path):
@@ -888,8 +889,6 @@ class TestGatewayService:
             ServiceConfig(batch_size=0)
         with pytest.raises(ValueError):
             ServiceConfig(workers=-1)
-        with pytest.raises(ValueError):
-            ServiceConfig(chaos_kill_batch=1, workers=0)
 
 
 # ---------------------------------------------------------------------------
