@@ -10,7 +10,7 @@ Because the paper's artifacts are physical (an ESP32 module, a Google
 WiFi AP, a bench multimeter, a CC2541 BLE chip), the reproduction builds
 faithful software substrates for all of them — an 802.11 frame/MAC/WPA2
 stack, a discrete-event wireless simulator, a BLE link layer, calibrated
-device power models, and a simulated measurement rig — and reruns the
+device power models, and a simulated bench multimeter — and reruns the
 paper's evaluation on top. See DESIGN.md for the substitution map and
 EXPERIMENTS.md for paper-vs-measured numbers.
 
@@ -30,7 +30,7 @@ Quick start::
 
 from ._lazy import lazy_exports
 
-__version__ = "1.4.0"
+__version__ = "1.6.0"
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".ble": (),
@@ -46,7 +46,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".faults": (),
     ".mac": ("AccessPoint", "MonitorSniffer", "Station"),
     ".netproto": (),
-    ".obs": ("METRICS", "AuditReport", "EventTracer", "MetricsRegistry"),
+    ".obs": ("METRICS", "AuditReport", "MetricsRegistry"),
     ".phy": (),
     ".scenarios": (
         "ScenarioResult", "run_all_scenarios", "run_ble", "run_wifi_dc",
@@ -56,7 +56,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".sim": (
         "JitteryClock", "Position", "Radio", "Simulator", "WirelessMedium",
     ),
-    ".testbed": (
-        "BenchSupply", "Esp32Module", "ExperimentRig", "Keysight34465A",
-    ),
+    ".testbed": ("Keysight34465A",),
 })

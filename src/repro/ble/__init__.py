@@ -2,18 +2,15 @@
 
 The paper compares Wi-LE against Bluetooth Low Energy as measured on a
 TI CC2541 (its Table 1 BLE column). This package provides the BLE side
-of that comparison: real link-layer packet formats and the advertising /
-connection event machinery whose timing the CC2541 energy model
+of that comparison: real link-layer packet formats and the connection
+event machinery whose timing the CC2541 energy model
 (:mod:`repro.energy.cc2541`) integrates over.
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".advertiser": (
-        "AdvertisingEvent", "BleAdvertiser", "BleConnection",
-        "ConnectionEventRecord",
-    ),
+    ".advertiser": ("BleConnection", "ConnectionEventRecord"),
     ".airtime": (
         "BLE_BIT_RATE_BPS", "T_IFS_US", "airtime_us", "energy_per_bit_nj",
         "pdu_airtime_us",

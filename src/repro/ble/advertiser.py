@@ -1,90 +1,20 @@
-"""BLE advertising and connection events on the simulation clock.
+"""BLE connection events on the simulation clock.
 
 The paper's BLE baseline (§5.3) is a slave that "periodically transmits
 a data packet to another BLE device which is in the master mode" and
-deep-sleeps in between. This module models both roles' link-layer
-timing: the slave's connection events (anchored by the master, subject
-to the slave's sleep-clock accuracy) and, for completeness, the
-beacon-like ADV_NONCONN_IND advertising events that are BLE's closest
-analogue to Wi-LE.
+deep-sleeps in between. This module models that link-layer timing: the
+slave's connection events, anchored by the master and subject to the
+slave's sleep-clock accuracy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..sim import JitteryClock, Simulator
 from .airtime import T_IFS_US, pdu_airtime_us
-from .packets import (
-    ADVERTISING_CHANNELS,
-    AdvertisingPdu,
-    AdvPduType,
-    DataLlid,
-    DataPdu,
-    encode_on_air,
-)
-
-
-@dataclass(frozen=True, slots=True)
-class AdvertisingEvent:
-    """One advertising event: the same PDU on channels 37, 38, 39."""
-
-    time_s: float
-    pdu: AdvertisingPdu
-    channels: tuple[int, ...] = ADVERTISING_CHANNELS
-
-    @property
-    def duration_s(self) -> float:
-        per_channel = pdu_airtime_us(self.pdu.to_bytes()) + T_IFS_US
-        return len(self.channels) * per_channel / 1e6
-
-
-class BleAdvertiser:
-    """Periodic non-connectable advertiser (ADV_NONCONN_IND)."""
-
-    def __init__(self, sim: Simulator, address: bytes,
-                 interval_s: float = 1.0,
-                 clock: JitteryClock | None = None) -> None:
-        if len(address) != 6:
-            raise ValueError("BLE address must be 6 bytes")
-        self.sim = sim
-        self.address = address
-        self.interval_s = interval_s
-        self.clock = clock if clock is not None else JitteryClock()
-        self.events: list[AdvertisingEvent] = []
-        self.on_event: Callable[[AdvertisingEvent], None] | None = None
-        self._payload = b""
-        self._running = False
-
-    def set_payload(self, data: bytes) -> None:
-        self._payload = data
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._schedule_next()
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _schedule_next(self) -> None:
-        if not self._running:
-            return
-        self.sim.schedule(self.clock.actual_interval_s(self.interval_s),
-                          self._fire)
-
-    def _fire(self) -> None:
-        if not self._running:
-            return
-        pdu = AdvertisingPdu(AdvPduType.ADV_NONCONN_IND, self.address,
-                             self._payload)
-        event = AdvertisingEvent(self.sim.now_s, pdu)
-        self.events.append(event)
-        if self.on_event is not None:
-            self.on_event(event)
-        self._schedule_next()
+from .packets import DataLlid, DataPdu
 
 
 @dataclass

@@ -66,11 +66,6 @@ class SlottedPhase:
         # Centre of the owned slot, so drift eats margin on both sides.
         return (self.slot_of(device_id) + 0.5) * self.slot_width_s
 
-    def collision_free(self, device_ids: list[int]) -> bool:
-        """True when every device owns a distinct slot."""
-        slots = [self.slot_of(device_id) for device_id in device_ids]
-        return len(set(slots)) == len(slots)
-
     def assign(self, device_ids: list[int]) -> dict[int, int]:
         """Conflict-free slot assignment for a *known* fleet.
 

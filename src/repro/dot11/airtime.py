@@ -20,7 +20,6 @@ also provided for the association-scenario timelines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .rates import OFDM_6, PhyFamily, PhyRate
 
@@ -101,38 +100,3 @@ def data_exchange_us(length_bytes: int, rate: PhyRate,
     if with_ack:
         total += SIFS_US + ack_airtime_us(rate)
     return total
-
-
-def duration_field_us(length_bytes: int, rate: PhyRate, with_ack: bool = True) -> int:
-    """Value for the MAC header Duration/ID field (NAV reservation).
-
-    For a simple data frame this is SIFS + ACK time, rounded up to a
-    whole microsecond; broadcast frames (no ACK) set zero.
-    """
-    if not with_ack:
-        return 0
-    return math.ceil(SIFS_US + ack_airtime_us(rate))
-
-
-@dataclass(frozen=True, slots=True)
-class ExchangeTiming:
-    """Breakdown of a full exchange for timeline construction."""
-
-    difs_us: float
-    backoff_us: float
-    frame_us: float
-    sifs_us: float
-    ack_us: float
-
-    @property
-    def total_us(self) -> float:
-        return self.difs_us + self.backoff_us + self.frame_us + self.sifs_us + self.ack_us
-
-
-def exchange_timing(length_bytes: int, rate: PhyRate, with_ack: bool = True,
-                    backoff_slots: int = 0) -> ExchangeTiming:
-    """Like :func:`data_exchange_us` but with the phase breakdown kept."""
-    frame_us = frame_airtime_us(length_bytes, rate)
-    sifs = SIFS_US if with_ack else 0.0
-    ack = ack_airtime_us(rate) if with_ack else 0.0
-    return ExchangeTiming(DIFS_US, backoff_slots * SLOT_US, frame_us, sifs, ack)

@@ -66,23 +66,15 @@ class Esp32Recorder:
     """Builds a :class:`CurrentTrace` as scenario code walks the device
     through its states.
 
-    The recorder is deliberately explicit — ``spend(duration, state)`` —
-    rather than hooked into the event engine, so a scenario's trace reads
-    like the annotated phases of Figure 3.
+    The recorder is deliberately explicit — ``spend_at(start, duration,
+    state)`` — rather than hooked into the event engine, so a scenario's
+    trace reads like the annotated phases of Figure 3.
     """
 
     def __init__(self, model: Esp32PowerModel | None = None,
                  start_s: float = 0.0) -> None:
         self.model = model if model is not None else Esp32PowerModel()
         self.trace = CurrentTrace(start_s)
-
-    def spend(self, duration_s: float, state: Esp32State,
-              label: str | None = None) -> None:
-        """Record ``duration_s`` in ``state`` at the trace cursor."""
-        if duration_s <= 0:
-            return
-        self.trace.append(duration_s, self.model.current_a(state),
-                          label if label is not None else state.value)
 
     def spend_at(self, start_s: float, duration_s: float, state: Esp32State,
                  label: str | None = None) -> None:

@@ -21,9 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".figure3": ("Figure3Report", "run_figure3"),
     ".figure4": ("Figure4Report", "run_figure4"),
     ".frame_counts": ("FrameCountReport", "run_frame_counts"),
-    ".multi_device": (
-        "MultiDeviceReport", "run_multi_device", "run_multi_device_sweep",
-    ),
+    ".multi_device": ("MultiDeviceReport", "run_multi_device"),
     ".reliability": ("run_reliability", "train_energy_j"),
     ".resilience": ("ResilienceCell", "ResiliencePoint", "run_resilience"),
     ".scheduling": ("run_scheduling",),

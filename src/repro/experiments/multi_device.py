@@ -16,15 +16,12 @@ long-run loss rate is small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
 
 import numpy as np
 
 from ..core import SensorKind, SensorReading, WiLEDevice, WiLEReceiver
 from ..sim import Position, Simulator, WirelessMedium, crystal_population
 from .report import render_table
-from .statistics import Replication, replicate_many
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,33 +132,3 @@ def run_multi_device(device_count: int = 8, rounds: int = 40,
         first_half_delivery_rate=first,
         second_half_delivery_rate=second,
         per_round_unique=per_round)
-
-
-def _metrics_for_seed(seed: int, device_count: int, rounds: int,
-                      interval_s: float) -> dict[str, float]:
-    """One seed's headline metrics (picklable pool task)."""
-    report = run_multi_device(device_count=device_count, rounds=rounds,
-                              interval_s=interval_s, seed=seed)
-    return {
-        "delivery_rate": report.delivery_rate,
-        "second_minus_first_half": (report.second_half_delivery_rate
-                                    - report.first_half_delivery_rate),
-        "collision_losses": float(report.lost_collision),
-    }
-
-
-def run_multi_device_sweep(seeds: Sequence[int] = tuple(range(8)),
-                           device_count: int = 8, rounds: int = 40,
-                           interval_s: float = 10.0,
-                           workers: int = 1) -> dict[str, Replication]:
-    """Replicate the §6 claim across crystal populations.
-
-    One seed is one draw of drifts and jitters; the claim ("clock jitter
-    desynchronises an initially synchronised fleet") should hold on
-    average, not just for the demo seed. Returns per-metric
-    :class:`~repro.experiments.statistics.Replication` summaries.
-    """
-    return replicate_many(
-        partial(_metrics_for_seed, device_count=device_count,
-                rounds=rounds, interval_s=interval_s),
-        seeds=seeds, workers=workers)

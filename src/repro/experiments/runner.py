@@ -8,8 +8,8 @@ and seeds its own RNGs). That independence is the whole contract here:
 * :class:`ProcessPool` is the one process pool in the repository: the
   sweeps, the sharded fleet and the gateway service all fan out over
   it. It keeps every input until its result is taken, so a worker that
-  dies or hangs costs a resubmission, never a result (nor the metrics
-  the input recorded: taking a result merges them into this process).
+  dies costs a resubmission, never a result (nor the metrics the input
+  recorded: taking a result merges them into this process).
 * :func:`injected` and :func:`fault_point` are the fault seam that
   proves it: a kill plan armed in the caller rides with each input's
   first attempt, and the worker reaching an armed point SIGKILLs itself.
@@ -118,9 +118,9 @@ class StageTimings:
         return render_timings(self, title=title)
 
 
-#: Resubmissions an input gets after losing its worker (death or hang);
-#: a further loss runs it in-process, so one poison input costs
-#: throughput, never the result.
+#: Resubmissions an input gets after losing its worker; a further loss
+#: runs it in-process, so one poison input costs throughput, never the
+#: result.
 RETRIES = 2
 
 
@@ -195,19 +195,17 @@ class ProcessPool:
     merges the metrics its input recorded in the worker into this
     process's registry, which so ends as a serial run leaves it. A
     worker that dies (``BrokenProcessPool``: SIGKILL, OOM, segfault)
-    or, in :meth:`take`, hangs past ``timeout_s`` breaks the pool: it
-    is replaced at once, with no backoff sleep, and every input still
-    in flight resubmitted (finished results are kept; a lost attempt's
-    metrics die with it). An input lost more than :data:`RETRIES` times
-    runs in-process when taken. ``rescued`` counts the inputs
-    resubmitted or moved in-process. Genuine exceptions from ``fn``
-    propagate from ``take``; the constructor raises :class:`OSError`
-    when the platform cannot host a pool.
+    breaks the pool: it is replaced at once, with no backoff sleep, and
+    every input still in flight resubmitted (finished results are kept;
+    a lost attempt's metrics die with it). An input lost more than
+    :data:`RETRIES` times runs in-process when taken. ``rescued`` counts
+    the inputs resubmitted or moved in-process. Genuine exceptions from
+    ``fn`` propagate from ``take``; the constructor raises
+    :class:`OSError` when the platform cannot host a pool.
     """
 
-    def __init__(self, workers: int, timeout_s: float | None = None) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.timeout_s = timeout_s
         self.rescued = 0
         self._jobs: dict[Hashable, _Job] = {}
         self._executor: ProcessPoolExecutor | None = self._new_executor()
@@ -226,7 +224,7 @@ class ProcessPool:
         except BrokenProcessPool:
             # A worker died since the last take: replace the pool, then
             # start this job on the new one.
-            self._replace_broken(METRICS.counter("runner.pool_breaks"))
+            self._replace_broken()
             self._start(job)
         self._jobs[key] = job
 
@@ -240,16 +238,13 @@ class ProcessPool:
 
     def take(self, key: Hashable) -> Any:
         """Block until ``key``'s result is ready; release its input."""
-        from concurrent.futures import TimeoutError as FuturesTimeout
         from concurrent.futures.process import BrokenProcessPool
         job = self._jobs[key]
         while job.future is not None:
             try:
-                outcome = job.future.result(timeout=self.timeout_s)
-            except FuturesTimeout:
-                self._replace_broken(METRICS.counter("runner.task_timeouts"))
+                outcome = job.future.result()
             except BrokenProcessPool:
-                self._replace_broken(METRICS.counter("runner.pool_breaks"))
+                self._replace_broken()
             else:
                 del self._jobs[key]
                 return _merged(outcome)
@@ -257,8 +252,8 @@ class ProcessPool:
         return job.fn(*job.args)
 
     async def take_async(self, key: Hashable) -> Any:
-        """:meth:`take` for an event loop (no timeout: a waiting loop
-        keeps serving its other tasks)."""
+        """:meth:`take` for an event loop, which keeps serving its other
+        tasks while it waits."""
         import asyncio  # here, not at import: the sweeps never need it
         from concurrent.futures.process import BrokenProcessPool
         job = self._jobs[key]
@@ -266,17 +261,16 @@ class ProcessPool:
             try:
                 outcome = await asyncio.wrap_future(job.future)
             except BrokenProcessPool:
-                self._replace_broken(METRICS.counter("runner.pool_breaks"))
+                self._replace_broken()
             else:
                 del self._jobs[key]
                 return _merged(outcome)
         del self._jobs[key]
         return job.fn(*job.args)
 
-    def _replace_broken(self, cause) -> None:
-        """Replace a broken or hung pool and resubmit what it lost;
-        ``cause`` is the counter of why."""
-        cause.inc()
+    def _replace_broken(self) -> None:
+        """Replace a broken pool and resubmit what it lost."""
+        METRICS.counter("runner.pool_breaks").inc()
         self._shutdown()
         try:
             self._executor = self._new_executor()
@@ -328,13 +322,6 @@ class ParallelRunner:
     Args:
         workers: pool size; ``1`` (the default) runs a plain serial loop
             in-process — no pool, no pickling, no surprises.
-        chunk_size: items handed to a worker per dispatch. Defaults to
-            ``ceil(n / (workers * 4))`` — large enough to amortise IPC,
-            small enough to keep the pool balanced when cells have
-            uneven cost.
-        timeout_s: per-chunk result deadline; ``None`` waits forever. A
-            chunk that misses it counts as lost, like one whose worker
-            died.
 
     Determinism contract: ``map(fn, items)`` returns ``[fn(x) for x in
     items]`` — same values, same order — however the work was scheduled.
@@ -344,28 +331,18 @@ class ParallelRunner:
 
     Functions (and results) must be picklable to cross the process
     boundary; when they are not, or when the platform cannot spawn
-    workers at all, the runner falls back to the serial loop and notes
-    it in :attr:`last_backend`. Lost chunks are rescued by
-    :class:`ProcessPool`: the sweep completes with the same values in
-    the same order, it just takes longer.
+    workers at all, the runner falls back to the serial loop. A worker
+    gets ``ceil(n / (workers * 4))`` items per dispatch: large enough to
+    amortise IPC, small enough to keep the pool balanced when cells have
+    uneven cost. Lost chunks are rescued by :class:`ProcessPool`: the
+    sweep completes with the same values in the same order, it just
+    takes longer.
     """
 
-    def __init__(self, workers: int = 1, chunk_size: int | None = None,
-                 timeout_s: float | None = None) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise RunnerError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise RunnerError(f"chunk_size must be >= 1, got {chunk_size}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise RunnerError(f"timeout must be positive, got {timeout_s}")
         self.workers = workers
-        self.chunk_size = chunk_size
-        self.timeout_s = timeout_s
-        #: How the last :meth:`map` actually executed: ``"serial"``,
-        #: ``"process-pool"``, ``"process-pool-recovered"`` (some chunks
-        #: were resubmitted or ran in-process after a loss) or
-        #: ``"serial-fallback"``.
-        self.last_backend: str | None = None
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
         """Apply ``fn`` to every item; results in input order.
@@ -377,7 +354,6 @@ class ParallelRunner:
         """
         work = items if self.workers == 1 else list(items)
         if self.workers == 1 or len(work) <= 1:
-            self.last_backend = "serial"
             return [fn(item) for item in work]
         import pickle
         try:
@@ -389,14 +365,12 @@ class ParallelRunner:
             # deadlocks. Probe up front and stay in-process instead.
             pickle.dumps((fn, work[0]))
         except Exception:
-            self.last_backend = "serial-fallback"
             return [fn(item) for item in work]
-        chunk = (self.chunk_size if self.chunk_size is not None
-                 else max(1, math.ceil(len(work) / (self.workers * 4))))
+        chunk = max(1, math.ceil(len(work) / (self.workers * 4)))
         chunks = [work[i:i + chunk] for i in range(0, len(work), chunk)]
         results: list[_R] = []
         try:
-            pool = ProcessPool(min(self.workers, len(chunks)), self.timeout_s)
+            pool = ProcessPool(min(self.workers, len(chunks)))
             try:
                 for index, part in enumerate(chunks):
                     pool.submit(index, _call_chunk, fn, part)
@@ -412,10 +386,7 @@ class ParallelRunner:
             # in-process gives the identical answer (and counts no
             # taken item's metrics twice) — and re-raises any genuine
             # error from ``fn`` itself.
-            self.last_backend = "serial-fallback"
             return results + [fn(item) for item in work[len(results):]]
-        self.last_backend = ("process-pool-recovered" if pool.rescued
-                             else "process-pool")
         return results
 
 

@@ -223,8 +223,8 @@ class FaultInjector:
                                                           index & 0xFF))
         radio = Radio(self.sim, self.medium, mac,
                       position=Position(burst.x_m, burst.y_m),
-                      channel=next(iter(self.medium._radios)).channel
-                      if self.medium._radios else 6,
+                      channel=next(iter(self.medium._attach_index)).channel
+                      if self.medium._attach_index else 6,
                       default_power_dbm=burst.power_dbm)
         radio.power_on()
         self._interferer_radios.append(radio)

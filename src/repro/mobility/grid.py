@@ -149,17 +149,7 @@ class ApGrid:
             return None
         return chosen, chosen_rssi
 
-    # -- per-epoch maps -----------------------------------------------------
-
-    def coverage_map(self, positions: np.ndarray) -> np.ndarray:
-        """Best-RSSI at each ``(x, y)`` row of ``positions`` — the
-        per-epoch coverage map of one trajectory (``Trajectory.sample``
-        output feeds straight in)."""
-        out = np.empty(len(positions))
-        for index, (x_m, y_m) in enumerate(positions):
-            best = self.best(x_m, y_m, sensitivity_dbm=-math.inf)
-            out[index] = best[1] if best is not None else -math.inf
-        return out
+    # -- coverage -----------------------------------------------------------
 
     def coverage_fraction(self, sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM,
                           resolution_m: float = 5.0) -> float:

@@ -10,7 +10,7 @@ can transmit a single byte of sensor data. Wi-LE skips every one of them.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".arp": ("ArpError", "ArpOperation", "ArpPacket", "ArpTable"),
+    ".arp": ("ArpError", "ArpOperation", "ArpPacket"),
     ".checksum": ("internet_checksum", "verify_checksum"),
     ".dhcp": (
         "DHCP_CLIENT_PORT", "DHCP_SERVER_PORT", "DhcpClient",

@@ -71,29 +71,3 @@ class ArpPacket:
             raise ArpError("can only reply to a request")
         return ArpPacket(ArpOperation.REPLY, responder_mac, self.target_ip,
                          self.sender_mac, self.sender_ip)
-
-
-class ArpTable:
-    """A host's IP->MAC neighbour cache with simulation-time expiry."""
-
-    def __init__(self, ttl_s: float = 300.0) -> None:
-        if ttl_s <= 0:
-            raise ArpError("ARP TTL must be positive")
-        self._ttl_s = ttl_s
-        self._entries: dict[Ipv4Address, tuple[MacAddress, float]] = {}
-
-    def learn(self, ip: Ipv4Address, mac: MacAddress, now_s: float = 0.0) -> None:
-        self._entries[ip] = (mac, now_s + self._ttl_s)
-
-    def lookup(self, ip: Ipv4Address, now_s: float = 0.0) -> MacAddress | None:
-        entry = self._entries.get(ip)
-        if entry is None:
-            return None
-        mac, expires_s = entry
-        if now_s > expires_s:
-            del self._entries[ip]
-            return None
-        return mac
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -1,12 +1,10 @@
-"""Run-wide observability: metrics, event tracing, invariant audits.
+"""Run-wide observability: metrics and invariant audits.
 
-Three small, dependency-free layers that every other subsystem can hook
+Two small, dependency-free layers that every other subsystem can hook
 into without caring who (if anyone) is watching:
 
 * :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges and histograms (:data:`METRICS` is the shared default);
-* :mod:`repro.obs.tracing` — a bounded structured-event tracer the
-  simulation engine reports scheduler activity to;
 * :mod:`repro.obs.audit` — invariant audits that cross-check every
   run's energy accounting (charge conservation, monotonic timelines,
   sampling consistency).
@@ -28,5 +26,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "METRICS", "Counter", "Gauge", "Histogram", "MetricsError",
         "MetricsRegistry",
     ),
-    ".tracing": ("EventTracer", "TraceEvent", "TracingError"),
 })

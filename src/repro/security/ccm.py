@@ -38,12 +38,6 @@ def _format_b0(nonce: bytes, message_length: int, mic_length: int,
     return bytes([flags]) + nonce + message_length.to_bytes(length_field_size, "big")
 
 
-def _format_counter(nonce: bytes, counter: int) -> bytes:
-    length_field_size = 15 - len(nonce)
-    flags = length_field_size - 1
-    return bytes([flags]) + nonce + counter.to_bytes(length_field_size, "big")
-
-
 def _encode_aad(aad: bytes) -> bytes:
     if len(aad) == 0:
         return b""
@@ -162,11 +156,6 @@ def ccm_context(key: bytes) -> CcmContext:
     if len(_CONTEXT_CACHE) > CCM_CONTEXT_CACHE_MAX:
         _CONTEXT_CACHE.popitem(last=False)
     return context
-
-
-def ccm_context_cache_clear() -> None:
-    """Drop all cached contexts (test hook)."""
-    _CONTEXT_CACHE.clear()
 
 
 def ccm_encrypt(key: bytes, nonce: bytes, plaintext: bytes,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 
 class SimulationError(RuntimeError):
@@ -24,7 +24,6 @@ class SimulationError(RuntimeError):
 @dataclass(slots=True)
 class _ScheduledEvent:
     time_s: float
-    order: int
     callback: Callable[[], None]
     cancelled: bool = False
     popped: bool = False
@@ -69,7 +68,7 @@ class Simulator:
     #: without compaction those tombstones pile up until popped.
     COMPACT_MIN_SIZE = 64
 
-    def __init__(self, tracer: Any | None = None) -> None:
+    def __init__(self) -> None:
         #: ``(time_s, order, event)`` entries: tuples compare in C, and
         #: ``order`` is unique, so the event itself is never compared.
         self._heap: list[tuple[float, int, _ScheduledEvent]] = []
@@ -81,12 +80,6 @@ class Simulator:
         self.events_scheduled = 0
         self.events_cancelled = 0
         self.heap_compactions = 0
-        #: Optional structured-event hook (duck-typed, e.g.
-        #: :class:`repro.obs.EventTracer`): anything with
-        #: ``emit(kind, time_s, **fields)`` receives every scheduler
-        #: decision — ``event_scheduled``, ``event_fired``,
-        #: ``event_cancelled``, ``heap_compacted``.
-        self.tracer = tracer
 
     @property
     def now_s(self) -> float:
@@ -104,12 +97,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time_s}s, now is {self._now_s}s")
         order = next(self._order)
-        event = _ScheduledEvent(time_s, order, callback)
+        event = _ScheduledEvent(time_s, callback)
         heapq.heappush(self._heap, (time_s, order, event))
         self.events_scheduled += 1
-        if self.tracer is not None:
-            self.tracer.emit("event_scheduled", self._now_s,
-                             at_s=time_s, order=event.order)
         return EventHandle(event, self)
 
     def _cancel(self, event: _ScheduledEvent) -> None:
@@ -126,9 +116,6 @@ class Simulator:
         event.cancelled = True
         self._cancelled_in_heap += 1
         self.events_cancelled += 1
-        if self.tracer is not None:
-            self.tracer.emit("event_cancelled", self._now_s,
-                             at_s=event.time_s, order=event.order)
         if (len(self._heap) >= self.COMPACT_MIN_SIZE
                 and self._cancelled_in_heap * 2 > len(self._heap)):
             self._compact()
@@ -140,15 +127,10 @@ class Simulator:
         iteration, and (time, order) is a total order, so heapify cannot
         change the pop sequence of live events.
         """
-        before = len(self._heap)
         self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.heap_compactions += 1
-        if self.tracer is not None:
-            self.tracer.emit("heap_compacted", self._now_s,
-                             dropped=before - len(self._heap),
-                             remaining=len(self._heap))
 
     def run(self, until_s: float | None = None,
             max_events: int | None = None) -> None:
@@ -184,9 +166,6 @@ class Simulator:
                 heapq.heappop(self._heap)
                 event.popped = True
                 self._now_s = time_s
-                if self.tracer is not None:
-                    self.tracer.emit("event_fired", self._now_s,
-                                     order=event.order)
                 event.callback()
                 processed += 1
                 self.events_processed += 1

@@ -111,7 +111,6 @@ class WirelessMedium:
         self.interference_range_m = (interference_range_m
                                      if interference_range_m is not None
                                      else max_range_m)
-        self._radios: list[Radio] = []
         # Radios whose receiver is currently on, mapped to their attach
         # index. Completion scans only these instead of every attached
         # radio — at fleet scale almost all radios are asleep, so this
@@ -156,23 +155,8 @@ class WirelessMedium:
     def attach(self, radio: "Radio") -> None:
         if radio in self._attach_index:
             raise MediumError("radio already attached")
-        self._attach_index[radio] = len(self._radios)
-        self._radios.append(radio)
+        self._attach_index[radio] = len(self._attach_index)
         self.radio_state_changed(radio)
-
-    def detach(self, radio: "Radio") -> None:
-        """Remove ``radio`` from the medium.
-
-        Safe while transmissions are in flight: a frame already on the
-        air still completes, but the detached radio is no longer a
-        candidate receiver, so it gets no delivery (and no report).
-        """
-        if radio not in self._attach_index:
-            raise MediumError("radio is not attached")
-        self._radios.remove(radio)
-        del self._attach_index[radio]
-        self._listening.pop(radio, None)
-        self._drop_from_cells(radio)
 
     def radio_state_changed(self, radio: "Radio") -> None:
         """Keep the listening set in sync; called by the radio on every
@@ -256,8 +240,8 @@ class WirelessMedium:
     def _complete(self, transmission: Transmission) -> None:
         self._active.remove(transmission)
         # Only radios with their receiver on can decode; iterate them in
-        # attach order so listener invocation order matches the historic
-        # full scan of ``self._radios`` exactly. With a delivery cutoff,
+        # attach order so listener invocation order matches a full scan
+        # of every attached radio exactly. With a delivery cutoff,
         # the 3x3 cell neighbourhood around the sender bounds the scan
         # to radios that could possibly be in range.
         if self.max_range_m is not None:

@@ -4,8 +4,7 @@ The radio tracks its power-relevant state (off / idle-listening / RX /
 TX / monitor), performs MAC-address filtering exactly the way a real NIC
 does — which is the crux of Wi-LE: beacons are *broadcast management
 frames*, so they pass the filter of every listening device without any
-association — and notifies state listeners so the energy model can
-integrate current draw over time.
+association — and reports each state change to its medium.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ class RadioState(enum.Enum):
     MONITOR = "monitor"  # receiver on, promiscuous (no address filter)
 
 
-StateListener = Callable[[RadioState, RadioState, float], None]
 RxCallback = Callable[[object, Transmission], None]
 
 #: Distinct wires whose parsed frames stay shared between deliveries.
@@ -78,7 +76,6 @@ class Radio:
         self.default_power_dbm = default_power_dbm
         self.state = RadioState.OFF
         self.rx_callback: RxCallback | None = None
-        self._state_listeners: list[StateListener] = []
         self._tx_end_s = 0.0
         self.frames_sent = 0
         self.frames_received = 0
@@ -86,17 +83,11 @@ class Radio:
 
     # -- state management ----------------------------------------------------
 
-    def add_state_listener(self, listener: StateListener) -> None:
-        self._state_listeners.append(listener)
-
     def _set_state(self, new_state: RadioState) -> None:
         if new_state is self.state:
             return
-        old_state = self.state
         self.state = new_state
         self.medium.radio_state_changed(self)
-        for listener in self._state_listeners:
-            listener(old_state, new_state, self.sim.now_s)
 
     def power_on(self, monitor: bool = False) -> None:
         """Enable the receiver (idle listening, or promiscuous monitor)."""

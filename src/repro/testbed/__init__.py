@@ -1,9 +1,9 @@
-"""Simulated lab equipment: the paper's Figure 2 measurement chain."""
+"""Simulated lab equipment: the paper's bench multimeter and a pcap
+writer for captured frames."""
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".esp32_module": ("Esp32Module", "FirmwareError"),
     ".multimeter": (
         "CURRENT_RANGES", "MAX_SAMPLE_RATE_HZ", "Keysight34465A",
         "MultimeterError", "Reading",
@@ -12,6 +12,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "LINKTYPE_IEEE802_11", "PcapError", "PcapPacket", "parse_pcap",
         "pcap_bytes", "read_pcap", "write_pcap",
     ),
-    ".rig": ("ExperimentRig", "Measurement"),
-    ".supply": ("BenchSupply", "SupplyError"),
 })

@@ -10,12 +10,10 @@ from repro.ble import (
     MAX_ADV_DATA_BYTES,
     AdvertisingPdu,
     AdvPduType,
-    BleAdvertiser,
     BleConnection,
     BlePacketError,
     DataLlid,
     DataPdu,
-    T_IFS_US,
     airtime_us,
     append_crc,
     check_crc,
@@ -187,32 +185,6 @@ class TestAirtime:
             airtime_us(-1)
         with pytest.raises(ValueError):
             energy_per_bit_nj(0.1, 0)
-
-
-class TestAdvertiser:
-    def test_periodic_events_on_three_channels(self):
-        sim = Simulator()
-        advertiser = BleAdvertiser(sim, ADDR, interval_s=1.0)
-        advertiser.set_payload(b"temp")
-        advertiser.start()
-        sim.run(until_s=3.5)
-        advertiser.stop()
-        assert len(advertiser.events) == 3
-        assert advertiser.events[0].channels == ADVERTISING_CHANNELS
-        assert advertiser.events[0].pdu.data == b"temp"
-
-    def test_event_duration_scales_with_channels(self):
-        sim = Simulator()
-        advertiser = BleAdvertiser(sim, ADDR, interval_s=1.0)
-        advertiser.start()
-        sim.run(until_s=1.5)
-        event = advertiser.events[0]
-        per_channel = pdu_airtime_us(event.pdu.to_bytes()) + T_IFS_US
-        assert event.duration_s == pytest.approx(3 * per_channel / 1e6)
-
-    def test_bad_address(self):
-        with pytest.raises(ValueError):
-            BleAdvertiser(Simulator(), b"xx")
 
 
 class TestConnection:

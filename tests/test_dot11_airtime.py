@@ -12,8 +12,6 @@ from repro.dot11.airtime import (
     AirtimeError,
     ack_airtime_us,
     data_exchange_us,
-    duration_field_us,
-    exchange_timing,
     frame_airtime_us,
 )
 from repro.dot11.rates import (
@@ -130,12 +128,9 @@ class TestMacTiming:
             frame_airtime_us(ACK_BYTES, DSSS_1, short_preamble=False))
 
     def test_exchange_includes_all_parts(self):
-        timing = exchange_timing(100, OFDM_6, backoff_slots=4)
-        assert timing.total_us == pytest.approx(
+        assert data_exchange_us(100, OFDM_6, backoff_slots=4) == pytest.approx(
             DIFS_US + 4 * SLOT_US + frame_airtime_us(100, OFDM_6)
             + SIFS_US + ack_airtime_us(OFDM_6))
-        assert timing.total_us == pytest.approx(
-            data_exchange_us(100, OFDM_6, backoff_slots=4))
 
     def test_broadcast_exchange_has_no_ack(self):
         assert data_exchange_us(100, OFDM_6, with_ack=False) == pytest.approx(
@@ -144,7 +139,3 @@ class TestMacTiming:
     def test_negative_backoff_rejected(self):
         with pytest.raises(AirtimeError):
             data_exchange_us(10, OFDM_6, backoff_slots=-1)
-
-    def test_duration_field(self):
-        assert duration_field_us(100, OFDM_6) >= SIFS_US
-        assert duration_field_us(100, OFDM_6, with_ack=False) == 0

@@ -38,16 +38,16 @@ class TestEsp32Model:
 
     def test_recorder_builds_labelled_trace(self):
         recorder = Esp32Recorder()
-        recorder.spend(1.0, Esp32State.DEEP_SLEEP)
-        recorder.spend(0.1, Esp32State.TX_LOW, "tx")
+        recorder.spend_at(0.0, 1.0, Esp32State.DEEP_SLEEP)
+        recorder.spend_at(1.0, 0.1, Esp32State.TX_LOW, "tx")
         assert recorder.trace.labels() == ["deep-sleep", "tx"]
         assert recorder.energy_j() == pytest.approx(
             3.3 * (1.0 * 2.5e-6 + 0.1 * cal.ESP32_WIFI_TX_A))
 
     def test_recorder_ignores_nonpositive_spans(self):
         recorder = Esp32Recorder()
-        recorder.spend(0.0, Esp32State.BOOT)
-        recorder.spend(-1.0, Esp32State.BOOT)
+        recorder.spend_at(0.0, 0.0, Esp32State.BOOT)
+        recorder.spend_at(0.0, -1.0, Esp32State.BOOT)
         assert len(recorder.trace) == 0
 
 

@@ -8,23 +8,23 @@ Three contracts under test:
 * **Conservation** — every scheduled fault fires, and every transmitted
   copy is accounted exactly once (delivered + lost + suppressed ==
   sent), cross-checked by :func:`repro.obs.audit.audit_faults`.
-* **Rescue** — dying or hanging pool workers, and SIGKILLed fleet
-  shards, lose nothing: retries and checkpoints reproduce the clean
-  run's aggregates exactly.
+* **Rescue** — dying pool workers, and SIGKILLed fleet shards, lose
+  nothing: retries and checkpoints reproduce the clean run's
+  aggregates exactly.
 """
 
 import dataclasses
 import os
-import signal
 import subprocess
 import sys
-import time
+from concurrent.futures import wait as futures_wait
 
 import pytest
 
 from repro.energy import calibration as cal
 from repro.experiments.resilience import ResilienceCell, run_cell
-from repro.experiments.runner import ParallelRunner, ProcessPool, injected
+from repro.experiments.runner import (ParallelRunner, ProcessPool,
+                                     fault_point, injected)
 from repro.faults import (
     AdaptiveRedundancyController,
     FaultConfig,
@@ -284,76 +284,54 @@ class TestAdaptiveRecovery:
 
 # -- runner rescue fixtures (module level: must pickle into workers) ----------
 
-def _sleep_once(arg):
-    """Hang well past the runner timeout the first time only."""
-    marker_dir, value = arg
-    marker = os.path.join(marker_dir, f"slept_{value}")
-    if value == 3 and not os.path.exists(marker):
-        open(marker, "w").close()
-        time.sleep(8.0)
-    return value * value
-
-
-def _die_once(arg):
-    """SIGKILL the pool worker the first time item 3 is seen."""
-    marker_dir, value = arg
-    marker = os.path.join(marker_dir, f"died_{value}")
-    if value == 3 and not os.path.exists(marker):
-        open(marker, "w").close()
-        os.kill(os.getpid(), signal.SIGKILL)
+def _square_or_die(value):
+    """``value`` squared, after the ``"test.rescue"`` fault point."""
+    fault_point("test.rescue", value)
     return value * value
 
 
 class TestRunnerRescue:
-    def test_timeout_lost_chunk_retried(self, tmp_path):
-        runner = ParallelRunner(workers=2, chunk_size=1, timeout_s=1.0)
-        items = [(str(tmp_path), value) for value in range(6)]
-        assert runner.map(_sleep_once, items) == [v * v for v in range(6)]
-        assert runner.last_backend == "process-pool-recovered"
+    def test_dead_worker_lost_chunks_retried(self):
+        breaks = METRICS.counter("runner.pool_breaks").value
+        rescued = METRICS.counter("runner.rescued").value
+        with injected({"test.rescue": 3}):
+            assert ParallelRunner(workers=2).map(_square_or_die, range(6)) \
+                == [v * v for v in range(6)]
+        assert METRICS.counter("runner.pool_breaks").value > breaks
+        assert METRICS.counter("runner.rescued").value > rescued
 
-    def test_dead_worker_lost_chunks_retried(self, tmp_path):
-        before = METRICS.counter("runner.pool_breaks").value
-        runner = ParallelRunner(workers=2, chunk_size=1)
-        items = [(str(tmp_path), value) for value in range(6)]
-        assert runner.map(_die_once, items) == [v * v for v in range(6)]
-        assert runner.last_backend == "process-pool-recovered"
-        assert METRICS.counter("runner.pool_breaks").value > before
-
-    def test_retries_exhausted_falls_back_to_serial_rescue(
-            self, tmp_path, monkeypatch):
+    def test_retries_exhausted_falls_back_to_serial_rescue(self, monkeypatch):
         monkeypatch.setattr("repro.experiments.runner.RETRIES", 0)
         before = METRICS.counter("runner.chunks_rescued").value
-        runner = ParallelRunner(workers=2, chunk_size=1, timeout_s=1.0)
-        items = [(str(tmp_path), value) for value in range(6)]
-        # item 3 hangs in the pool (RETRIES=0, no resubmission); the
-        # in-process rescue re-runs the lost cells — the marker is
-        # already on disk so the rescue returns instantly.
-        assert runner.map(_sleep_once, items) == [v * v for v in range(6)]
-        assert runner.last_backend == "process-pool-recovered"
+        # item 3 kills its worker and, with RETRIES=0, is not
+        # resubmitted: the in-process rescue re-runs the lost chunks,
+        # and no fault point fires outside a pool worker.
+        with injected({"test.rescue": 3}):
+            assert ParallelRunner(workers=2).map(_square_or_die, range(6)) \
+                == [v * v for v in range(6)]
         assert METRICS.counter("runner.chunks_rescued").value > before
 
-    def test_submit_after_worker_death_rebuilds_the_pool(self, tmp_path):
+    def test_submit_after_worker_death_rebuilds_the_pool(self):
         # The gateway may submit its next batch after a worker died but
         # before it takes the batch that killed it: that submit must
         # rebuild the pool, not raise BrokenProcessPool.
-        pool = ProcessPool(1, timeout_s=30.0)
+        pool = ProcessPool(1)
         try:
-            pool.submit(0, _die_once, (str(tmp_path), 3))
-            deadline = time.monotonic() + 10.0
-            while not (tmp_path / "died_3").exists() \
-                    and time.monotonic() < deadline:
-                time.sleep(0.01)
-            time.sleep(0.2)  # let the executor notice the death
-            pool.submit(1, _die_once, (str(tmp_path), 2))
+            with injected({"test.rescue": 3}):
+                pool.submit(0, _square_or_die, 3)
+            # The executor marks itself broken before it fails the
+            # futures of the dead worker.
+            done, _ = futures_wait([pool._jobs[0].future], timeout=10.0)
+            assert done
+            pool.submit(1, _square_or_die, 2)
             assert [pool.take(0), pool.take(1)] == [9, 4]
             assert pool.rescued >= 1
         finally:
             pool.close()
 
     def test_genuine_exceptions_still_propagate(self):
-        runner = ParallelRunner(workers=2, chunk_size=1)
         with pytest.raises(ZeroDivisionError):
-            runner.map(_reciprocal, [2, 1, 0])
+            ParallelRunner(workers=2).map(_reciprocal, [2, 1, 0])
 
 
 def _reciprocal(value):

@@ -108,7 +108,7 @@ class TestFullAssociation:
                         passphrase="hotnets2019", position=Position(2, 0))
         associate(sim, ap, first)
         lease = first.ip
-        medium.detach(first.radio)
+        first.radio.power_off()  # the first station leaves the air
         second = Station(sim, medium, STA_MAC, ssid="GoogleWifi",
                          passphrase="hotnets2019", position=Position(2, 0))
         done = {}

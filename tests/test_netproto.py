@@ -13,7 +13,6 @@ from repro.netproto import (
     ArpError,
     ArpOperation,
     ArpPacket,
-    ArpTable,
     IpError,
     Ipv4Address,
     Ipv4Packet,
@@ -202,23 +201,3 @@ class TestArp:
         raw[1] = 9  # htype
         with pytest.raises(ArpError):
             ArpPacket.from_bytes(bytes(raw))
-
-
-class TestArpTable:
-    def test_learn_and_lookup(self):
-        table = ArpTable()
-        table.learn(Ipv4Address.parse("10.0.0.1"), AP, now_s=0.0)
-        assert table.lookup(Ipv4Address.parse("10.0.0.1"), now_s=1.0) == AP
-
-    def test_expiry(self):
-        table = ArpTable(ttl_s=10.0)
-        table.learn(Ipv4Address.parse("10.0.0.1"), AP, now_s=0.0)
-        assert table.lookup(Ipv4Address.parse("10.0.0.1"), now_s=11.0) is None
-        assert len(table) == 0
-
-    def test_miss(self):
-        assert ArpTable().lookup(Ipv4Address.parse("10.0.0.9")) is None
-
-    def test_bad_ttl(self):
-        with pytest.raises(ArpError):
-            ArpTable(ttl_s=0.0)

@@ -1,5 +1,5 @@
-"""Tests for the observability layer (repro.obs): metrics registry,
-simulator trace hooks, and the invariant auditor."""
+"""Tests for the observability layer (repro.obs): metrics registry and
+the invariant auditor."""
 
 import ast
 import json
@@ -9,16 +9,13 @@ import pytest
 
 from repro.energy.trace import CurrentTrace, TraceSegment
 from repro.obs import (
-    EventTracer,
     MetricsError,
     MetricsRegistry,
-    TracingError,
     audit_scenario,
     audit_trace,
 )
 from repro.scenarios import run_wile
 from repro.scenarios.base import emit_scenario_metrics
-from repro.sim.engine import Simulator
 
 
 class TestCounter:
@@ -104,76 +101,6 @@ class TestRegistry:
         registry.counter("x").inc()
         registry.clear()
         assert len(registry) == 0
-
-
-class TestEventTracer:
-    def test_emit_and_counts(self):
-        tracer = EventTracer()
-        tracer.emit("event_fired", 1.0, order=0)
-        tracer.emit("event_fired", 2.0, order=1)
-        tracer.emit("event_cancelled", 2.0, order=2)
-        assert len(tracer) == 3
-        assert tracer.counts_by_kind() == {"event_fired": 2,
-                                           "event_cancelled": 1}
-        assert tracer.records()[0] == {"kind": "event_fired", "time_s": 1.0,
-                                       "order": 0}
-
-    def test_ring_buffer_bounds_memory(self):
-        tracer = EventTracer(max_events=10)
-        for index in range(25):
-            tracer.emit("tick", float(index))
-        assert len(tracer) == 10
-        assert tracer.dropped == 15
-        assert tracer.emitted == 25
-        assert tracer.events[0].time_s == 15.0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(TracingError):
-            EventTracer(max_events=0)
-
-
-class TestSimulatorTraceHooks:
-    def test_scheduler_decisions_are_traced(self):
-        tracer = EventTracer()
-        sim = Simulator(tracer=tracer)
-        handle = sim.schedule(2.0, lambda: None)
-        sim.schedule(1.0, lambda: None)
-        handle.cancel()
-        sim.run()
-        counts = tracer.counts_by_kind()
-        assert counts["event_scheduled"] == 2
-        assert counts["event_cancelled"] == 1
-        assert counts["event_fired"] == 1
-        assert sim.events_scheduled == 2
-        assert sim.events_cancelled == 1
-
-    def test_fired_events_carry_sim_time(self):
-        tracer = EventTracer()
-        sim = Simulator(tracer=tracer)
-        sim.schedule(3.5, lambda: None)
-        sim.run()
-        fired = [event for event in tracer.events
-                 if event.kind == "event_fired"]
-        assert fired[0].time_s == 3.5
-
-    def test_compaction_is_traced(self):
-        tracer = EventTracer(max_events=100_000)
-        sim = Simulator(tracer=tracer)
-        handles = [sim.schedule(1.0 + index, lambda: None)
-                   for index in range(Simulator.COMPACT_MIN_SIZE * 2)]
-        for handle in handles:
-            handle.cancel()
-        assert sim.heap_compactions >= 1
-        compactions = [event for event in tracer.events
-                       if event.kind == "heap_compacted"]
-        assert compactions and compactions[0].fields["dropped"] > 0
-
-    def test_untraced_simulator_behaviour_unchanged(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.run()
-        assert fired == [1] and sim.tracer is None
 
 
 def good_trace():

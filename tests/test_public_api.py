@@ -13,6 +13,7 @@ pool, mobility or fault injection.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -44,7 +45,7 @@ EXPECTED_TOP_LEVEL = [
     "ScenarioResult", "run_all_scenarios", "run_wile", "run_ble",
     "run_wifi_dc", "run_wifi_ps",
     # testbed
-    "Keysight34465A", "BenchSupply", "ExperimentRig", "Esp32Module",
+    "Keysight34465A",
 ]
 
 
@@ -62,6 +63,13 @@ def test_all_is_consistent():
 def test_version_is_semver():
     major, minor, patch = repro.__version__.split(".")
     assert all(part.isdigit() for part in (major, minor, patch))
+    # pyproject.toml reads the version from repro.__version__, so the
+    # newest release heading of the changelog is the one other source.
+    with open(os.path.join(HERE, os.pardir, "CHANGELOG.md"),
+              encoding="utf-8") as handle:
+        releases = re.findall(r"^## (\d+\.\d+\.\d+)$", handle.read(),
+                              flags=re.MULTILINE)
+    assert releases[0] == repro.__version__
 
 
 def test_subpackages_importable():

@@ -38,6 +38,11 @@ def square(value):
     return value * value
 
 
+def pid_of(_value):
+    """The process that ran this item."""
+    return os.getpid()
+
+
 def reliability_rate(seed):
     point = run_reliability_point(2, offered_load=0.3, rounds=5, seed=seed)
     return point.delivery_rate
@@ -86,37 +91,31 @@ class TestParallelRunner:
     def test_serial_map(self):
         runner = ParallelRunner()
         assert runner.map(square, [1, 2, 3]) == [1, 4, 9]
-        assert runner.last_backend == "serial"
+        assert runner.map(pid_of, [1, 2, 3]) == [os.getpid()] * 3
 
     def test_parallel_map_preserves_order(self):
         runner = ParallelRunner(workers=4)
         items = list(range(20))
         assert runner.map(square, items) == [square(item) for item in items]
-        assert runner.last_backend in ("process-pool", "serial-fallback")
+        assert os.getpid() not in runner.map(pid_of, items)
 
     def test_single_item_stays_serial(self):
         runner = ParallelRunner(workers=4)
         assert runner.map(square, [7]) == [49]
-        assert runner.last_backend == "serial"
+        assert runner.map(pid_of, [7]) == [os.getpid()]
 
     def test_lambda_degrades_to_serial(self):
         runner = ParallelRunner(workers=2)
         assert runner.map(lambda value: value + 1, [1, 2]) == [2, 3]
-        assert runner.last_backend in ("serial-fallback", "process-pool")
+        assert runner.map(lambda _value: os.getpid(), [1, 2]) \
+            == [os.getpid()] * 2
 
     def test_empty_items(self):
         assert ParallelRunner(workers=4).map(square, []) == []
 
-    def test_explicit_chunk_size(self):
-        runner = ParallelRunner(workers=2, chunk_size=3)
-        assert runner.map(square, list(range(10))) == \
-            [value * value for value in range(10)]
-
     def test_validation(self):
         with pytest.raises(RunnerError):
             ParallelRunner(workers=0)
-        with pytest.raises(RunnerError):
-            ParallelRunner(workers=2, chunk_size=0)
 
 
 class TestDeterminism:
@@ -178,9 +177,9 @@ class TestPoolMetrics:
         assert metrics.get("test.pool.last").value == 7.0
 
     def test_serial_fallback_counts_each_item_once(self, metrics):
-        runner = ParallelRunner(workers=2, chunk_size=1)
-        results = runner.map(record_unpicklable, range(4))
-        assert runner.last_backend == "serial-fallback"
+        # Results from 2 on cannot leave a worker, so the lambdas below
+        # were built by the in-process fallback.
+        results = ParallelRunner(workers=2).map(record_unpicklable, range(4))
         assert results[:2] == [0, 1]
         assert [result() for result in results[2:]] == [2, 3]
         assert metrics.get("test.pool.inputs").value == 4
@@ -192,15 +191,21 @@ class TestPoolMetrics:
 #: tests above cannot show that, since earlier tests have already
 #: loaded ``multiprocessing`` into this process.
 FRESH_POOL = """
-import json, sys
+import functools, json, sys
 from repro.experiments.runner import (ParallelRunner, ProcessPool,
                                      fault_point, injected)
+from repro.obs.metrics import METRICS
 
 preloaded = [name for name in ("multiprocessing", "pickle",
                                "concurrent.futures.process")
              if name in sys.modules]
 runner = ParallelRunner(workers=2)
 mapped = runner.map(abs, range(-4, 0))
+# A kill can only fire in a pool worker, so a map that quietly ran
+# serially breaks no pool.
+with injected({"fresh": 2}):
+    killed = runner.map(functools.partial(fault_point, "fresh"), range(4))
+map_breaks = METRICS.counter("runner.pool_breaks").value
 pool = ProcessPool(2)
 try:
     with injected({"fresh": 0}):
@@ -212,8 +217,9 @@ try:
 finally:
     pool.close()
 print(json.dumps({"preloaded": preloaded, "mapped": mapped,
-                  "backend": runner.last_backend, "taken": taken,
-                  "awaited": awaited, "rescued": pool.rescued}))
+                  "killed": killed, "map_breaks": map_breaks,
+                  "taken": taken, "awaited": awaited,
+                  "rescued": pool.rescued}))
 """
 
 
@@ -226,8 +232,8 @@ def test_pool_in_a_fresh_interpreter():
         text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {
-        "preloaded": [], "mapped": [4, 3, 2, 1], "backend": "process-pool",
-        "taken": None, "awaited": None, "rescued": 2}
+        "preloaded": [], "mapped": [4, 3, 2, 1], "killed": [None] * 4,
+        "map_breaks": 1, "taken": None, "awaited": None, "rescued": 2}
 
 
 class TestRunGrid:

@@ -64,6 +64,16 @@ class TestScheduling:
         sim.run()
         assert sim.events_processed == 3
 
+    def test_scheduled_and_cancelled_counters(self):
+        sim = Simulator()
+        handle = sim.schedule(2.0, lambda: None)
+        sim.schedule(1.0, lambda: None)
+        handle.cancel()
+        sim.run()
+        assert sim.events_scheduled == 2
+        assert sim.events_cancelled == 1
+        assert sim.events_processed == 1
+
     def test_pending_excludes_cancelled(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)

@@ -214,18 +214,6 @@ class TestRadioStates:
         with pytest.raises(MediumError):
             tx.transmit(beacon(), OFDM_6)
 
-    def test_state_listener_sees_transitions(self):
-        sim, _medium, (tx, _rx) = setup()
-        transitions = []
-        tx.add_state_listener(
-            lambda old, new, time_s: transitions.append((old, new)))
-        tx.power_on()
-        tx.transmit(beacon(), OFDM_6)
-        sim.run()
-        assert (RadioState.OFF, RadioState.IDLE) in transitions
-        assert (RadioState.IDLE, RadioState.TX) in transitions
-        assert (RadioState.TX, RadioState.IDLE) in transitions
-
     def test_bad_channel_rejected(self):
         _sim, _medium, (tx, _rx) = setup()
         with pytest.raises(MediumError):
@@ -244,51 +232,6 @@ class TestRadioStates:
         sim.run()
         assert tx.frames_sent == 1
         assert rx.frames_received == 1
-
-
-class TestDetach:
-    def test_detach_mid_flight_gets_no_delivery(self):
-        sim, medium, (tx, rx) = setup()
-        received = []
-        rx.rx_callback = lambda frame, t: received.append(frame)
-        tx.power_on()
-        rx.power_on()
-        tx.transmit(beacon(), OFDM_24)
-        # The frame is on the air; the receiver leaves before it ends.
-        medium.detach(rx)
-        sim.run()
-        assert not received
-        assert medium.frames_delivered == 0
-
-    def test_detach_mid_flight_fires_no_report(self):
-        sim, medium, (tx, rx) = setup()
-        reports = []
-        medium.add_delivery_listener(
-            lambda transmission, report: reports.append(report))
-        tx.power_on()
-        rx.power_on()
-        tx.transmit(beacon(), OFDM_24)
-        medium.detach(rx)
-        sim.run()
-        assert not reports
-
-    def test_detach_unattached_rejected(self):
-        sim, medium, (tx, _rx) = setup()
-        medium.detach(tx)
-        with pytest.raises(MediumError):
-            medium.detach(tx)
-
-    def test_reattach_after_detach_receives_again(self):
-        sim, medium, (tx, rx) = setup()
-        received = []
-        rx.rx_callback = lambda frame, t: received.append(frame)
-        tx.power_on()
-        rx.power_on()
-        medium.detach(rx)
-        medium.attach(rx)
-        tx.transmit(beacon(), OFDM_24)
-        sim.run()
-        assert len(received) == 1
 
 
 class TestDeliveryListeners:

@@ -2,19 +2,8 @@
 
 import pytest
 
-from repro.dot11 import MacAddress
 from repro.energy.trace import CurrentTrace
-from repro.sim import Position, Simulator, WirelessMedium
-from repro.testbed import (
-    MAX_SAMPLE_RATE_HZ,
-    BenchSupply,
-    Esp32Module,
-    ExperimentRig,
-    FirmwareError,
-    Keysight34465A,
-    MultimeterError,
-    SupplyError,
-)
+from repro.testbed import MAX_SAMPLE_RATE_HZ, Keysight34465A, MultimeterError
 
 
 def bench_trace():
@@ -78,92 +67,3 @@ class TestMultimeter:
     def test_windowed_acquisition(self):
         reading = Keysight34465A().acquire(bench_trace(), t0_s=0.1, t1_s=0.15)
         assert reading.average_current_a() == pytest.approx(0.120, rel=1e-6)
-
-
-class TestSupply:
-    def test_ideal(self):
-        supply = BenchSupply()
-        assert supply.voltage_at_load(0.2) == 3.3
-
-    def test_sag(self):
-        supply = BenchSupply(series_resistance_ohm=0.5)
-        assert supply.voltage_at_load(0.2) == pytest.approx(3.2)
-
-    def test_current_limit(self):
-        with pytest.raises(SupplyError):
-            BenchSupply(current_limit_a=0.1).voltage_at_load(0.2)
-
-    def test_power(self):
-        assert BenchSupply().power_w(0.1) == pytest.approx(0.33)
-
-    def test_validation(self):
-        with pytest.raises(SupplyError):
-            BenchSupply(voltage_v=0.0)
-        with pytest.raises(SupplyError):
-            BenchSupply(series_resistance_ohm=-1.0)
-        with pytest.raises(SupplyError):
-            BenchSupply().voltage_at_load(-0.1)
-
-
-class TestRig:
-    def test_measurement_chain(self):
-        rig = ExperimentRig()
-        measurement = rig.measure(bench_trace())
-        assert measurement.energy_j == pytest.approx(
-            bench_trace().energy_j(3.3), rel=1e-3)
-        assert measurement.average_power_w > 0
-
-
-class TestEsp32Module:
-    def build(self):
-        sim = Simulator()
-        medium = WirelessMedium(sim)
-        module = Esp32Module(sim, medium,
-                             MacAddress.parse("24:0a:c4:00:00:33"),
-                             position=Position(0, 0))
-        return sim, medium, module
-
-    def test_tx_requires_init(self):
-        _sim, _medium, module = self.build()
-        from repro.core import encode_beacon, WileMessage
-        beacon = encode_beacon(WileMessage(device_id=1, sequence=1))
-        with pytest.raises(FirmwareError):
-            module.wifi_80211_tx(beacon)
-
-    def test_inject_flow_and_energy(self):
-        sim, medium, module = self.build()
-        from repro.core import WiLEReceiver, WileMessage, encode_beacon
-        receiver = WiLEReceiver(sim, medium, position=Position(2, 0))
-        module.wifi_init()
-        beacon = encode_beacon(WileMessage(device_id=5, sequence=1))
-        tx_energy = module.wifi_80211_tx(beacon)
-        sim.run(until_s=1.0)
-        assert receiver.stats.wile_beacons == 1
-        assert tx_energy == pytest.approx(84e-6, rel=0.1)
-
-    def test_deep_sleep_wakes_and_charges(self):
-        sim, _medium, module = self.build()
-        woke = []
-        module.deep_sleep(10.0, lambda: woke.append(sim.now_s))
-        sim.run()
-        assert woke == [10.0]
-        charges = module.recorder.trace.charge_by_label()
-        assert charges["deep-sleep"] == pytest.approx(10.0 * 2.5e-6)
-
-    def test_deep_sleep_validation(self):
-        _sim, _medium, module = self.build()
-        with pytest.raises(FirmwareError):
-            module.deep_sleep(0.0, lambda: None)
-
-    def test_station_facade(self):
-        sim, medium, module = self.build()
-        from repro.mac import AccessPoint
-        ap = AccessPoint(sim, medium, ssid="Net", passphrase="password1",
-                         position=Position(1, 0), beaconing=False)
-        station = module.station("Net", "password1")
-        done = {}
-        station.connect_and_send(ap.mac, b"x",
-                                 on_complete=lambda: done.setdefault("t", 1))
-        sim.run(until_s=5.0)
-        assert "t" in done
-        assert module.station("Net", "password1") is station
