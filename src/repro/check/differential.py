@@ -190,6 +190,25 @@ def check_fleet_shards_full() -> Deviation:
     return _shard_differential(_FULL_FLEET, shard_count=5)
 
 
+@oracle("fleet-shards-vs-single-pool", "differential",
+        "run_fleet_smoke's 200-device fleet, 1 vs 2 shards on 2 pool "
+        "workers under both kernels: same aggregate, accounting audit "
+        "clean", smoke=False)
+def check_fleet_shards_pool() -> Deviation:
+    from ..obs import audit_fleet
+    mismatches = []
+    for kernel in ("cohort", "event"):
+        sharded, found = run_fleet_smoke(workers=2, kernel=kernel)
+        mismatches += [f"{kernel}: {problem}" for problem in found + [
+            f"[{finding.invariant}] {finding.message}"
+            for finding in audit_fleet(sharded).findings]]
+    return Deviation(
+        max_deviation=float(len(mismatches)), tolerance=0.0,
+        unit="mismatches",
+        detail="200 devices, cohort and event kernels"
+        + (f"; {mismatches}" if mismatches else ""))
+
+
 #: Synchronised start is the cohort kernel's worst case: every device in
 #: the first wave overlaps every other, so a large fraction of
 #: transmissions demote to the exact per-event arithmetic.

@@ -15,7 +15,7 @@ inside the advertised window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..dot11 import MacAddress
 from ..dot11.rates import WILE_DEFAULT_RATE, PhyRate

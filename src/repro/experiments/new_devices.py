@@ -26,12 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..energy import calibration as cal
-from ..energy.harvest import (
-    CapacitorBank,
-    EnergyIncomeTrace,
-    HarvestRun,
-    run_harvest_policy,
-)
+from ..energy.harvest import EnergyIncomeTrace, HarvestRun, run_harvest_policy
 from ..energy.trace import CurrentTrace
 from ..faults import FaultConfig, build_fault_plan
 from ..obs import audit_harvest

@@ -18,7 +18,7 @@ exists to catch).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from ..dot11.mac import MacAddress
 from ..dot11.rates import WILE_DEFAULT_RATE

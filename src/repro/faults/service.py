@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 from .plan import FaultPlanError, stable_uniform
 
-#: Every scenario the chaos suite must prove bit-identical, in the
-#: order ``--chaos-suite`` runs them.
+#: Every scenario the federation must survive bit-identical; each is
+#: one ``chaos-federation-<scenario>`` oracle in :mod:`repro.check.chaos`.
 SERVICE_FAULT_SCENARIOS: tuple[str, ...] = (
     "gateway-kill",
     "gateway-hang",

@@ -1,21 +1,13 @@
-"""Run one fleet at scale (or the CI smoke check) from the shell.
+"""Run one fleet at scale from the shell.
 
     python -m repro.fleet --devices 10000 --duration 86400 \
         --shards 16 --workers 8 --audit        # the headline run
-    python -m repro.fleet --smoke --shards 2   # 1-vs-N invariance check
-    python -m repro.fleet --chaos-smoke --shards 4 --workers 2
-                                               # kill-a-worker equivalence
 
-``--smoke`` runs a small fleet both unsharded and sharded and fails
-(exit 1) if any aggregate counter differs — the executable form of the
-shard-count-invariance guarantee documented in ``docs/FLEET.md``.
-``--chaos-smoke`` runs the same small fleet twice — once clean, once
-with one pool worker SIGKILLed mid-run and shard checkpoints enabled —
-and fails (exit 1) unless the recovered aggregates match the clean run
-(the robustness guarantee documented in ``docs/ROBUSTNESS.md``), or
-when no worker died (a one-shard run never reaches the pool).
 ``--audit`` cross-checks the accounting invariants
-(:func:`repro.obs.audit.audit_fleet`) and also fails hard on violation.
+(:func:`repro.obs.audit.audit_fleet`) and fails hard on violation. The
+shard-count invariance and kill-a-worker recovery checks are
+``repro.check`` oracles: ``python -m repro.check --full --only
+fleet-shards-vs-single --only chaos-fleet-worker-kill``.
 """
 
 from __future__ import annotations
@@ -24,13 +16,10 @@ import argparse
 import json
 import resource
 import sys
-import tempfile
 import time
 
-from ..experiments.fleet_scale import run_fleet_smoke
 from ..experiments.report import format_si
-from ..experiments.runner import injected
-from ..obs import METRICS, audit_fleet
+from ..obs import audit_fleet
 from .population import FleetConfig, generate_fleet
 from .shards import run_sharded_fleet
 
@@ -57,45 +46,6 @@ def _render(aggregate) -> str:
         f"CR2032 battery life   {aggregate.battery_years():.2f} years",
     ]
     return "\n".join(lines)
-
-
-def _chaos_smoke(args) -> int:
-    """Clean run vs kill-one-worker run of the same small fleet."""
-    from .aggregate import counters_equal, moments_close
-
-    workers = max(args.workers, 2)
-    config = FleetConfig(
-        device_count=min(args.devices, 80), area_m=(160.0, 40.0),
-        interval_s=5.0, duration_s=20.0, seed=args.seed)
-    plan = generate_fleet(config)
-    clean = run_sharded_fleet(plan, shard_count=args.shards,
-                              workers=workers)
-    kill_shard = args.shards // 2
-    breaks = METRICS.counter("runner.pool_breaks").value
-    with tempfile.TemporaryDirectory(prefix="fleet-chaos-") as directory, \
-            injected({"fleet.shard": kill_shard}):
-        recovered = run_sharded_fleet(plan, shard_count=args.shards,
-                                      workers=workers,
-                                      checkpoint_dir=directory)
-    print(_render(recovered))
-    if METRICS.counter("runner.pool_breaks").value == breaks:
-        print(f"\nCHAOS SMOKE INVALID: no worker was killed (shard "
-              f"{kill_shard} never ran in a pool worker?)")
-        return 1
-    mismatches = (counters_equal(clean, recovered)
-                  + moments_close(clean, recovered, rel_tol=1e-9))
-    if mismatches:
-        print(f"\nCHAOS RECOVERY MISMATCH: {', '.join(mismatches)}")
-        return 1
-    print(f"\nchaos recovery holds: worker killed on shard {kill_shard}, "
-          f"recovered aggregates == clean run")
-    if args.audit:
-        report = audit_fleet(recovered)
-        print()
-        print(report.render())
-        if not report.ok:
-            return 1
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,55 +77,35 @@ def main(argv: list[str] | None = None) -> int:
                              "non-zero exit on violation")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also dump the merged aggregate as JSON")
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fleet, 1-shard vs --shards invariance "
-                             "check; non-zero exit on any mismatch")
-    parser.add_argument("--chaos-smoke", action="store_true",
-                        help="small fleet run clean, then rerun with one "
-                             "pool worker SIGKILLed mid-run (checkpoint/"
-                             "retry recovery); non-zero exit unless the "
-                             "aggregates match")
     parser.add_argument("--checkpoint", metavar="DIR", default=None,
                         help="shard checkpoint directory: finished shards "
                              "persist and a rerun resumes instead of "
                              "resimulating")
     args = parser.parse_args(argv)
 
-    if args.chaos_smoke:
-        return _chaos_smoke(args)
-    if args.smoke:
-        aggregate, mismatches = run_fleet_smoke(
-            shard_count=args.shards, workers=args.workers, seed=args.seed,
-            kernel=args.kernel)
-        print(_render(aggregate))
-        if mismatches:
-            print(f"\nSHARD INVARIANCE VIOLATED: {', '.join(mismatches)}")
-            return 1
-        print(f"\nshard invariance holds: 1 shard == {args.shards} shards")
-    else:
-        config = FleetConfig(
-            device_count=args.devices, area_m=tuple(args.area),
-            interval_s=args.interval, duration_s=args.duration,
-            layout=args.layout, start=args.start, seed=args.seed)
-        started = time.perf_counter()
-        plan = generate_fleet(config)
-        aggregate = run_sharded_fleet(plan, shard_count=args.shards,
-                                      workers=args.workers,
-                                      checkpoint_dir=args.checkpoint,
-                                      kernel=args.kernel)
-        elapsed = time.perf_counter() - started
-        print(_render(aggregate))
-        print(f"wall clock            {elapsed:.1f} s "
-              f"({aggregate.duration_s / elapsed:.0f}x real time)")
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        line = f"peak memory           {peak_mb:.0f} MB (this process)"
-        if args.workers > 1:
-            # run_sharded_fleet joins its pool before returning, so the
-            # children's figure (the largest one's peak) is complete.
-            worker_mb = resource.getrusage(
-                resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-            line += f", {worker_mb:.0f} MB (largest pool worker)"
-        print(line)
+    config = FleetConfig(
+        device_count=args.devices, area_m=tuple(args.area),
+        interval_s=args.interval, duration_s=args.duration,
+        layout=args.layout, start=args.start, seed=args.seed)
+    started = time.perf_counter()
+    plan = generate_fleet(config)
+    aggregate = run_sharded_fleet(plan, shard_count=args.shards,
+                                  workers=args.workers,
+                                  checkpoint_dir=args.checkpoint,
+                                  kernel=args.kernel)
+    elapsed = time.perf_counter() - started
+    print(_render(aggregate))
+    print(f"wall clock            {elapsed:.1f} s "
+          f"({aggregate.duration_s / elapsed:.0f}x real time)")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    line = f"peak memory           {peak_mb:.0f} MB (this process)"
+    if args.workers > 1:
+        # run_sharded_fleet joins its pool before returning, so the
+        # children's figure (the largest one's peak) is complete.
+        worker_mb = resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        line += f", {worker_mb:.0f} MB (largest pool worker)"
+    print(line)
 
     if args.json:
         with open(args.json, "w") as handle:

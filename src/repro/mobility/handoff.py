@@ -33,7 +33,7 @@ from ..mac import AccessPoint, FrameDirection, FrameLayer, Station
 from ..security import pmk_from_passphrase
 from ..sim import Position, Simulator, WirelessMedium
 from .grid import DEFAULT_SENSITIVITY_DBM, ApGrid, ApSite
-from .trajectories import MobilityError, Trajectory
+from .trajectories import Trajectory
 
 HANDOFF_TECHNOLOGIES = ("Wi-LE", "WiFi-PS", "WiFi-DC", "BLE")
 

@@ -41,7 +41,7 @@ The moving parts, one module each:
   checkpoint-resume failover with offset-chain tail dedupe, seeded
   exponential-backoff restarts, the cross-gateway
   :func:`~repro.service.federation.merge_federated` ordering contract,
-  and the chaos mechanics behind ``--chaos-suite``.
+  and the chaos mechanics behind :mod:`repro.check.chaos`.
 
 ``python -m repro.service --help`` runs all of it from the shell; see
 ``docs/SERVICE.md`` for the architecture discussion.

@@ -13,10 +13,9 @@ Three contracts under test:
   aggregates exactly.
 """
 
+import contextlib
 import dataclasses
 import os
-import subprocess
-import sys
 from concurrent.futures import wait as futures_wait
 
 import pytest
@@ -356,20 +355,17 @@ class TestFleetChaos:
             "manifest.json", "shard_0000.json", "shard_0001.json",
             "shard_0002.json"]
 
-    def test_chaos_smoke_without_a_pool_is_invalid(self):
-        # One shard runs in the CLI's own process, where no fault point
-        # fires: the smoke must fail as invalid, neither pass vacuously
-        # nor kill itself. A subprocess, so a smoke that SIGKILLs its
-        # own process cannot take pytest down with it.
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, "src")
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.fleet", "--chaos-smoke",
-             "--shards", "1", "--workers", "2"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=120)
-        assert result.returncode == 1, result.stderr
-        assert "CHAOS SMOKE INVALID" in result.stdout
+    def test_chaos_oracles_without_a_kill_are_invalid(self, monkeypatch):
+        # A kill that never fires must fail its oracle as invalid, not
+        # pass vacuously: disarm the fault seam both oracles arm.
+        from repro.check import chaos
+        monkeypatch.setattr(chaos, "injected",
+                            lambda plan: contextlib.nullcontext())
+        for check in (chaos.check_fleet_worker_kill,
+                      chaos.check_service_worker_kill):
+            deviation = check()
+            assert not deviation.passed
+            assert "no worker was killed" in deviation.detail
 
     def test_checkpoints_resume_without_resimulation(self, tmp_path):
         plan = generate_fleet(self.CONFIG)

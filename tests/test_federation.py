@@ -558,3 +558,19 @@ class TestFederationEndToEnd:
                                        gateway_count=4, frames_hint=100)
         with pytest.raises(FederationError):
             FederationCoordinator(FederationConfig(gateways=3), plan)
+
+
+def test_federated_json_matches_single_gateway_json(tmp_path):
+    # --json writes the same per-tenant aggregates whether one gateway
+    # or a federation replayed the stream.
+    from repro.service.__main__ import main
+    stream, single, federated = (str(tmp_path / name) for name in (
+        "stream.bin", "single.json", "federated.json"))
+    assert main(["--record", stream, "--payloads", "3000",
+                 "--corrupt-fraction", "0.002"]) == 0
+    assert main(["--replay", stream, "--policy", "block",
+                 "--json", single]) == 0
+    assert main(["--replay", stream, "--federate", "3",
+                 "--json", federated]) == 0
+    with open(single, "rb") as one, open(federated, "rb") as many:
+        assert one.read() == many.read()
