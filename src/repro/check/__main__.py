@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
         selected = {o.name for o in oracles_for_mode(args.mode)}
         for entry in all_oracles():
             marker = "smoke+full" if entry.name in selected else "full only"
-            print(f"{entry.name:34s} [{entry.kind}] ({marker})")
+            print(f"{entry.name:35s} [{entry.kind}] ({marker})")
             print(f"    {entry.description}")
         return 0
 
