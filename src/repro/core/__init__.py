@@ -27,10 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "WileMessage", "WileMessageType", "crc16_ccitt", "fragment_message",
     ),
     ".gateway": ("DeviceRecord", "WiLEGateway"),
-    ".policy": (
-        "BatteryAwareInterval", "DeltaPolicyStats", "DeltaTriggeredReporter",
-        "PolicyError",
-    ),
+    ".policy": ("DeltaPolicyStats", "DeltaTriggeredReporter", "PolicyError"),
     ".receiver": ("ReceivedMessage", "ReceiverStats", "WiLEReceiver"),
     ".scanner": ("ChannelScanner", "ScannerError", "ScanResult"),
     ".sink": ("WileMessageSink", "attach_to_access_point"),

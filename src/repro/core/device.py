@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..dot11 import Beacon, DataFrame, MacAddress
+from ..dot11 import Beacon
 from ..dot11.airtime import frame_airtime_us
 from ..dot11.rates import WILE_DEFAULT_RATE, WILE_TX_POWER_DBM, PhyRate
 from ..energy import calibration as cal
@@ -168,11 +168,7 @@ class WiLEDevice:
             self._wake_handle = None
 
     def set_interval(self, interval_s: float) -> None:
-        """Retarget the wake period (applies from the next sleep).
-
-        Used by adaptive policies, e.g.
-        :class:`repro.core.policy.BatteryAwareInterval`.
-        """
+        """Retarget the wake period (applies from the next sleep)."""
         if interval_s <= 0:
             raise ValueError(f"interval must be positive, got {interval_s}")
         self._interval_s = interval_s

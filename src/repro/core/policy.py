@@ -3,10 +3,9 @@
 The paper's device transmits on a fixed period. Real sensor firmware
 usually does better: skip the radio when the reading hasn't changed
 (delta-triggered reporting with a heartbeat so liveness tracking still
-works), and stretch the period as the battery drains. Both policies
-compose with :class:`~repro.core.device.WiLEDevice` through its sensor
-callback — a policy wraps the real sensor and returns ``None`` readings
-when the transmission should be skipped.
+works). The policy composes with :class:`~repro.core.device.WiLEDevice`
+through its sensor callback — it wraps the real sensor and returns
+``None`` readings when the transmission should be skipped.
 
 A Wi-LE-specific subtlety: the 84 µJ transmission is *not* where the
 energy goes — the 0.35 s main-core boot (~54 mJ) is. Delta suppression
@@ -103,37 +102,3 @@ class DeltaTriggeredReporter:
         for reading in readings:
             if isinstance(reading.value, (int, float)):
                 self._last_sent[int(reading.kind)] = float(reading.value)
-
-
-class BatteryAwareInterval:
-    """Stretch the reporting interval as the battery drains.
-
-    Piecewise policy: full rate above ``healthy_mv``, linearly stretched
-    up to ``max_stretch`` times the base interval at ``critical_mv``,
-    and parked at the maximum below that. The next interval is a pure
-    function of the latest battery reading, so the device can apply it
-    before each deep sleep.
-    """
-
-    def __init__(self, base_interval_s: float,
-                 healthy_mv: float = 2900.0, critical_mv: float = 2400.0,
-                 max_stretch: float = 10.0) -> None:
-        if base_interval_s <= 0:
-            raise PolicyError("base interval must be positive")
-        if critical_mv >= healthy_mv:
-            raise PolicyError("critical voltage must be below healthy")
-        if max_stretch < 1.0:
-            raise PolicyError("stretch factor cannot shrink the interval")
-        self.base_interval_s = base_interval_s
-        self.healthy_mv = healthy_mv
-        self.critical_mv = critical_mv
-        self.max_stretch = max_stretch
-
-    def interval_for(self, battery_mv: float) -> float:
-        if battery_mv >= self.healthy_mv:
-            return self.base_interval_s
-        if battery_mv <= self.critical_mv:
-            return self.base_interval_s * self.max_stretch
-        fraction = ((self.healthy_mv - battery_mv)
-                    / (self.healthy_mv - self.critical_mv))
-        return self.base_interval_s * (1.0 + fraction * (self.max_stretch - 1.0))

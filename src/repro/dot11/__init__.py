@@ -13,7 +13,7 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".airtime": (
         "ACK_BYTES", "DIFS_US", "SIFS_US", "SLOT_US", "AirtimeError",
-        "ack_airtime_us", "data_exchange_us", "frame_airtime_us",
+        "ack_airtime_us", "frame_airtime_us",
     ),
     ".channels": (
         "CHANNELS_2_4GHZ", "CHANNELS_5GHZ", "NON_OVERLAPPING_2_4GHZ", "Band",

@@ -88,15 +88,3 @@ def ack_airtime_us(data_rate: PhyRate) -> float:
         from .rates import DSSS_1
         return frame_airtime_us(ACK_BYTES, DSSS_1, short_preamble=False)
     return frame_airtime_us(ACK_BYTES, OFDM_6)
-
-
-def data_exchange_us(length_bytes: int, rate: PhyRate,
-                     with_ack: bool = True,
-                     backoff_slots: int = 0) -> float:
-    """Duration of one DIFS + backoff + DATA + SIFS + ACK exchange."""
-    if backoff_slots < 0:
-        raise AirtimeError("negative backoff")
-    total = DIFS_US + backoff_slots * SLOT_US + frame_airtime_us(length_bytes, rate)
-    if with_ack:
-        total += SIFS_US + ack_airtime_us(rate)
-    return total

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 
-from .elements import Element, parse_elements
+from .elements import parse_elements
 from .fcs import check_fcs
 from .frames import (
     Ack,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..energy import calibration as cal
 from ..energy.trace import CurrentTrace
 from ..scenarios import run_wifi_dc, run_wile
 from ..testbed.multimeter import Keysight34465A

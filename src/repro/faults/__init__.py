@@ -12,8 +12,9 @@ Three layers:
 - :mod:`repro.faults.recovery` — the gateway-driven graceful
   degradation policy (:class:`AdaptiveRedundancyController`).
 - :mod:`repro.faults.service` — seeded, declarative gateway-level
-  fault schedules (:class:`ServiceFaultPlan`) for the federation
-  chaos suite; mechanics live in :mod:`repro.service.federation`.
+  fault schedules (:class:`ServiceFaultPlan`) for the
+  ``chaos-federation-*`` oracles of :mod:`repro.check.chaos`; mechanics
+  live in :mod:`repro.service.federation`.
 
 Host-level chaos lives with the executors it hardens: a killed pool
 worker is the fault seam of :mod:`repro.experiments.runner`

@@ -14,7 +14,8 @@ The plan is purely declarative. It imports nothing from
 (:class:`repro.service.federation.ChaosGatewayService`) reads the plan
 and supplies the mechanics. Triggers are *frame counts*, not wall-clock
 times, so a fault fires at the exact same stream offset on every run —
-the precondition for the chaos suite's bit-identity assertions.
+the precondition for the bit-identity assertions of the
+``chaos-federation-*`` oracles (:mod:`repro.check.chaos`).
 
 Five scenarios, mirroring the failure modes a real gateway fleet sees:
 

@@ -132,8 +132,10 @@ def _sequential_sum_table(addend: float, count: int) -> np.ndarray:
 #: Additions per :func:`_sequential_sum` step: bounds its buffer to 512 KB.
 _SUM_CHUNK = 1 << 16
 
-#: Rows per step of :func:`_rows`: bounds the Python scalars a per-device
-#: loop holds, whatever the shard's size.
+#: Rows per step of :func:`_rows`, of the sender column and of
+#: :func:`_overlap_windows`: bounds the Python scalars a per-device loop
+#: holds, and the temporaries of a per-transmission pass, whatever the
+#: shard's size.
 _ROW_CHUNK = 1 << 12
 
 
@@ -173,30 +175,55 @@ def _overlap_windows(starts: np.ndarray, airtime_s: float,
       with j;
     * ``demoted`` holds the completed, overlapped transmissions in start
       order, and ``[lo[i], hi[i])`` is the overlap window of
-      ``demoted[i]``, itself included.
+      ``demoted[i]``, itself included (all three int32).
 
     Boundary instants are *inclusive* on both sides: at equal timestamps
     the event engine fires a transmit before a completion (the
     transmit's wake chain was scheduled a whole boot earlier, so it
     holds the smaller insertion counter), meaning an exactly adjacent
     frame still lands in the overlap set. With constant airtime both
-    starts and ends are sorted, so j's window is the contiguous
-    ``[searchsorted(ends, starts[j], "left"), searchsorted(starts,
-    ends[j], "right"))``, and it holds more than j iff a neighbour
-    touches j: ``ends[j - 1] >= starts[j]`` or ``starts[j + 1] <=
-    ends[j]``. So the flags need one comparison per adjacent pair, and
-    only demoted transmissions pay for the two searches.
+    starts and ends (``starts + airtime_s``) are sorted, so j's window
+    is the contiguous ``[searchsorted(ends, starts[j], "left"),
+    searchsorted(starts, ends[j], "right"))``, and it holds more than j
+    iff a neighbour touches j: ``ends[j - 1] >= starts[j]`` or
+    ``starts[j + 1] <= ends[j]``. So the flags need one comparison per
+    adjacent pair, and only demoted transmissions pay for the two
+    searches.
+
+    Both passes run :data:`_ROW_CHUNK` transmissions at a time, so no
+    whole-timeline ``ends`` exists. A chunk's ``lo`` searches only the
+    ends from ``searchsorted(starts, starts[f] - 2 * airtime_s)`` on,
+    where ``f`` is the chunk's first demoted transmission: every
+    earlier transmission ends more than an airtime before
+    ``starts[f]``, so it counts toward every window of the chunk.
     """
-    ends = starts + airtime_s
-    completed = int(np.searchsorted(ends, horizon_s, side="right"))
-    touching = ends[:-1] >= starts[1:]
-    overlapped = np.zeros(starts.size, dtype=bool)
-    overlapped[1:] = touching
-    overlapped[:-1] |= touching
-    del touching
-    demoted = np.flatnonzero(overlapped[:completed])
-    lo = np.searchsorted(ends, starts[demoted], side="left")
-    hi = np.searchsorted(starts, ends[demoted], side="right")
+    count = starts.size
+    overlapped = np.zeros(count, dtype=bool)
+    completed = 0
+    for s in range(0, count, _ROW_CHUNK):
+        ends = starts[s:s + _ROW_CHUNK] + airtime_s
+        completed += int(np.searchsorted(ends, horizon_s, side="right"))
+        touching = ends[:count - 1 - s] >= starts[s + 1:s + 1 + _ROW_CHUNK]
+        overlapped[s + 1:s + 1 + touching.size] |= touching
+        overlapped[s:s + touching.size] |= touching
+    flagged = overlapped[:completed]
+    demoted = np.empty(np.count_nonzero(flagged), dtype=np.int32)
+    lo = np.empty_like(demoted)
+    hi = np.empty_like(demoted)
+    filled = 0
+    for s in range(0, completed, _ROW_CHUNK):
+        chunk = s + np.flatnonzero(flagged[s:s + _ROW_CHUNK])
+        if not chunk.size:
+            continue
+        window = slice(filled, filled + chunk.size)
+        filled += chunk.size
+        demoted[window] = chunk
+        chunk_starts = starts[chunk]
+        hi[window] = np.searchsorted(starts, chunk_starts + airtime_s,
+                                     side="right")
+        base = int(np.searchsorted(starts, chunk_starts[0] - 2 * airtime_s))
+        lo[window] = base + np.searchsorted(
+            starts[base:chunk[-1] + 1] + airtime_s, chunk_starts, side="left")
     return completed, overlapped, demoted, lo, hi
 
 
@@ -263,7 +290,7 @@ def run_shard_cohort(shard: ShardSpec,
     # transmit at t + boot (records iff <= horizon), back-to-sleep at
     # + window (one gated clock draw iff <= horizon), repeat. Every
     # transmit instant goes into one flat float64 buffer, device by
-    # device, so the cohort costs 8 bytes per transmission here.
+    # device: 8 bytes per transmission.
     records = np.zeros(n_devices, dtype=np.int64)
     timeline = array("d")
     append = timeline.append
@@ -294,14 +321,23 @@ def run_shard_cohort(shard: ShardSpec,
     # worst case) keep device-id order, which is exactly the event
     # engine's fire order for simultaneous wakes: every callback chain
     # traces back to device.start() calls made in sorted-id order.
+    # The kernel peaks here, at ~20 bytes per transmission: the buffer,
+    # the 8-byte sort order and the int32 sender column; the overlap
+    # pass then holds a flag byte per transmission and three int32s per
+    # demoted one.
     starts = np.frombuffer(timeline)
     order = np.argsort(starts, kind="stable")
     # Sorted in place, the buffer holds exactly ``starts[order]``: equal
     # keys are equal floats, so the sort's stability cannot show.
     starts.sort()
     del timeline, append
-    device_of = np.repeat(np.arange(n_devices, dtype=np.int32),
-                          records)[order]
+    # Sender of each sorted transmission, gathered into ``order``'s own
+    # buffer chunk by chunk, so no second whole-timeline index exists.
+    sender = np.repeat(np.arange(n_devices, dtype=np.int32), records)
+    for s in range(0, total_tx, _ROW_CHUNK):
+        order[s:s + _ROW_CHUNK] = sender[order[s:s + _ROW_CHUNK]]
+    del sender
+    device_of = order.astype(np.int32)
     del order
     completed_count, overlapped, demoted, lo, hi = _overlap_windows(
         starts, airtime_s, duration)

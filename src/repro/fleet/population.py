@@ -164,9 +164,10 @@ class ReceiverSpec:
         return Position(self.x_m, self.y_m)
 
 
-#: Devices per step of :meth:`FleetPlan.nearest_receivers`: bounds its
-#: temporaries to a few hundred KB whatever the fleet size.
-_NEAREST_CHUNK = 1 << 12
+#: Devices per step of :meth:`FleetPlan.nearest_receivers`, and draws
+#: per step of :func:`_uniform_stream`: bounds their temporaries to a
+#: few hundred KB whatever the fleet size.
+_CHUNK = 1 << 12
 
 #: Relative gap under which ``np.hypot`` and ``math.hypot`` may order
 #: two distances, or a distance and a cutoff, differently: each is
@@ -232,9 +233,9 @@ class FleetPlan:
         """Every device's designated uplink gateway — its index into
         ``receivers``, as int32 — and the distance to it.
 
-        The 3x3 search runs over :data:`_NEAREST_CHUNK` devices at a
-        time with ``np.hypot``, which can differ from ``math.hypot`` in
-        the last bit. Devices whose two nearest candidates, or whose
+        The 3x3 search runs over :data:`_CHUNK` devices at a time with
+        ``np.hypot``, which can differ from ``math.hypot`` in the last
+        bit. Devices whose two nearest candidates, or whose
         distance and :data:`DEFAULT_MAX_RANGE_M`, lie within
         :data:`HYPOT_SLACK` of each other are re-resolved by the scalar
         search, so every choice is the ``(math.hypot, receiver_id)``
@@ -249,8 +250,8 @@ class FleetPlan:
         count = len(self.x_m)
         indices = np.empty(count, dtype=np.int32)
         distances = np.empty(count)
-        for start in range(0, count, _NEAREST_CHUNK):
-            chunk = slice(start, start + _NEAREST_CHUNK)
+        for start in range(0, count, _CHUNK):
+            chunk = slice(start, start + _CHUNK)
             x, y = self.x_m[chunk], self.y_m[chunk]
             column = np.minimum(x // (width / columns), columns - 1).astype(int)
             row = np.minimum(y // (height / rows), rows - 1).astype(int)
@@ -305,19 +306,27 @@ def validate_positions(plan: FleetPlan) -> None:
 
 def _uniform_stream(seed_key: str, count: int) -> np.ndarray:
     """The first ``count`` outputs of ``random.Random(seed_key).random()``,
-    produced as one numpy batch.
+    produced as one numpy column.
 
-    CPython's generator and numpy's legacy ``RandomState`` are the same
-    Mersenne Twister, and both derive doubles with ``genrand_res53``, so
-    transplanting the seeded state makes the batched stream bit-identical
-    to the scalar one — the vectorized placement below stays exactly
+    CPython's ``random()`` turns two consecutive 32-bit Mersenne Twister
+    outputs ``w0, w1`` into ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``,
+    and ``getrandbits(64 * k)`` returns the next ``2 * k`` outputs as one
+    integer, least-significant word first. So the words come from the
+    stdlib generator :data:`_CHUNK` draws at a time, and numpy shifts
+    and exact float arithmetic (every intermediate fits in 53 bits)
+    give the same doubles: the vectorized placement below stays exactly
     per-seed reproducible (pinned by ``tests/test_fleet.py``).
     """
-    state = random.Random(seed_key).getstate()
-    keys = np.array(state[1][:-1], dtype=np.uint32)
-    legacy = np.random.RandomState()
-    legacy.set_state(("MT19937", keys, state[1][-1], 0, 0.0))
-    return legacy.random_sample(count)
+    rng = random.Random(seed_key)
+    draws = np.empty(count)
+    for start in range(0, count, _CHUNK):
+        step = min(_CHUNK, count - start)
+        words = np.frombuffer(
+            rng.getrandbits(64 * step).to_bytes(8 * step, "little"), "<u4")
+        draws[start:start + step] = ((words[0::2] >> 5) * 67108864.0
+                                     + (words[1::2] >> 6)) * (
+                                         1.0 / 9007199254740992.0)
+    return draws
 
 
 def _positions_reference(config: FleetConfig,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..dot11 import MacAddress
 from ..energy import calibration as cal
-from ..energy.esp32 import Esp32PowerModel, Esp32State
+from ..energy.esp32 import Esp32PowerModel
 from ..energy.trace import CurrentTrace
 from ..mac import BEACON_INTERVAL_S, AccessPoint, Station, StationState
 from ..security import pmk_from_passphrase

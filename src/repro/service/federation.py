@@ -11,7 +11,8 @@ device-stream and supervises them:
   subsequence is *identical* to its subsequence of the unpartitioned
   stream. Combined with the server's sequential-observe merge, a
   tenant's aggregate is bit-identical whether one gateway or N
-  processed the stream — the property the chaos suite asserts.
+  processed the stream — the property the ``chaos-federation-*``
+  oracles of :mod:`repro.check.chaos` assert.
 * **Heartbeats.** A gateway is declared dead when its pump has failed,
   or when it has backlog but its ``frames_processed`` watermark has
   not moved for :data:`HEARTBEAT_TIMEOUT_S` (a hung or crawling pump
@@ -385,7 +386,8 @@ class _Pipeline:
 class FederationCoordinator:
     """Runs a partitioned stream through N supervised gateway slots.
 
-    One-shot embedding (the chaos suite, benches and ``--federate``)::
+    One-shot embedding (the ``repro.check`` chaos oracles, benches and
+    ``--federate``)::
 
         coordinator = FederationCoordinator(config, fault_plan=None)
         report = await coordinator.run(wires)

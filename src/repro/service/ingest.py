@@ -252,8 +252,8 @@ def decode_batch_task(task: tuple) -> tuple[list[BeaconPayload], int]:
 
     ``task`` is ``(batch_id, wires)``; the result is
     :func:`decode_wires`'s. The ``"service.batch"`` fault point (keyed
-    by batch id) is where the chaos smoke kills a worker to prove that
-    a killed worker loses no aggregates.
+    by batch id) is where the ``chaos-service-worker-kill`` oracle kills
+    a worker to prove that a killed worker loses no aggregates.
     """
     batch_id, wires = task
     fault_point("service.batch", batch_id)

@@ -9,9 +9,9 @@ kill minutes later. The gateway service makes the decision explicit:
   reports, so the newest sample is worth more than a stale one; this is
   the lossy-but-live policy an always-on gateway defaults to.
 * ``block`` — the producer coroutine suspends until space frees. This
-  is the lossless policy replays, benches and the chaos smoke use,
-  because it makes the ingested stream — and therefore every aggregate
-  — exactly reproducible.
+  is the lossless policy replays, benches and the ``repro.check`` chaos
+  oracles use, because it makes the ingested stream — and therefore
+  every aggregate — exactly reproducible.
 
 Every drop and every blocked put is counted, on the queue and in
 :data:`repro.obs.metrics.METRICS` as ``service.dropped_oldest`` /

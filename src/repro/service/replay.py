@@ -1,9 +1,10 @@
 """Deterministic recorded beacon streams and the paced replayer.
 
-The soak bench, the chaos smoke and the CI job all need the same thing:
-a realistic beacon stream that is *bit-reproducible* from a seed, so
-two runs over it (clean vs chaos-killed, this commit vs the baseline)
-are comparing identical inputs. Streams are generated through the real
+The soak bench, the ``repro.check`` chaos oracles and the CI job all
+need the same thing: a realistic beacon stream that is
+*bit-reproducible* from a seed, so two runs over it (clean vs
+chaos-killed, this commit vs the baseline) are comparing identical
+inputs. Streams are generated through the real
 encoder stack (:class:`repro.core.payload.WileMessage` →
 :func:`repro.core.codec.encode_beacon`), so every frame a stream
 contains is a frame a simulated device could actually have sent —

@@ -19,8 +19,9 @@ Correctness properties the tests lean on:
   order. Aggregates are therefore a pure function of the frame
   sequence — independent of batch boundaries, pool timing, worker
   deaths, *and* (the property federation rests on) of which gateway
-  processed which stretch of the stream. The chaos smoke and the
-  federation chaos suite both assert exact ``to_state`` equality, not
+  processed which stretch of the stream. The
+  ``chaos-service-worker-kill`` and ``chaos-federation-*`` oracles of
+  :mod:`repro.check.chaos` assert exact ``to_state`` equality, not
   tolerances.
 * **Broken-pool rescue.** Batches decode on the shared
   :class:`repro.experiments.runner.ProcessPool`, which keeps every

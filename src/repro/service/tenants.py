@@ -13,7 +13,8 @@ summaries and a fixed-edge histogram, so shard-style guarantees carry
 over: decode workers fold their batch into a *partial* aggregate,
 partials merge in stream order, and the result is identical in
 counters (and to ~1e-9 in moments) to a single sequential pass — the
-property the chaos smoke turns into an executable test.
+property the ``chaos-service-worker-kill`` oracle turns into an
+executable test.
 
 Sequence accounting is per device (mod-2^16 gaps, exactly the
 :mod:`repro.core.gateway` convention): ``missed`` estimates beacons the

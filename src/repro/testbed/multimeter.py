@@ -82,7 +82,8 @@ class Keysight34465A:
         noise: apply spec-sheet gain/offset error plus quantisation-scale
             gaussian noise. Off by default so calibration tests integrate
             exactly; the measurement-error tests switch it on.
-        seed: RNG seed for the noise source.
+        seed: RNG seed for the noise source, which is built at the first
+            noisy acquisition (a quiet meter never loads ``numpy.random``).
     """
 
     def __init__(self, sample_rate_hz: float = MAX_SAMPLE_RATE_HZ,
@@ -92,7 +93,8 @@ class Keysight34465A:
                 f"sample rate must be in (0, {MAX_SAMPLE_RATE_HZ:.0f}] S/s")
         self.sample_rate_hz = sample_rate_hz
         self.noise = noise
-        self._rng = np.random.default_rng(seed)
+        self.seed = seed
+        self._rng: np.random.Generator | None = None
 
     @staticmethod
     def select_range(peak_current_a: float) -> tuple[float, float, float]:
@@ -111,6 +113,8 @@ class Keysight34465A:
         range_a, gain_pct, offset_pct = self.select_range(
             trace.peak_current_a() or 1e-6)
         if self.noise:
+            if self._rng is None:
+                self._rng = np.random.default_rng(self.seed)
             gain = 1.0 + self._rng.normal(0.0, gain_pct / 100.0 / 3.0,
                                           size=currents.shape)
             offset = self._rng.normal(0.0, range_a * offset_pct / 100.0 / 3.0,

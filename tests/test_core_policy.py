@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import (
-    BatteryAwareInterval,
     DeltaTriggeredReporter,
     PolicyError,
     SensorKind,
@@ -129,36 +128,6 @@ class TestDeviceIntegration:
         assert device.interval_s == 100.0
         with pytest.raises(ValueError):
             device.set_interval(0.0)
-
-
-class TestBatteryAwareInterval:
-    def test_healthy_battery_full_rate(self):
-        policy = BatteryAwareInterval(60.0)
-        assert policy.interval_for(3000.0) == 60.0
-
-    def test_critical_battery_max_stretch(self):
-        policy = BatteryAwareInterval(60.0, max_stretch=10.0)
-        assert policy.interval_for(2300.0) == 600.0
-
-    def test_linear_in_between(self):
-        policy = BatteryAwareInterval(60.0, healthy_mv=2900.0,
-                                      critical_mv=2400.0, max_stretch=10.0)
-        midpoint = policy.interval_for(2650.0)
-        assert midpoint == pytest.approx(60.0 * 5.5)
-
-    def test_monotone(self):
-        policy = BatteryAwareInterval(60.0)
-        voltages = [3000.0, 2800.0, 2600.0, 2450.0, 2200.0]
-        intervals = [policy.interval_for(v) for v in voltages]
-        assert intervals == sorted(intervals)
-
-    def test_validation(self):
-        with pytest.raises(PolicyError):
-            BatteryAwareInterval(0.0)
-        with pytest.raises(PolicyError):
-            BatteryAwareInterval(60.0, healthy_mv=2400.0, critical_mv=2900.0)
-        with pytest.raises(PolicyError):
-            BatteryAwareInterval(60.0, max_stretch=0.5)
 
 
 class TestAdaptiveExperiment:

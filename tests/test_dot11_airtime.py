@@ -11,7 +11,6 @@ from repro.dot11.airtime import (
     SLOT_US,
     AirtimeError,
     ack_airtime_us,
-    data_exchange_us,
     frame_airtime_us,
 )
 from repro.dot11.rates import (
@@ -126,16 +125,3 @@ class TestMacTiming:
     def test_dsss_ack_at_1mbps(self):
         assert ack_airtime_us(CCK_11) == pytest.approx(
             frame_airtime_us(ACK_BYTES, DSSS_1, short_preamble=False))
-
-    def test_exchange_includes_all_parts(self):
-        assert data_exchange_us(100, OFDM_6, backoff_slots=4) == pytest.approx(
-            DIFS_US + 4 * SLOT_US + frame_airtime_us(100, OFDM_6)
-            + SIFS_US + ack_airtime_us(OFDM_6))
-
-    def test_broadcast_exchange_has_no_ack(self):
-        assert data_exchange_us(100, OFDM_6, with_ack=False) == pytest.approx(
-            DIFS_US + frame_airtime_us(100, OFDM_6))
-
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(AirtimeError):
-            data_exchange_us(10, OFDM_6, backoff_slots=-1)

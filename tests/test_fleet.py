@@ -124,6 +124,18 @@ class TestPopulation:
                         _positions_reference(config, rng), \
                         (layout, seed, count)
 
+    @pytest.mark.parametrize("chunks, extra", [(0, 0), (0, 1), (1, -1),
+                                               (1, 0), (1, 1), (3, 7)])
+    def test_uniform_stream_is_the_scalar_stream(self, chunks, extra):
+        # The batched draws are random.Random(key).random()'s, bit for
+        # bit, on both sides of every chunk boundary.
+        from repro.fleet.population import _CHUNK, _uniform_stream
+        count = chunks * _CHUNK + extra
+        for key in ("0-positions", "7-phases"):
+            rng = random.Random(key)
+            assert _uniform_stream(key, count).tolist() == \
+                [rng.random() for _ in range(count)], (key, count)
+
     def test_positions_and_phases_pin_golden_values(self):
         # Guards against the vectorized path and its reference twin
         # drifting together: these exact floats are what seed 0 produced

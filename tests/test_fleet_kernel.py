@@ -32,6 +32,7 @@ from repro.fleet import (
     run_shard_cohort,
     run_sharded_fleet,
 )
+from repro.fleet import kernel
 from repro.fleet.aggregate import counters_equal, moments_close
 from repro.fleet.kernel import (_SUM_CHUNK, _overlap_windows, _sequential_sum,
                                 _sequential_sum_table)
@@ -46,6 +47,11 @@ SYNC = FleetConfig(device_count=64, area_m=(50.0, 50.0), interval_s=20.0,
 # One dense shard: 13,200 transmissions, 796 of them demoted.
 DENSE = FleetConfig(device_count=600, area_m=(45.0, 45.0), interval_s=1.0,
                     duration_s=30.0, seed=5)
+# The contended shape under one gateway: 39,900 transmissions, 22% of
+# them demoted.
+CONTENDED = FleetConfig(device_count=300, area_m=(30.0, 30.0),
+                        receiver_spacing_m=100.0, interval_s=0.1,
+                        duration_s=60.0)
 
 
 def _assert_identical(event, cohort, context=""):
@@ -175,24 +181,40 @@ class TestCohortEquivalence:
         assert stats.still_demoted_at_horizon == 64
 
 
+def _peak_per_transmission(config):
+    """Traced peak of one single-shard cohort run, in bytes per
+    transmission, and the run's stats."""
+    (shard,) = plan_shards(generate_fleet(config), 1)
+    run_shard_cohort(plan_shards(generate_fleet(SMALL), 1)[0])
+    stats = KernelStats()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        run_shard_cohort(shard, stats=stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / stats.transmissions, stats
+
+
 class TestWorkingSet:
     def test_kernel_peak_per_transmission(self):
         # The kernel keeps a few bytes per transmission plus per-device
-        # state (~41 B per transmission here). An overlap window per
+        # state (~32 B per transmission here). An overlap window per
         # transmission, or an interference cache keyed by (device,
         # gateway), takes this shard past the bound.
-        (shard,) = plan_shards(generate_fleet(DENSE), 1)
-        run_shard_cohort(plan_shards(generate_fleet(SMALL), 1)[0])
-        stats = KernelStats()
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            run_shard_cohort(shard, stats=stats)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        per_tx, stats = _peak_per_transmission(DENSE)
         assert (stats.transmissions, stats.demotions) == (13_200, 796)
-        assert (peak - before) / stats.transmissions < 100
+        assert per_tx < 100
+
+    def test_contended_peak_per_transmission(self):
+        # Few devices, many transmissions, 22% of them demoted: the
+        # per-transmission columns dominate (~21 B per transmission;
+        # ~28 with a whole-shard ``ends``, a second sender column and
+        # int64 windows).
+        per_tx, stats = _peak_per_transmission(CONTENDED)
+        assert (stats.transmissions, stats.demotions) == (39_900, 8_629)
+        assert per_tx < 25
 
     @pytest.mark.parametrize("count", [0, 1, _SUM_CHUNK - 1, _SUM_CHUNK,
                                        _SUM_CHUNK + 1, 3 * _SUM_CHUNK + 7])
@@ -233,11 +255,16 @@ class TestOverlapRule:
             self, slots, airtime_s, horizon_slot):
         starts = np.sort(np.array(slots, dtype=float)) * (airtime_s / 2)
         horizon_s = horizon_slot * (airtime_s / 2)
-        kernel = _overlap_windows(starts, airtime_s, horizon_s)
         definition = _windows_by_definition(starts, airtime_s, horizon_s)
-        assert kernel[0] == definition[0]
-        for got, want in zip(kernel[1:], definition[1:]):
-            np.testing.assert_array_equal(got, want)
+        # Chunks of a few rows put chunk boundaries inside tie runs and
+        # overlap windows; 4,096 is the kernel's own chunk.
+        for chunk in (1, 2, 3, 4096):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernel, "_ROW_CHUNK", chunk)
+                got = _overlap_windows(starts, airtime_s, horizon_s)
+            assert got[0] == definition[0], chunk
+            for column, want in zip(got[1:], definition[1:]):
+                np.testing.assert_array_equal(column, want, str(chunk))
 
 
 def _write_baseline(directory, suite, benches):

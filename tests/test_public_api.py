@@ -218,11 +218,26 @@ def test_cohort_fleet_run_loads_no_event_engine():
 
 
 def test_cohort_fleet_run_loads_no_pool_mobility_or_faults():
-    # A serial run builds no process pool, and a static fleet neither
-    # moves nor injects faults.
+    # A serial run builds no process pool, a static fleet neither moves
+    # nor injects faults, and its uniform draws come from the stdlib
+    # generator.
     assert under(("multiprocessing", "concurrent.futures.process",
-                  "repro.mobility", "repro.faults"),
+                  "repro.mobility", "repro.faults", "numpy.random"),
                  modules_after(FLEET_RUN.format(kernel="cohort"))) == []
+
+
+def test_quick_driver_loads_no_numpy_random():
+    # Figure 3 reads its multimeter with the noise off, so the meter
+    # never builds its noise generator.
+    loaded = modules_after(
+        "import contextlib, io, runpy, sys\n"
+        "sys.argv = ['repro.experiments', '--quick']\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        runpy.run_module('repro.experiments', run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    assert done.code == 0, done.code")
+    assert under(("numpy.random",), loaded) == []
 
 
 #: What the driver imports only for the entry, or the flag, that uses

@@ -1,5 +1,7 @@
 """Tests for the simulated lab equipment (repro.testbed)."""
 
+import hashlib
+
 import pytest
 
 from repro.energy.trace import CurrentTrace
@@ -63,6 +65,18 @@ class TestMultimeter:
         first = Keysight34465A(noise=True, seed=5).acquire(trace)
         second = Keysight34465A(noise=True, seed=5).acquire(trace)
         assert first.charge_c() == second.charge_c()
+
+    def test_noise_stream_is_pinned(self):
+        # The meter builds its generator at its first noisy acquisition:
+        # the stream must start at the seed and skip no draw, so two
+        # acquisitions read what a generator built with the meter gave.
+        meter = Keysight34465A(noise=True, seed=5)
+        trace = bench_trace()
+        digests = [hashlib.sha256(meter.acquire(trace).currents_a.tobytes())
+                   .hexdigest() for _ in range(2)]
+        assert digests == [
+            "c16faee64260ec3970391521ad482db720edcdffb8b06ef3d55585a3aed67183",
+            "27bc2051cc258334f93a227659623c6d062179c1da69f44ba70f61c44d5f437b"]
 
     def test_windowed_acquisition(self):
         reading = Keysight34465A().acquire(bench_trace(), t0_s=0.1, t1_s=0.15)
