@@ -119,32 +119,23 @@ def _zero_speed_cohort() -> Deviation:
         "constant-velocity walk along a row of N APs makes exactly N-1 "
         "handoffs")
 def _handoff_crossings() -> Deviation:
-    from ..mobility import (ApGrid, HandoffPolicy, Trajectory,
-                            reassociation_cost, walk_trajectory)
+    from ..mobility import ApGrid, HandoffPolicy, Trajectory, walk_trajectory
     grid = ApGrid.build((500.0, 50.0), spacing_m=50.0)
     # One straight pass down the row's centreline: the strongest AP is
     # the nearest, which changes exactly at the 9 cell midlines.
     trajectory = Trajectory(device_id=0, epoch_s=10.0,
                             knots=((0.0, 5.0, 25.0), (1000.0, 495.0, 25.0)))
-    mismatches = 0
-    details = []
-    for technology in ("Wi-LE", "WiFi-PS"):
-        stats = walk_trajectory(trajectory, grid,
-                                HandoffPolicy(kind="strongest"),
-                                reassociation_cost(technology),
-                                duration_s=1000.0, interval_s=10.0)
-        expected = grid.columns - 1
-        if stats.handoffs != expected or stats.reacquisitions != 1 \
-                or stats.outage_s != 0.0:
-            mismatches += 1
-            details.append(
-                f"{technology}: handoffs={stats.handoffs} (want "
-                f"{expected}), reacq={stats.reacquisitions} (want 1), "
-                f"outage={stats.outage_s}")
-    return Deviation(max_deviation=float(mismatches), tolerance=0.0,
+    stats = walk_trajectory(trajectory, grid, HandoffPolicy(kind="strongest"),
+                            duration_s=1000.0, interval_s=10.0)
+    expected = grid.columns - 1
+    ok = (stats.handoffs == expected and stats.reacquisitions == 1
+          and stats.outage_s == 0.0)
+    return Deviation(max_deviation=0.0 if ok else 1.0, tolerance=0.0,
                      unit="mismatches",
-                     detail="; ".join(details)
-                     or f"{grid.columns - 1} crossings, both technologies")
+                     detail=f"{expected} crossings" if ok else
+                     f"handoffs={stats.handoffs} (want {expected}), "
+                     f"reacq={stats.reacquisitions} (want 1), "
+                     f"outage={stats.outage_s}")
 
 
 @oracle("mobility-wile-handoff-free", "analytic",

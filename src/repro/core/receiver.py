@@ -6,8 +6,8 @@ nearby WiFi devices by injecting WiFi beacon frames." This receiver
 models the §5.3 evaluation setup (a WiFi card in monitor mode) and the
 §4 application story (a phone app reading the OS scan results): a
 monitor-mode radio whose receive callback feeds the shared Wi-LE message
-pipeline (:class:`~repro.core.sink.WileMessageSink`) and keeps nothing
-else it hears.
+pipeline (:class:`~repro.core.sink.WileMessageSink`, which the receiver
+extends) and keeps nothing else it hears.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from ..dot11 import MacAddress
 from ..mac.monitor import monitor_radio
 from ..sim import Position, Simulator, Transmission, WirelessMedium
 from .crypto import DeviceKeyring
-from .sink import MessageCallback, ReceivedMessage, ReceiverStats, WileMessageSink
+from .sink import ReceivedMessage, ReceiverStats, WileMessageSink
 
 __all__ = ["ReceivedMessage", "ReceiverStats", "WiLEReceiver"]
 
 
-class WiLEReceiver:
+class WiLEReceiver(WileMessageSink):
     """Monitor-mode Wi-LE message sink with dedup and decryption.
 
     Args:
@@ -37,50 +37,15 @@ class WiLEReceiver:
                  channel: int = 6,
                  keyring: DeviceKeyring | None = None,
                  dedup_window: int = 64) -> None:
+        super().__init__(keyring=keyring, dedup_window=dedup_window)
         self.sim = sim
-        self._sink = WileMessageSink(keyring=keyring,
-                                     dedup_window=dedup_window)
         self.radio = monitor_radio(sim, medium, self._on_frame, mac=mac,
                                    position=position, channel=channel)
 
-    # -- receive path ------------------------------------------------------------
-
     def _on_frame(self, frame: object, transmission: Transmission) -> None:
-        self._sink.feed(frame, self.sim.now_s,
-                        rate_mbps=transmission.rate.data_rate_mbps,
-                        channel=transmission.channel)
-
-    # -- pipeline delegation ------------------------------------------------------
-
-    @property
-    def keyring(self) -> DeviceKeyring:
-        return self._sink.keyring
-
-    @property
-    def stats(self) -> ReceiverStats:
-        return self._sink.stats
-
-    @property
-    def messages(self) -> list[ReceivedMessage]:
-        return self._sink.messages
-
-    @property
-    def reassembled_bodies(self) -> list[tuple[int, bytes]]:
-        return self._sink.reassembled_bodies
-
-    def on_message(self, callback: MessageCallback) -> None:
-        """Register a live-delivery callback."""
-        self._sink.on_message(callback)
-
-    def messages_from(self, device_id: int) -> list[ReceivedMessage]:
-        return self._sink.messages_from(device_id)
-
-    def devices_heard(self) -> set[int]:
-        return self._sink.devices_heard()
-
-    def latest_reading(self, device_id: int, kind) -> float | bytes | None:
-        """Most recent reading of ``kind`` from ``device_id``, if any."""
-        return self._sink.latest_reading(device_id, kind)
+        self.feed(frame, self.sim.now_s,
+                  rate_mbps=transmission.rate.data_rate_mbps,
+                  channel=transmission.channel)
 
     # -- channel control ------------------------------------------------------------
 

@@ -71,6 +71,7 @@ class WileMessageSink:
         self._reassembler = FragmentReassembler()
 
     def on_message(self, callback: MessageCallback) -> None:
+        """Register a live-delivery callback."""
         self._callbacks.append(callback)
 
     # -- feeding ---------------------------------------------------------------
@@ -142,6 +143,7 @@ class WileMessageSink:
         return {received.message.device_id for received in self.messages}
 
     def latest_reading(self, device_id: int, kind) -> float | bytes | None:
+        """Most recent reading of ``kind`` from ``device_id``, if any."""
         for received in reversed(self.messages):
             if received.message.device_id != device_id:
                 continue

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..faults.plan import stable_uniform
 from . import calibration as cal

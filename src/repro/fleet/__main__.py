@@ -20,7 +20,7 @@ import time
 
 from ..experiments.report import format_si
 from ..obs import audit_fleet
-from .population import FleetConfig, generate_fleet
+from .population import FleetConfig, FleetError, generate_fleet
 from .shards import run_sharded_fleet
 
 
@@ -82,11 +82,17 @@ def main(argv: list[str] | None = None) -> int:
                              "persist and a rerun resumes instead of "
                              "resimulating")
     args = parser.parse_args(argv)
-
-    config = FleetConfig(
-        device_count=args.devices, area_m=tuple(args.area),
-        interval_s=args.interval, duration_s=args.duration,
-        layout=args.layout, start=args.start, seed=args.seed)
+    for flag, value in (("--shards", args.shards),
+                        ("--workers", args.workers)):
+        if value < 1:
+            parser.error(f"{flag} must be >= 1, got {value}")
+    try:
+        config = FleetConfig(
+            device_count=args.devices, area_m=tuple(args.area),
+            interval_s=args.interval, duration_s=args.duration,
+            layout=args.layout, start=args.start, seed=args.seed)
+    except FleetError as error:
+        parser.error(str(error))
     started = time.perf_counter()
     plan = generate_fleet(config)
     aggregate = run_sharded_fleet(plan, shard_count=args.shards,

@@ -8,8 +8,7 @@ frames) and BLE re-pairs on every move. Three layers:
 * :mod:`.trajectories` — seeded, deterministic motion models sampled on
   an epoch grid (bit-identical per seed via the blake2b stable-draw
   discipline shared with :mod:`repro.faults`);
-* :mod:`.grid` — spatial AP grids with O(1) candidate lookup and
-  per-epoch coverage maps;
+* :mod:`.grid` — spatial AP grids with O(1) strongest-AP lookup;
 * :mod:`.handoff` — AP-selection policies plus the per-technology
   handoff cost model, replayed through the real protocol machines.
 

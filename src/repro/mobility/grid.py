@@ -1,4 +1,4 @@
-"""Spatial AP grid: per-epoch path-loss/coverage maps, O(1) candidates.
+"""Spatial AP grid: path loss and O(1) strongest-AP candidates.
 
 A :class:`ApGrid` is a regular grid of access points covering the
 deployment plane — the same geometry as the fleet's gateway-receiver
@@ -15,16 +15,14 @@ answer (pinned by ``tests/test_mobility.py``).
 RSSI uses the same log-distance model as the medium
 (:func:`repro.phy.pathloss.received_power_dbm`) with the same exponent
 and minimum distance clamp (the :mod:`repro.phy.pathloss` constants),
-so the coverage maps produced here and the delivery decisions made by
-a full medium simulation can never disagree about path loss.
+so the AP choices made here and the delivery decisions made by a
+full medium simulation can never disagree about path loss.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..phy.pathloss import (MIN_DISTANCE_M, PATH_LOSS_EXPONENT,
                             received_power_dbm)
@@ -82,10 +80,6 @@ class ApGrid:
             for row in range(rows) for column in range(columns))
         return cls(area_m=area_m, spacing_m=spacing_m, columns=columns,
                    rows=rows, sites=sites, tx_power_dbm=tx_power_dbm)
-
-    @property
-    def density_per_km2(self) -> float:
-        return len(self.sites) / (self.area_m[0] * self.area_m[1] / 1e6)
 
     # -- spatial index ------------------------------------------------------
 
@@ -148,22 +142,3 @@ class ApGrid:
         if chosen is None or chosen_rssi < sensitivity_dbm:
             return None
         return chosen, chosen_rssi
-
-    # -- coverage -----------------------------------------------------------
-
-    def coverage_fraction(self, sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM,
-                          resolution_m: float = 5.0) -> float:
-        """Fraction of a uniform sample grid with a detectable AP."""
-        if resolution_m <= 0:
-            raise GridError("resolution must be positive")
-        width, height = self.area_m
-        xs = np.arange(resolution_m / 2.0, width, resolution_m)
-        ys = np.arange(resolution_m / 2.0, height, resolution_m)
-        covered = 0
-        for y_m in ys:
-            for x_m in xs:
-                if self.best(float(x_m), float(y_m),
-                             sensitivity_dbm=sensitivity_dbm) is not None:
-                    covered += 1
-        total = len(xs) * len(ys)
-        return covered / total if total else 0.0

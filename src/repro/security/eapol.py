@@ -9,7 +9,7 @@ exactly the overhead Wi-LE removes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .keys import eapol_mic
 

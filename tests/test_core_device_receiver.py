@@ -14,7 +14,6 @@ from repro.core import (
     derive_device_key,
 )
 from repro.dot11.rates import OFDM_6
-from repro.energy import calibration as cal
 from repro.energy.esp32 import Esp32Recorder
 from repro.sim import JitteryClock, Position, Simulator, WirelessMedium
 

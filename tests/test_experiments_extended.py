@@ -14,7 +14,7 @@ from repro.experiments.scheduling import (
     expected_random_delivery,
     run_scheduling,
 )
-from repro.sim import Position, Simulator, WirelessMedium
+from repro.sim import Simulator, WirelessMedium
 
 
 class TestBackgroundTraffic:

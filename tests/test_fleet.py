@@ -570,3 +570,18 @@ class TestCli:
         (line,) = [line for line in capsys.readouterr().out.splitlines()
                    if line.startswith("peak memory")]
         assert line.endswith(tail)
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--workers", "--workers must be >= 1, got 0"),
+        ("--shards", "--shards must be >= 1, got 0"),
+        ("--devices", "need at least one device, got 0"),
+        ("--interval", "interval must be positive, got 0.0"),
+        ("--duration", "duration must be positive, got 0.0"),
+    ])
+    def test_invalid_value_is_a_usage_error(self, flag, message, capsys):
+        from repro.fleet.__main__ import main
+        with pytest.raises(SystemExit) as exited:
+            main([flag, "0"])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"python -m repro.fleet: error: {message}"

@@ -5,8 +5,6 @@ observed: lost frame -> retransmit with the same sequence number; lost
 ACK -> the AP sees a duplicate, drops it, and re-acknowledges.
 """
 
-import pytest
-
 from repro.dot11 import Ack, DataFrame, MacAddress, ProbeRequest
 from repro.mac import AccessPoint, Station, StationState
 from repro.sim import Position, Simulator, WirelessMedium

@@ -1,7 +1,5 @@
 """Tests for path loss, link, and range models (repro.phy)."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
