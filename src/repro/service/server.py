@@ -89,6 +89,8 @@ class ServiceConfig:
     drain_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
+        if self.queue_capacity < 1:
+            raise ValueError("queue_capacity must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.workers < 0:
