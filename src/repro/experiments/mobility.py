@@ -3,9 +3,9 @@
     python -m repro.experiments --only mobility [--audit] [--out DIR]
 
 The paper's Figure-3 energy comparison is made standing still. This
-sweep makes the devices move: each (speed, AP spacing) pair walks a
-small population of devices once along seeded trajectories
-(:mod:`repro.mobility.trajectories`) through a regular AP grid
+sweep makes the devices move: each speed builds a small population
+of seeded trajectories (:mod:`repro.mobility.trajectories`) once, and
+each (speed, AP spacing) pair walks them once through a regular AP grid
 (:mod:`repro.mobility.grid`), evaluating AP selection per epoch under a
 handoff policy, and each technology's cell charges every AP change
 what that technology actually pays
@@ -22,7 +22,7 @@ what that technology actually pays
 
 Per-device energy/day combines the paper's per-packet and idle
 calibration with the handoff tax; outage time and delivery ratio come
-from the per-epoch coverage walk. Pairs are independent and
+from the per-epoch coverage walk. Speeds are independent and
 deterministic (blake2b stable draws keyed by the cell seed), so the
 sweep fans over the process pool bit-identically at any worker count.
 ``--audit`` cross-checks the handoff-energy conservation invariants
@@ -160,29 +160,38 @@ def _start_position(cell: MobilityCell, index: int) -> tuple[float, float]:
 def run_cell(cell: MobilityCell) -> MobilityPoint:
     """Walk one (speed, density, technology) cell, replaying its
     technology's handoff cost."""
-    (point,) = _walk_pair(((cell, reassociation_cost(cell.technology)),))
+    (point,) = _walk_speed(((cell, reassociation_cost(cell.technology)),))
     return point
 
 
-def _walk_pair(cells: Sequence[tuple[MobilityCell, HandoffCost]],
-               ) -> list[MobilityPoint]:
-    """Walk one (speed, spacing) pair's devices once and score each
-    ``(cell, cost)`` from those walks; the cells differ only in
-    technology, which no walk depends on. Module-level and
-    picklable-in/out, so it fans over the experiment pool unchanged
-    (which brings the metrics home)."""
-    pair = cells[0][0]
-    grid = ApGrid.build(pair.area_m, spacing_m=pair.ap_spacing_m)
-    config = MobilityConfig(model=pair.model, speed_mps=pair.speed_mps,
-                            epoch_s=pair.epoch_s, seed=pair.seed)
-    policy = HandoffPolicy(kind=pair.policy)
-    walks = [walk_trajectory(build_trajectory(config, index,
-                                              _start_position(pair, index),
-                                              pair.area_m, pair.duration_s),
-                             grid, policy, duration_s=pair.duration_s,
-                             interval_s=pair.interval_s)
-             for index in range(pair.device_count)]
-    return [_score(cell, cost, walks) for cell, cost in cells]
+def _walk_speed(cells: Sequence[tuple[MobilityCell, HandoffCost]],
+                ) -> list[MobilityPoint]:
+    """Build one speed's trajectories once, walk them once through each
+    AP spacing's grid, and score each ``(cell, cost)`` from the walks
+    of its spacing. The cells differ only in spacing and technology: a
+    trajectory depends on neither, and no walk depends on the
+    technology. Module-level and picklable-in/out, so it fans over the
+    experiment pool unchanged (which brings the metrics home)."""
+    first = cells[0][0]
+    config = MobilityConfig(model=first.model, speed_mps=first.speed_mps,
+                            epoch_s=first.epoch_s, seed=first.seed)
+    trajectories = [build_trajectory(config, index,
+                                     _start_position(first, index),
+                                     first.area_m, first.duration_s)
+                    for index in range(first.device_count)]
+    policy = HandoffPolicy(kind=first.policy)
+    walks: dict[float, list[DeviceMobilityStats]] = {}
+    points = []
+    for cell, cost in cells:
+        if cell.ap_spacing_m not in walks:
+            grid = ApGrid.build(cell.area_m, spacing_m=cell.ap_spacing_m)
+            walks[cell.ap_spacing_m] = [
+                walk_trajectory(trajectory, grid, policy,
+                                duration_s=cell.duration_s,
+                                interval_s=cell.interval_s)
+                for trajectory in trajectories]
+        points.append(_score(cell, cost, walks[cell.ap_spacing_m]))
+    return points
 
 
 def _score(cell: MobilityCell, cost: HandoffCost,
@@ -238,18 +247,19 @@ def run_mobility(workers: int = 1) -> list[MobilityPoint]:
     cell otherwise :class:`MobilityCell`'s defaults.
 
     Each technology's handoff cost is replayed once, here; one pool
-    task per (speed, spacing) walks its devices once and returns that
-    pair's four points, technology innermost. Pairs are independent
-    and internally deterministic, so results are identical for any
-    ``workers`` value.
+    task per speed builds its devices' trajectories once, walks them
+    once per spacing and returns that speed's twelve points, spacing
+    then technology innermost. Speeds are independent and internally
+    deterministic, so results are identical for any ``workers`` value.
     """
     costs = [reassociation_cost(technology)
              for technology in HANDOFF_TECHNOLOGIES]
-    pairs = [tuple((MobilityCell(speed_mps=speed, ap_spacing_m=spacing,
-                                 technology=cost.technology), cost)
-                   for cost in costs)
-             for speed in DEFAULT_SPEEDS for spacing in DEFAULT_SPACINGS]
-    return [point for points in run_grid(_walk_pair, pairs, workers=workers)
+    speeds = [tuple((MobilityCell(speed_mps=speed, ap_spacing_m=spacing,
+                                  technology=cost.technology), cost)
+                    for spacing in DEFAULT_SPACINGS for cost in costs)
+              for speed in DEFAULT_SPEEDS]
+    return [point for points in run_grid(_walk_speed, speeds,
+                                         workers=workers)
             for point in points]
 
 

@@ -91,12 +91,10 @@ def _write_aggregates(path: str, tenants) -> None:
     print(f"wrote {path}")
 
 
-def _soak(args) -> int:
+def _soak(args, wires) -> int:
     """Unpaced lossless ingest of a generated stream; the ≥1M
     payloads/minute target lives here (and in ``BENCH_service.json``
     via ``benchmarks/bench_service.py``)."""
-    wires = generate_stream(args.payloads, device_count=args.devices,
-                            seed=args.seed, corrupt_fraction=0.001)
     config = _config_from_args(args, policy=BackpressurePolicy.BLOCK,
                                checkpoint_dir=None, metrics_interval_s=0.0)
     service, elapsed = asyncio.run(_run_replay(wires, config))
@@ -185,24 +183,30 @@ def main(argv: list[str] | None = None) -> int:
                              "stalling forever")
     args = parser.parse_args(argv)
     try:
+        if args.rate is not None and not args.rate > 0:
+            raise ValueError(f"--rate must be > 0, got {args.rate:g}")
         config = _config_from_args(args)
         federation = None if args.federate is None else FederationConfig(
             gateways=args.federate, checkpoint_root=args.checkpoint,
             workers=args.workers, seed=args.seed,
             drain_deadline_s=args.drain_deadline)
+        wires = None
+        if args.record or args.soak:
+            # generate_stream checks its arguments before any frame.
+            wires = generate_stream(
+                args.payloads, device_count=args.devices, seed=args.seed,
+                corrupt_fraction=(args.corrupt_fraction if args.record
+                                  else 0.001))
     except (ValueError, FederationError) as error:
         parser.error(str(error))
 
     if args.record:
-        wires = generate_stream(args.payloads, device_count=args.devices,
-                                seed=args.seed,
-                                corrupt_fraction=args.corrupt_fraction)
         count = record_stream(args.record, wires,
                               header_extra={"seed": args.seed})
         print(f"recorded {count} frames to {args.record}")
         return 0
     if args.soak:
-        return _soak(args)
+        return _soak(args, wires)
 
     if args.replay and federation is not None:
         wires = load_stream(args.replay)

@@ -57,6 +57,7 @@ from ..faults.service import ServiceFault, ServiceFaultPlan
 from ..obs.metrics import METRICS
 from .ingest import peek_device_id
 from .queues import BackpressurePolicy, QueueClosed
+from .replay import FrameStream
 from .server import GatewayService, ServiceConfig, ServiceError
 from .tenants import TenantAggregate, tenant_of
 
@@ -154,14 +155,18 @@ def route_wire(wire: bytes, gateway_count: int) -> int:
 
 
 def partition_stream(wires: Sequence[bytes],
-                     gateway_count: int) -> list[list[bytes]]:
-    """Split a stream into per-partition substreams, order preserved."""
+                     gateway_count: int) -> list[FrameStream]:
+    """Split a stream into per-partition substreams, order preserved.
+
+    The parts share one buffer: ``wires``' own when it is a
+    :class:`~repro.service.replay.FrameStream`, else a packed copy.
+    """
     if gateway_count < 1:
         raise FederationError("gateway_count must be >= 1")
-    parts: list[list[bytes]] = [[] for _ in range(gateway_count)]
-    for wire in wires:
-        parts[route_wire(wire, gateway_count)].append(wire)
-    return parts
+    if not isinstance(wires, FrameStream):
+        wires = FrameStream.from_frames(wires)
+    return wires.partition(lambda wire: route_wire(wire, gateway_count),
+                           gateway_count)
 
 
 # -- federated merge ----------------------------------------------------------
@@ -202,12 +207,23 @@ def merge_federated(parts: Sequence[dict[int, TenantAggregate]],
 
 def tenant_state_digest(tenants: dict[int, TenantAggregate]) -> str:
     """A canonical digest of exact per-tenant state — two runs whose
-    aggregates are bit-identical (and only those) share it."""
-    canonical = json.dumps(
-        {str(tenant_id): tenants[tenant_id].to_state()
-         for tenant_id in sorted(tenants)},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    aggregates are bit-identical (and only those) share it.
+
+    It hashes the bytes of ``json.dumps({str(tenant_id): state, ...},
+    sort_keys=True, separators=(",", ":"))``, one tenant at a time, so
+    no more than one tenant's state is ever serialised at once.
+    """
+    digest = hashlib.sha256(b"{")
+    separator = ""
+    # sort_keys orders the keys as strings: "10" before "2".
+    for key, tenant_id in sorted((str(tenant_id), tenant_id)
+                                 for tenant_id in tenants):
+        state = json.dumps(tenants[tenant_id].to_state(), sort_keys=True,
+                           separators=(",", ":"))
+        digest.update(f"{separator}{json.dumps(key)}:{state}".encode())
+        separator = ","
+    digest.update(b"}")
+    return digest.hexdigest()
 
 
 # -- chaos mechanics ----------------------------------------------------------
@@ -409,7 +425,7 @@ class FederationCoordinator:
             raise FederationError(
                 f"fault plan drawn for {fault_plan.gateway_count} "
                 f"gateways, federation has {self.config.gateways}")
-        self._partitions: list[list[bytes]] = []
+        self._partitions: list[FrameStream] = []
         self._pipelines: list[_Pipeline | None] = []
         self._slot_alive: list[bool] = []
         self._slot_faults: list[list[ServiceFault]] = []

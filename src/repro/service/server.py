@@ -95,6 +95,8 @@ class ServiceConfig:
             raise ValueError("batch_size must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
+        if self.drain_deadline_s is not None and not self.drain_deadline_s > 0:
+            raise ValueError("drain_deadline_s must be > 0")
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ def _sequence_gap(previous: int, current: int) -> int:
     return 0 if gap == 0 else gap - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceChain:
     """One device's sequence bookkeeping, mergeable in stream order."""
 

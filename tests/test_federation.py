@@ -23,6 +23,8 @@ What is pinned here, and why each pin is load-bearing:
 
 import asyncio
 import glob
+import hashlib
+import json
 import math
 import os
 
@@ -201,6 +203,33 @@ class TestRouting:
     def test_gateway_count_validated(self):
         with pytest.raises(FederationError):
             partition_stream(WIRES, 0)
+
+    def test_partitions_share_the_stream_buffer(self):
+        parts = partition_stream(WIRES, 3)
+        assert all(part._records is WIRES._records for part in parts)
+        assert partition_stream(list(WIRES), 3) == parts
+
+
+class TestStateDigest:
+    @staticmethod
+    def _one_shot(tenants):
+        """The digest's definition: one ``json.dumps`` of every tenant."""
+        canonical = json.dumps(
+            {str(tenant_id): tenants[tenant_id].to_state()
+             for tenant_id in sorted(tenants)},
+            sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_streamed_digest_is_the_one_shot_digest(self):
+        assert tenant_state_digest({}) == self._one_shot({})
+        wires = generate_stream(3000, device_count=96, tenant_count=12,
+                                seed=5, corrupt_fraction=0.01)
+        tenants = _observe_all(decode_wires(wires)[0])
+        # String order ("10" < "2") differs from numeric order here.
+        assert len(tenants) == 12
+        assert sorted(map(str, tenants)) != [str(tenant_id) for tenant_id
+                                             in sorted(tenants)]
+        assert tenant_state_digest(tenants) == self._one_shot(tenants)
 
 
 # -- the merge contract (hypothesis) ------------------------------------------

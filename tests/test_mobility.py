@@ -468,8 +468,10 @@ class TestExperimentAndAudit:
                                                 tmp_path):
         """One walk per (speed, spacing) pair and device scores all four
         technologies: 12 pairs x 8 devices = 96 walks, not 48 cells x 8,
-        and no wake looks up its strongest AP a second time."""
-        walks, lookups = [], []
+        and no wake looks up its strongest AP a second time. Each
+        speed builds its 8 trajectories once for all three spacings:
+        4 speeds x 8 devices = 32 builds, not 96."""
+        builds, walks, lookups = [], [], []
 
         def counted(real, calls):
             def wrapper(*args, **kwargs):
@@ -477,10 +479,13 @@ class TestExperimentAndAudit:
                 return real(*args, **kwargs)
             return wrapper
 
+        monkeypatch.setattr(mobility_sweep, "build_trajectory",
+                            counted(mobility_sweep.build_trajectory, builds))
         monkeypatch.setattr(mobility_sweep, "walk_trajectory",
                             counted(walk_trajectory, walks))
         monkeypatch.setattr(ApGrid, "best", counted(ApGrid.best, lookups))
         points = mobility_sweep.run_mobility()
+        assert len(builds) == 32
         assert len(walks) == 96
         assert len(lookups) == 96 * 240  # one per 60 s epoch of 4 h
         assert [point.cell.technology for point in points] == \

@@ -18,14 +18,19 @@ The load-bearing guarantees, each pinned here:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import re
 import struct
+import tempfile
 import threading
 import time
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.codec import decode_beacon, device_mac, encode_beacon
 from repro.core.payload import (
@@ -57,8 +62,10 @@ from repro.service import (
     extract_payload,
     generate_stream,
     load_stream,
+    partition_stream,
     record_stream,
     replay,
+    route_wire,
     tenant_of,
 )
 from repro.service.checkpoint import KEEP_GENERATIONS
@@ -286,7 +293,7 @@ class TestIngestDifferential:
 
     def test_decode_wires_counts_errors(self):
         wires = generate_stream(100, seed=5, corrupt_fraction=0.0)
-        payloads, errors = decode_wires(wires + [b"junk"])
+        payloads, errors = decode_wires(list(wires) + [b"junk"])
         assert errors == 1
         assert len(payloads) == 100
 
@@ -435,6 +442,11 @@ class TestTenantAggregate:
         assert first.missed == 2  # 4, 5
         assert first.received == 5
         assert first.last_sequence == 7
+
+    def test_device_chain_has_no_instance_dict(self):
+        # A gateway holds one chain per device it has heard.
+        assert not hasattr(DeviceChain(first_sequence=1, last_sequence=1),
+                           "__dict__")
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +801,7 @@ class TestGatewayService:
         interval = 0.2
         # 120,000 frames; tiled, because generating them takes longer
         # than ingesting them.
-        wires = generate_stream(8_000, device_count=64, seed=0) * 15
+        wires = list(generate_stream(8_000, device_count=64, seed=0)) * 15
 
         async def scenario():
             service = GatewayService(ServiceConfig(
@@ -906,6 +918,72 @@ class TestReplayFiles:
         assert generate_stream(100, seed=9) == generate_stream(100, seed=9)
         assert generate_stream(100, seed=9) != generate_stream(100, seed=10)
 
+    def test_generation_rejects_invalid_arguments(self):
+        cases = [dict(payload_count=-1), dict(device_count=0),
+                 dict(tenant_count=0), dict(encrypted_fraction=-0.1),
+                 dict(duplicate_fraction=1.5), dict(gap_fraction=2.0),
+                 dict(corrupt_fraction=float("nan"))]
+        for case in cases:
+            arguments = {"payload_count": 10, **case}
+            with pytest.raises(ValueError, match=next(iter(case))):
+                generate_stream(**arguments)
+        assert len(generate_stream(0)) == 0
+
+    def test_recorded_file_is_pinned(self, tmp_path):
+        """The on-disk format cannot drift: this file's sha256 was
+        recorded when streams were still lists of ``bytes``."""
+        path = tmp_path / "stream.bin"
+        record_stream(str(path), generate_stream(
+            40, device_count=8, tenant_count=3, seed=11,
+            corrupt_fraction=0.1), header_extra={"seed": 11})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "29297602a39af4dcdc2c5aafc5a99e18"
+            "e60b9d0ab9ea7b20492d78712c807411")
+
+    def test_loaded_stream_holds_one_buffer(self, tmp_path):
+        """A loaded frame costs its record (~79 bytes here) and a 4-byte
+        offset, not a ``bytes`` object in a list (~118 bytes)."""
+        path = str(tmp_path / "stream.bin")
+        record_stream(path, generate_stream(20_000, seed=0,
+                                            corrupt_fraction=0.001))
+        tracemalloc.start()
+        try:
+            wires = load_stream(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(wires) == 20_000
+        assert peak / len(wires) <= 90
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(frames=st.lists(st.binary(max_size=300), max_size=300),
+           data=st.data())
+    def test_loaded_stream_behaves_as_its_list(self, frames, data):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "stream.bin")
+            assert record_stream(path, frames) == len(frames)
+            wires = load_stream(path)
+        assert len(wires) == len(frames)
+        assert list(wires) == frames
+        assert wires == frames
+        for index in data.draw(st.lists(st.integers(
+                min_value=-len(frames) - 2, max_value=len(frames) + 1),
+                max_size=8)):
+            if -len(frames) <= index < len(frames):
+                assert wires[index] == frames[index]
+            else:
+                with pytest.raises(IndexError):
+                    wires[index]
+        for cut in data.draw(st.lists(st.slices(len(frames)), max_size=4)):
+            assert list(wires[cut]) == frames[cut]
+            assert list(wires[cut][::-1]) == frames[cut][::-1]
+        for count in (1, 2, 3):
+            parts = partition_stream(wires, count)
+            assert [list(part) for part in parts] == [
+                [wire for wire in frames if route_wire(wire, count) == part]
+                for part in range(count)]
+
     def test_truncated_file_rejected(self, tmp_path):
         wires = generate_stream(20, seed=1)
         path = str(tmp_path / "stream.bin")
@@ -957,11 +1035,25 @@ class TestReplayFiles:
     (["--queue-capacity", "0"], "queue_capacity must be >= 1"),
     (["--replay", "missing.bin", "--federate", "0"],
      "gateways must be >= 1"),
+    (["--replay", "missing.bin", "--rate", "0"], "--rate must be > 0, got 0"),
+    (["--replay", "missing.bin", "--rate", "-5"],
+     "--rate must be > 0, got -5"),
+    (["--replay", "missing.bin", "--drain-deadline", "-1"],
+     "drain_deadline_s must be > 0"),
+    (["--record", "stream.bin", "--payloads", "-1"],
+     "payload_count must be >= 0, got -1"),
+    (["--record", "stream.bin", "--corrupt-fraction", "2"],
+     "corrupt_fraction must be in [0, 1], got 2.0"),
+    (["--record", "stream.bin", "--devices", "0"],
+     "device_count must be >= 1, got 0"),
 ])
-def test_cli_invalid_value_is_a_usage_error(argv, message, capsys):
+def test_cli_invalid_value_is_a_usage_error(argv, message, capsys, tmp_path,
+                                            monkeypatch):
     from repro.service.__main__ import main
+    monkeypatch.chdir(tmp_path)  # a --record that is not refused writes here
     with pytest.raises(SystemExit) as exited:
         main(argv)
     assert exited.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == \
         f"python -m repro.service: error: {message}"
+    assert not os.listdir(tmp_path)
